@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ising import IsingModel, WeightedGraph
-from .rng import RngStreams, XorShift64, xorshift_next  # noqa: F401 (re-export)
+from .rng import RngStreams
 from .schedules import AnnealParams, i0_at, n_rnd_at, q_value_at
 from .solver import (
     AccumulatorOverflowError,
@@ -252,6 +252,8 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
         q = q_value_at(params, t)
         i0 = i0_at(params, t)
         n_rnd = n_rnd_at(params, t)
+        # One word per replica per spin, consumed in spin i's finalize cycle.
+        noise_step = rng.next_bipolar(n)
         for i in range(n):
             acc = np.zeros(r_count, dtype=np.int64)
             if sparse_bypass:
@@ -267,7 +269,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
                     emit(t, i, "MAC")
                     cycle += 1
             # Finalize cycle: noise, replica coupling, saturation, sign.
-            noise = rng.next_bipolar(1)[0]
+            noise = noise_step[i]
             upper = np.roll(delay.read_tminus1(i), -1)
             if not periodic:
                 upper[-1] = 0

@@ -1,33 +1,43 @@
 """64-bit xorshift random number generation with per-replica streams.
 
-The generator applies Marsaglia's (13, 7, 17) left/right/left shift triple.
-Replica stream k is seeded with splitmix64(seed + (k+1) * GOLDEN), which is
-a bijection of distinct inputs, so streams are pairwise distinct; a zero
+The generator applies Marsaglia's (13, 7, 17) left/right/left shift triple
+(G. Marsaglia, "Xorshift RNGs", J. Stat. Softw. 8(14), 2003). Replica
+stream k is seeded with splitmix64(seed + (k+1) * GOLDEN), which is a
+bijection of distinct inputs, so streams are pairwise distinct; a zero
 result (which would be an absorbing state) is remapped deterministically.
 
 Binary spin noise takes the low bit of each output word; uniform floats map
 the word into [-1, 1). Both engines (reference and hardware model) consume
 one output word per spin update from the owning replica's stream, in spin
 index order, so their streams stay aligned.
+
+Blocks are generated by jumping ahead. The xorshift step is linear over
+GF(2), so k draws map a state s to T^k s for a fixed 64x64 bit matrix T,
+and any power of T is built from T by repeated squaring (H. Haramoto,
+M. Matsumoto, T. Nishimura, F. Panneton, P. L'Ecuyer, "Efficient jump ahead
+for F2-linear random number generators", INFORMS J. Comput. 20(3), 2008).
+next_block(n) cuts the n draws of every stream into C = isqrt(n) lanes of
+L = ceil(n / C) consecutive draws. Lane c starts from T^(cL) s, and all
+C * R lanes advance L times in lockstep as one numpy array, so Python loops
+about sqrt(n) times per block instead of n times. The words come out in
+stream order, equal to n scalar steps of each stream.
+
+A bit matrix M is held as a 4-bit lookup table: entry [j, v] is M applied
+to the word v << 4j. M x is then the XOR of the 16 entries picked by the
+nibbles of x, and the table of a product A B is A applied to every entry of
+the table of B.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-    def njit(*a, **k):
-        def deco(f):
-            return f
-
-        return deco if not (len(a) == 1 and callable(a[0])) else a[0]
-
+# Kept for result provenance, which names the RNG backend; the block kernel
+# is plain numpy and has no compiled variant.
+_HAVE_NUMBA = False
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -75,29 +85,59 @@ def stream_seeds(seed: int, n_streams: int) -> np.ndarray:
     return seeds
 
 
-@njit(cache=True)
-def _block_words(states, n):
-    r = states.shape[0]
-    out = np.empty((n, r), dtype=np.uint64)
-    for i in range(n):
-        for k in range(r):
-            x = states[k]
-            x ^= x << np.uint64(13)
-            x ^= x >> np.uint64(7)
-            x ^= x << np.uint64(17)
-            states[k] = x
-            out[i, k] = x
-    return out
+_S13, _S7, _S17 = np.uint64(13), np.uint64(7), np.uint64(17)
+_NIBBLE = np.arange(16, dtype=np.uint64)
+_NIBBLE_SHIFT = (np.uint64(4) * _NIBBLE)[:, None]
+_NIBBLE_ROW = np.arange(16)[:, None]
+# Lookup table of the identity matrix: entry [j, v] is v << 4j.
+_IDENTITY = _NIBBLE << _NIBBLE_SHIFT
 
 
-def _block_words_py(states, n):
-    out = np.empty((n, states.shape[0]), dtype=np.uint64)
-    for i in range(n):
-        states ^= states << np.uint64(13)
-        states ^= states >> np.uint64(7)
-        states ^= states << np.uint64(17)
-        out[i] = states
-    return out
+def _advance(x: np.ndarray) -> None:
+    """One xorshift step of every word of x, in place."""
+    x ^= x << _S13
+    x ^= x >> _S7
+    x ^= x << _S17
+
+
+def _apply(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(M, K) images of the K words under each of the M matrix tables.
+
+    The gather holds one table entry per (matrix, nibble, word), never one
+    per bit.
+    """
+    idx = ((words >> _NIBBLE_SHIFT) & np.uint64(15)).astype(np.intp)
+    return np.bitwise_xor.reduce(tables[:, _NIBBLE_ROW, idx], axis=1)
+
+
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Table of the product a b of two matrix tables."""
+    return _apply(a[None], b.ravel()).reshape(16, 16)
+
+
+def _jump_table(k: int) -> np.ndarray:
+    """Table of T^k, the state map of k xorshift draws."""
+    power = _IDENTITY.copy()
+    _advance(power)
+    result = _IDENTITY
+    while k:
+        if k & 1:
+            result = _compose(power, result)
+        power = _compose(power, power)
+        k >>= 1
+    return result
+
+
+@functools.lru_cache(maxsize=8)
+def _lane_tables(lanes: int, length: int) -> np.ndarray:
+    """Read-only (lanes, 16, 16) tables of T^(c * length), c = 0..lanes-1."""
+    stride = _jump_table(length)
+    tables = [_IDENTITY]
+    for _ in range(1, lanes):
+        tables.append(_compose(stride, tables[-1]))
+    tables = np.stack(tables)
+    tables.flags.writeable = False
+    return tables
 
 
 class RngStreams:
@@ -112,9 +152,20 @@ class RngStreams:
         self.n_streams = n_streams
 
     def next_block(self, n: int) -> np.ndarray:
-        if _HAVE_NUMBA:
-            return _block_words(self.states, n)
-        return _block_words_py(self.states, n)
+        states = self.states
+        r = states.shape[0]
+        if n == 0:
+            return np.empty((0, r), dtype=np.uint64)
+        c = math.isqrt(n)
+        length = -(-n // c)
+        lanes = _apply(_lane_tables(c, length), states)
+        out = np.empty((c, length, r), dtype=np.uint64)
+        for j in range(length):
+            _advance(lanes)
+            out[:, j] = lanes
+        out = out.reshape(c * length, r)[:n]
+        states[:] = out[-1]
+        return out
 
     def next_bipolar(self, n: int) -> np.ndarray:
         """(n, R) array of +-1 noise bits (low bit of each word)."""

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ssqa.rng import (
     GOLDEN,
     MASK64,
     RngStreams,
     XorShift64,
+    _apply,
+    _jump_table,
     splitmix64,
     stream_seeds,
     xorshift_next,
@@ -131,13 +134,41 @@ def test_golden_ratio_constant():
 
 
 def test_numpy_fallback_matches_block_kernel():
-    """The pure-numpy block generator is interchangeable with the compiled one."""
-    from ssqa.rng import _block_words_py
+    """The lane-parallel block kernel equals the scalar generator, block by block."""
+    streams = RngStreams(17, 6)
+    scalars = [XorShift64(int(s)) for s in stream_seeds(17, 6)]
+    for n in (40, 1, 7, 40):
+        expect = [[g.next_word() for g in scalars] for _ in range(n)]
+        assert streams.next_block(n).tolist() == expect
 
-    states_a = stream_seeds(17, 6).copy()
-    states_b = states_a.copy()
-    via_class = RngStreams(17, 6)
-    assert np.array_equal(via_class.states, states_a)
-    fast = via_class.next_block(40)
-    slow = _block_words_py(states_b, 40)
-    assert np.array_equal(fast, slow)
+
+# 1, primes, and any size up to 300 (17 lanes of 18 draws).
+BLOCK_SIZES = st.one_of(
+    st.sampled_from([1, 2, 3, 5, 7, 11, 13, 31, 97, 101, 257]),
+    st.integers(0, 300),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, MASK64), r=st.integers(1, 24),
+       sizes=st.lists(BLOCK_SIZES, min_size=1, max_size=6))
+# 16 is below the 17 lanes of a 300-word block; 290 is not a multiple of its
+# 17 lanes, so its last lane is 2 draws long where the others are 18.
+@example(seed=1, r=24, sizes=[300, 16, 1, 290, 97, 3])
+def test_blocks_match_scalar_streams(seed, r, sizes):
+    """Concatenated blocks of any sizes equal the R scalar streams."""
+    streams = RngStreams(seed, r)
+    got = np.vstack([streams.next_block(n) for n in sizes])
+    scalars = [XorShift64(int(s)) for s in stream_seeds(seed, r)]
+    expect = [[g.next_word() for g in scalars] for _ in range(sum(sizes))]
+    assert got.tolist() == expect
+
+
+@pytest.mark.parametrize("k", [0, 1, 63, 64, 1000, 2**20 + 3])
+def test_jump_table_equals_scalar_steps(k):
+    """T^k applied to a state is the state after k scalar draws."""
+    gen = XorShift64(0x123456789ABCDEF)
+    jumped = _apply(_jump_table(k)[None], np.array([gen.state], dtype=np.uint64))
+    for _ in range(k):
+        gen.next_word()
+    assert int(jumped[0, 0]) == gen.state
