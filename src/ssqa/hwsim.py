@@ -3,10 +3,11 @@ annealing datapath.
 
 Schedule: for each spin, one MAC cycle per stored coupling (all couplings
 when the sparse bypass is off, so N-1 cycles for a dense row) plus one
-finalize cycle that applies the saturating accumulator and sign, giving
-N*(k+1) cycles per annealing step on a regular-degree graph. All R replica
-gates advance in lockstep and share each (J_ij, j) fetch; the per-replica
-noise word is consumed in the finalize cycle.
+finalize (FIN) cycle that applies the noise, the replica coupling, the
+saturating accumulator and the sign, giving N*(k+1) cycles per annealing
+step on a regular-degree graph. All R replica gates advance in lockstep and
+share each (J_ij, j) fetch; the per-replica noise word is consumed in the
+finalize cycle.
 
 Delay lines supply the step-t plane (for interaction reads) and the
 step-(t-1) plane (for the replica-coupling read). The two implementations
@@ -16,11 +17,22 @@ produce identical values and differ only in their resource model:
   overwrites the oldest one in place, and a same-cycle read at a written
   address returns the pre-write word (reads before writes).
 * ShiftRegDelay: three full register planes shifted once per step.
+
+run_hw reads a spin row's neighbour words in one gather, read_t(cols_i),
+and advances the cycle count by the row's degree. The gather returns the
+same words as deg_i single-address MAC reads would: the t plane is never a
+write target within a step, and a write commits only at the end of a FIN
+cycle, so nothing a MAC cycle of row i could read changes between its first
+and last MAC cycle. The FIN cycle stays one cycle per spin with its delay
+calls in hardware order (read t-1 word, write t+1 word, commit), so the
+read-before-write hazard of the recycled bank is still exercised spin by
+spin. The step is deliberately not collapsed into one mat-vec: the row
+loop keeps the addressing of both planes observable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +52,18 @@ class DelayAddressError(IndexError):
     """Delay-line access outside [0, N)."""
 
 
+def _check_addr(n: int, addr):
+    """Raise DelayAddressError unless addr (an int or a 1-D int array) is in
+    [0, n). Checked explicitly: numpy would wrap a negative array index."""
+    if isinstance(addr, (int, np.integer)):
+        ok = 0 <= addr < n
+    else:
+        a = np.asarray(addr)
+        ok = a.size == 0 or (np.minimum.reduce(a) >= 0 and np.maximum.reduce(a) < n)
+    if not ok:
+        raise DelayAddressError(f"address {addr} outside [0,{n})")
+
+
 def cycles_per_step(n: int, k: int) -> int:
     """Cycles for one full annealing step: N interaction rows of k MACs + 1."""
     if n < 1:
@@ -52,11 +76,8 @@ def cycles_per_step(n: int, k: int) -> int:
 def count_total_cycles(model: IsingModel, steps: int, sparse_bypass: bool = True) -> int:
     """Exact cycle count of run_hw for this model and step budget."""
     if sparse_bypass:
-        degs = np.zeros(model.n, dtype=np.int64)
-        for i, j, _ in model.couplings:
-            degs[i] += 1
-            degs[j] += 1
-        per_step = int((degs + 1).sum())
+        # sum_i (deg_i + 1): every coupling is stored in two rows.
+        per_step = model.n + 2 * len(model.couplings)
     else:
         per_step = cycles_per_step(model.n, model.n - 1)
     return steps * per_step
@@ -72,6 +93,9 @@ class CycleReport:
     energy_j: float
     utilization: float
     adp_s: float
+    # The MAC / FIN split of total_cycles; 0 when no cycle was simulated.
+    mac_cycles: int = 0
+    fin_cycles: int = 0
 
 
 # Measured constants of the reference FPGA build, used as report defaults.
@@ -134,20 +158,18 @@ class DualBramDelay:
         self._banks = [plane_t.copy(), plane_tm1.copy()]
         self._pending = []
 
-    def _check(self, addr: int):
-        if not (0 <= addr < self.n):
-            raise DelayAddressError(f"address {addr} outside [0,{self.n})")
-
-    def read_t(self, addr: int):
-        self._check(addr)
+    def read_t(self, addr):
+        """Word at addr of the t plane; an address array gathers one word
+        per address, as the same number of single reads would."""
+        _check_addr(self.n, addr)
         return self._banks[self.parity][addr]
 
     def read_tminus1(self, addr: int):
-        self._check(addr)
+        _check_addr(self.n, addr)
         return self._banks[1 - self.parity][addr]
 
     def write(self, addr: int, word):
-        self._check(addr)
+        _check_addr(self.n, addr)
         self._pending.append((addr, np.array(word)))
 
     def end_cycle(self):
@@ -175,20 +197,18 @@ class ShiftRegDelay:
         self._old = plane_tm1.copy()
         self._pending = []
 
-    def _check(self, addr: int):
-        if not (0 <= addr < self.n):
-            raise DelayAddressError(f"address {addr} outside [0,{self.n})")
-
-    def read_t(self, addr: int):
-        self._check(addr)
+    def read_t(self, addr):
+        """Word at addr of the t plane; an address array gathers one word
+        per address, as the same number of single reads would."""
+        _check_addr(self.n, addr)
         return self._cur[addr]
 
     def read_tminus1(self, addr: int):
-        self._check(addr)
+        _check_addr(self.n, addr)
         return self._old[addr]
 
     def write(self, addr: int, word):
-        self._check(addr)
+        _check_addr(self.n, addr)
         self._pending.append((addr, np.array(word)))
 
     def end_cycle(self):
@@ -213,7 +233,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
            record_trace: bool = False, trace_file=None,
            f_clk: float = DEFAULT_F_CLK, power_w: float = DEFAULT_POWER_W,
            utilization: float = DEFAULT_UTILIZATION):
-    """Cycle-by-cycle execution of the spin-serial schedule.
+    """Spin-serial execution of the schedule, cycle-accounted.
 
     Returns (RunResult, CycleReport); the RunResult is bit-exact equal to
     run_ssqa with the same inputs in integer mode. trace_file, when given,
@@ -226,77 +246,88 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
         raise ValueError(f"unknown delay kind {delay_kind!r}")
 
     n, r_count = model.n, params.replicas
-    adjacency = model.adjacency()
-    if not sparse_bypass:
-        jdense = np.asarray(model.coupling_matrix().todense())
+    # Row i's MAC operands: its stored couplings, or every j != i when the
+    # sparse bypass is off (zero weights still cost a cycle).
+    jmat = model.coupling_matrix()
+    if sparse_bypass:
+        indptr, indices, data = jmat.indptr, jmat.indices, jmat.data
+    else:
+        off_diag = ~np.eye(n, dtype=bool)
+        indptr = np.arange(n + 1) * (n - 1)
+        indices = np.nonzero(off_diag)[1]
+        data = jmat.toarray()[off_diag]
+    indptr = indptr.tolist()
 
     rng = RngStreams(params.seed, r_count)
     init = initial_state(model, params, rng)
-    # Delay words are spin-major: address i holds the R replica states.
+    # Delay words and accumulators are spin-major: address i holds the R
+    # replica states of spin i.
     delay = _DELAY_KINDS[delay_kind](init.sigma.T.copy(), init.sigma_prev.T.copy())
-    is_acc = np.zeros((r_count, n), dtype=np.int64)
+    is_acc = np.zeros((n, r_count), dtype=np.int64)
 
     n_rnd_max = max(abs(n_rnd_at(params, 0)), abs(n_rnd_at(params, max(params.steps - 1, 0))))
     i0_max = max(abs(i0_at(params, 0)), abs(i0_at(params, max(params.steps - 1, 0))))
     acc_bound = model.max_input_magnitude(n_rnd_max, int(np.ceil(params.q.q_max))) + i0_max
 
-    periodic = params.periodic_replicas
-    cycle = 0
+    # Replica k couples to replica k+1 of the t-1 plane; with open chains
+    # the last replica has no upper neighbour.
+    upper_idx = (np.arange(r_count) + 1) % r_count
+    open_mask = None if params.periodic_replicas else (np.arange(r_count) < r_count - 1)
+    mac_cycles = fin_cycles = 0
     trace = [] if record_trace else None
-
-    def emit(step, spin, phase):
-        if trace_file is not None:
-            trace_file.write(f"{cycle},{step},{spin},-1,{phase},{delay.parity if hasattr(delay, 'parity') else 0}\n")
 
     for t in range(params.steps):
         q = q_value_at(params, t)
         i0 = i0_at(params, t)
         n_rnd = n_rnd_at(params, t)
-        # One word per replica per spin, consumed in spin i's finalize cycle.
-        noise_step = rng.next_bipolar(n)
+        # This step's noise word (one per replica per spin), bias and
+        # accumulator; row i of raw_step becomes spin i's raw accumulator sum
+        # in its finalize cycle, and is_acc[i] changes only there. Summed in
+        # place, so no (N, R) temporary is added to the peak memory.
+        raw_step = rng.next_bipolar(n)
+        raw_step *= n_rnd
+        raw_step += model.h[:, None]
+        raw_step += is_acc
+        parity = getattr(delay, "parity", 0)
         for i in range(n):
-            acc = np.zeros(r_count, dtype=np.int64)
-            if sparse_bypass:
-                for j, w in adjacency[i]:
-                    acc += w * delay.read_t(j)
-                    emit(t, i, "MAC")
-                    cycle += 1
-            else:
-                for j in range(n):
-                    if j == i:
-                        continue
-                    acc += int(jdense[i, j]) * delay.read_t(j)
-                    emit(t, i, "MAC")
-                    cycle += 1
-            # Finalize cycle: noise, replica coupling, saturation, sign.
-            noise = noise_step[i]
-            upper = np.roll(delay.read_tminus1(i), -1)
-            if not periodic:
-                upper[-1] = 0
-            inp = int(model.h[i]) + acc + n_rnd * noise + q * upper
-            raw = is_acc[:, i] + inp
-            if np.abs(raw).max() > acc_bound:
-                raise AccumulatorOverflowError(
-                    f"|accumulator| {np.abs(raw).max()} exceeds bound {acc_bound}"
-                )
-            is_new = np.where(raw >= i0, i0 - params.alpha, np.where(raw < -i0, -i0, raw))
-            sigma_new = np.where(is_new >= 0, 1, -1).astype(np.int64)
-            is_acc[:, i] = is_new
-            delay.write(i, sigma_new)
-            emit(t, i, "FIN")
-            cycle += 1
+            lo, hi = indptr[i], indptr[i + 1]
+            cols, weights = indices[lo:hi], data[lo:hi]
+            raw = raw_step[i]
+            # MAC cycles: one gather of the row's neighbour words.
+            raw += weights @ delay.read_t(cols)
+            if trace_file is not None:
+                cycle = mac_cycles + fin_cycles
+                trace_file.write("".join(f"{c},{t},{i},-1,MAC,{parity}\n"
+                                         for c in range(cycle, cycle + len(cols))))
+            mac_cycles += len(cols)
+            # Finalize cycle: replica coupling, saturation, sign.
+            upper = delay.read_tminus1(i)[upper_idx]
+            if open_mask is not None:
+                upper *= open_mask
+            raw += q * upper
+            # raw >= I0 saturates to I0 - alpha, raw < -I0 to -I0.
+            is_new = np.where(raw >= i0, i0 - params.alpha, np.maximum(raw, -i0))
+            is_acc[i] = is_new
+            delay.write(i, np.where(is_new >= 0, 1, -1))
+            if trace_file is not None:
+                trace_file.write(f"{mac_cycles + fin_cycles},{t},{i},-1,FIN,{parity}\n")
+            fin_cycles += 1
             delay.end_cycle()
+        peak = np.abs(raw_step).max()
+        if peak > acc_bound:
+            raise AccumulatorOverflowError(f"|accumulator| {peak} exceeds bound {acc_bound}")
         delay.advance_step()
         if record_trace:
-            trace.append((delay.plane_t().T.copy(), is_acc.copy()))
+            trace.append((delay.plane_t().T.copy(), is_acc.T.copy()))
 
     final = ReplicaSet(sigma=delay.plane_t().T.copy(),
                        sigma_prev=np.zeros((r_count, n), dtype=np.int64),
-                       is_acc=is_acc, t=params.steps)
+                       is_acc=is_acc.T.copy(), t=params.steps)
     result = _finalize(model, params, graph, final, params.seed, params.steps,
                        None, trace)
+    cycle = mac_cycles + fin_cycles
     expected = count_total_cycles(model, params.steps, sparse_bypass)
     assert cycle == expected, f"cycle accounting drift: {cycle} != {expected}"
     per_step = expected // params.steps if params.steps else 0
     report = estimate_report(cycle, f_clk, power_w, utilization, cycles_per_step=per_step)
-    return result, report
+    return result, replace(report, mac_cycles=mac_cycles, fin_cycles=fin_cycles)

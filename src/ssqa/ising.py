@@ -1,12 +1,15 @@
 """Ising model data types, energy / cut evaluation, and the MAX-CUT mapping.
 
 All arithmetic on models within their declared weight bit-width is exact
-integer arithmetic; nothing here rounds.
+integer arithmetic; nothing here rounds. Edges and couplings are stored as
+tuples; a graph's int64 edge arrays and a model's coupling CSR are built on
+first use and cached on the instance, so construction does no array work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -27,6 +30,13 @@ def _check_state(spins, n) -> np.ndarray:
     if not np.isin(s, (-1, 1)).all():
         raise ValueError("spins must be -1 or +1")
     return s.astype(np.int64)
+
+
+def _columns(triples) -> tuple:
+    """(a, b, w) int64 read-only arrays of a tuple of (a, b, w) triples."""
+    cols = np.array(triples, dtype=np.int64).reshape(-1, 3).T.copy()
+    cols.setflags(write=False)
+    return tuple(cols)
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,11 @@ class WeightedGraph:
     @property
     def total_weight(self) -> int:
         return sum(w for _, _, w in self.edges)
+
+    @cached_property
+    def _edge_arrays(self) -> tuple:
+        """(u, v, w) int64 arrays of the edge list."""
+        return _columns(self.edges)
 
 
 @dataclass(frozen=True)
@@ -83,15 +98,20 @@ class IsingModel:
                 )
             seen.add((i, j))
 
+    @cached_property
+    def _csr(self) -> sparse.csr_matrix:
+        i, j, w = _columns(self.couplings)
+        m = sparse.csr_matrix((np.concatenate([w, w]),
+                               (np.concatenate([i, j]), np.concatenate([j, i]))),
+                              shape=(self.n, self.n), dtype=np.int64)
+        for a in (m.data, m.indices, m.indptr):
+            a.setflags(write=False)
+        return m
+
     def coupling_matrix(self) -> sparse.csr_matrix:
-        """Symmetric N x N coupling matrix as CSR (zero diagonal)."""
-        if not self.couplings:
-            return sparse.csr_matrix((self.n, self.n), dtype=np.int64)
-        i, j, w = zip(*self.couplings)
-        rows = np.concatenate([i, j])
-        cols = np.concatenate([j, i])
-        vals = np.concatenate([w, w]).astype(np.int64)
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+        """Symmetric N x N coupling matrix as CSR (zero diagonal), columns
+        sorted within each row. Built once per model and shared: read-only."""
+        return self._csr
 
     def adjacency(self) -> list:
         """Per-spin list of (neighbor, weight); iteration cost is the degree."""
@@ -103,10 +123,7 @@ class IsingModel:
 
     def max_input_magnitude(self, n_rnd_max: int, q_max: int) -> int:
         """Worst-case |I| of one spin update; sizes the accumulator."""
-        row_sum = np.zeros(self.n, dtype=np.int64)
-        for i, j, w in self.couplings:
-            row_sum[i] += abs(w)
-            row_sum[j] += abs(w)
+        row_sum = abs(self._csr) @ np.ones(self.n, dtype=np.int64)
         local = np.abs(self.h) + row_sum
         return int(local.max()) + abs(n_rnd_max) + abs(q_max)
 
@@ -114,16 +131,15 @@ class IsingModel:
 def energy(model: IsingModel, state) -> int:
     """H(s) = -sum_i h_i s_i - sum_{i<j} J_ij s_i s_j, exact integer."""
     s = _check_state(state, model.n)
-    e = -int(model.h @ s)
-    for i, j, w in model.couplings:
-        e -= int(w) * int(s[i]) * int(s[j])
-    return e
+    # s.J.s counts every coupling twice.
+    return -int(model.h @ s) - int(s @ (model._csr @ s)) // 2
 
 
 def cut_value(graph: WeightedGraph, state) -> int:
     """Total weight of edges crossing the partition induced by the state."""
     s = _check_state(state, graph.n_nodes)
-    return sum(w for u, v, w in graph.edges if s[u] != s[v])
+    u, v, w = graph._edge_arrays
+    return int(w[s[u] != s[v]].sum())
 
 
 def maxcut_to_ising(graph: WeightedGraph, weight_bits: int = 4) -> IsingModel:

@@ -95,7 +95,9 @@ def _step_arrays(h, jmat, params, state, noise, t):
     n_rnd = n_rnd_at(params, t)
     alpha = params.alpha
 
-    field = state.sigma @ jmat  # (R, N), reads the step-t plane only
+    # (R, N), reads the step-t plane only. J is symmetric, so J @ sigma^T
+    # gives the same field without scipy transposing the CSR each call.
+    field = (jmat @ state.sigma.T).T
     inp = h + field + n_rnd * noise
     inp = inp + q * _coupling_neighbor(state.sigma_prev, params.periodic_replicas)
 
@@ -162,7 +164,7 @@ def _finalize(model, params, graph, state, seed, steps, trajectory, trace, spin_
 
 def _replica_energies(model: IsingModel, sigma) -> np.ndarray:
     sig = np.asarray(sigma, dtype=np.int64)
-    field = sig @ model.coupling_matrix()
+    field = (model.coupling_matrix() @ sig.T).T
     return -(sig @ model.h) - (sig * field).sum(axis=1) // 2
 
 
@@ -209,7 +211,7 @@ def run_psa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None
     spin_sum = np.zeros_like(sigma) if collect_spin_mean else None
     for t in range(params.steps):
         i0 = params.i0.at(t, params.steps)
-        inp = i0 * (h + sigma @ jmat)
+        inp = i0 * (h + (jmat @ sigma.T).T)
         r = rng.next_uniform(model.n).T
         sigma = np.where(r + np.tanh(inp) >= 0, 1.0, -1.0)
         if collect_spin_mean:

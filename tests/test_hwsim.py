@@ -19,7 +19,7 @@ from ssqa.hwsim import (
 )
 from ssqa.ising import IsingModel, WeightedGraph, maxcut_to_ising
 from ssqa.schedules import AnnealParams, LinearSchedule, QSchedule
-from ssqa.solver import run_ssqa
+from ssqa.solver import AccumulatorOverflowError, run_ssqa
 
 
 def random_model(rng, n, p=0.4):
@@ -199,6 +199,29 @@ def test_delay_address_bounds(delay_cls):
             d.write(bad, [1, 1])
 
 
+@pytest.mark.parametrize("delay_cls", [DualBramDelay, ShiftRegDelay])
+def test_vector_read_t_equals_scalar_reads(delay_cls):
+    rng = np.random.default_rng(3)
+    n, r = 9, 4
+    d = delay_cls(rng.choice([-1, 1], size=(n, r)), rng.choice([-1, 1], size=(n, r)))
+    for _ in range(50):
+        addrs = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
+        if rng.random() < 0.5:
+            # A same-cycle pending write is not visible to the gather.
+            d.write(int(rng.integers(0, n)), rng.choice([-1, 1], size=r))
+        got = d.read_t(addrs)
+        assert got.shape == (len(addrs), r)
+        for k, a in enumerate(addrs):
+            assert np.array_equal(got[k], d.read_t(int(a)))
+        if rng.random() < 0.3:
+            d.advance_step()
+        else:
+            d.end_cycle()
+    for bad in ([-1], [0, n], [3, -2, 1], [n + 5]):
+        with pytest.raises(DelayAddressError):
+            d.read_t(np.array(bad))
+
+
 def test_dual_bram_parity_alternates():
     d = DualBramDelay(np.ones((2, 1)), np.ones((2, 1)))
     assert d.parity == 0
@@ -230,16 +253,39 @@ def test_run_hw_bit_exact_and_cycle_exact(delay_kind, sparse):
 def test_run_hw_trace_file_format():
     model = IsingModel(3, np.zeros(3, dtype=np.int64), ((0, 1, 1), (1, 2, -1)))
     params = AnnealParams(steps=2, replicas=2, seed=1)
-    buf = io.StringIO()
-    _, report = run_hw(model, params, trace_file=buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == report.total_cycles
-    first = lines[0].split(",")
-    assert len(first) == 6
-    assert first[0] == "0" and first[1] == "0"  # cycle 0, step 0
-    assert {line.split(",")[4] for line in lines} == {"MAC", "FIN"}
-    # Cycle numbers are consecutive from zero.
-    assert [int(line.split(",")[0]) for line in lines] == list(range(len(lines)))
+    # Degrees (1, 2, 1): each step is MAC FIN, MAC MAC FIN, MAC FIN. The
+    # last column is the dual-BRAM bank parity, 0 throughout for registers.
+    step = [(0, "MAC"), (0, "FIN"), (1, "MAC"), (1, "MAC"), (1, "FIN"), (2, "MAC"), (2, "FIN")]
+    for kind, parities in (("dual_bram", (0, 1)), ("shift_register", (0, 0))):
+        buf = io.StringIO()
+        _, report = run_hw(model, params, kind, trace_file=buf)
+        want = [f"{7 * t + c},{t},{spin},-1,{phase},{parities[t]}"
+                for t in range(2) for c, (spin, phase) in enumerate(step)]
+        assert buf.getvalue() == "".join(line + "\n" for line in want), kind
+        assert report.total_cycles == len(want)
+    assert want[:3] == ["0,0,0,-1,MAC,0", "1,0,0,-1,FIN,0", "2,0,1,-1,MAC,0"]
+
+
+def test_run_hw_reports_mac_fin_split():
+    model = IsingModel(4, np.zeros(4, dtype=np.int64), ((0, 1, 1), (1, 2, -1), (1, 3, 2)))
+    params = AnnealParams(steps=6, replicas=3, seed=2)
+    _, sparse = run_hw(model, params)
+    assert (sparse.mac_cycles, sparse.fin_cycles) == (6 * 6, 6 * 4)
+    _, dense = run_hw(model, params, sparse_bypass=False)
+    assert (dense.mac_cycles, dense.fin_cycles) == (6 * 4 * 3, 6 * 4)
+    for rep, sb in ((sparse, True), (dense, False)):
+        assert rep.mac_cycles + rep.fin_cycles == count_total_cycles(model, 6, sb)
+    # The reference engines simulate no cycle, so their split is zero.
+    assert (estimate_report(100).mac_cycles, estimate_report(100).fin_cycles) == (0, 0)
+
+
+def test_run_hw_accumulator_bound_is_enforced(monkeypatch):
+    model = IsingModel(3, np.array([3, -2, 1]), ((0, 1, 7), (0, 2, -7), (1, 2, 7)))
+    params = AnnealParams(steps=4, replicas=2, seed=3)
+    run_hw(model, params)  # the true bound holds
+    monkeypatch.setattr(IsingModel, "max_input_magnitude", lambda self, n_rnd, q: 0)
+    with pytest.raises(AccumulatorOverflowError):
+        run_hw(model, params)
 
 
 def test_run_hw_rejects_float_mode():

@@ -162,6 +162,44 @@ def test_energy_affine_in_weights(seed, n):
     assert cut_value(g2, s) == 2 * cut_value(g, s)
 
 
+def loop_energy(model, s):
+    """Edge-loop definition of H(s), the reference for the vectorized form."""
+    e = -sum(int(model.h[i]) * int(s[i]) for i in range(model.n))
+    for i, j, w in model.couplings:
+        e -= w * int(s[i]) * int(s[j])
+    return e
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([(-1, 1), (1, 3, 7), (-7, -1, 7)]))
+def test_vectorized_cut_energy_and_bound_match_edge_loops(seed, n, weights):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, weights)
+    model = maxcut_to_ising(g)
+    biased = IsingModel(n, rng.integers(-8, 8, size=n), model.couplings)
+    for s in rng.choice([-1, 1], size=(4, n)):
+        cut = cut_value(g, s)
+        assert cut == sum(w for u, v, w in g.edges if s[u] != s[v])
+        assert energy(model, s) == loop_energy(model, s)
+        assert energy(biased, s) == loop_energy(biased, s)
+        assert 2 * cut == g.total_weight - energy(model, s)
+        assert type(cut) is int and type(energy(model, s)) is int
+    row_sum = [0] * n
+    for i, j, w in biased.couplings:
+        row_sum[i] += abs(w)
+        row_sum[j] += abs(w)
+    local = max(abs(int(h)) + r for h, r in zip(biased.h, row_sum))
+    assert biased.max_input_magnitude(3, -2) == local + 3 + 2
+
+
+def test_coupling_matrix_is_cached_and_read_only():
+    model = IsingModel(3, np.zeros(3, dtype=np.int64), ((0, 1, 2), (1, 2, -1)))
+    m = model.coupling_matrix()
+    assert model.coupling_matrix() is m
+    with pytest.raises(ValueError):
+        m.data[0] = 5
+
+
 # --------------------------------------------- replica-coupled energy checks
 
 def test_pseudo_quantum_energy_periodic_and_open():
