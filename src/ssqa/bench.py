@@ -3,14 +3,19 @@
 Trial k uses seed base_seed + k, so interrupted sweeps can resume and any
 row can be reproduced in isolation. Results are emitted as a JSON summary
 ({instance, engine, params, trials, summary}) and a per-trial CSV.
+
+Each instance is parsed once per process and reused by every later trial,
+sweep point and comparison side: a file path is read once per process, so
+a change to the file after its first use is not seen.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
@@ -26,8 +31,17 @@ class IntegrityError(RuntimeError):
 ENGINES = ("ssqa_ref", "ssqa_hw", "ssa", "psa")
 
 
+# The types a RunConfig field of each annotation accepts; a float field
+# also takes an int, and no numeric field takes a bool.
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """One benchmark configuration. It checks itself on construction, so an
+    invalid one cannot be built: a field of the wrong type raises TypeError
+    and a value out of range raises ValueError."""
+
     instance: str = "G11"
     engine: str = "ssqa_ref"
     delay_kind: str = "dual_bram"
@@ -39,13 +53,32 @@ class RunConfig:
     q_max: float = 2.0
     q_tau: int = 10
     q_beta: float = 0.05
-    i0: str = "5"
-    n_rnd: str = "6:0"
+    i0: str | float = "5"  # ramp spec, see parse_ramp
+    n_rnd: str | float = "6:0"
     sparse_bypass: bool = True
     f_clk: float = hwsim.DEFAULT_F_CLK
     power_w: float = hwsim.DEFAULT_POWER_W
     utilization: float = hwsim.DEFAULT_UTILIZATION
     workers: int = 1
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, accepted = getattr(self, f.name), _FIELD_TYPES.get(f.type)
+            if accepted and (not isinstance(value, accepted)
+                             or isinstance(value, bool) != (f.type == "bool")):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r}; choose from {ENGINES}")
+        if self.delay_kind not in hwsim.DELAY_KINDS:
+            raise ValueError(f"unknown delay kind {self.delay_kind!r}; "
+                             f"choose from {hwsim.DELAY_KINDS}")
+        # Steps, replicas, the q staircase and both ramps, then the cost model.
+        self.anneal_params(self.seed)
+        hwsim.estimate_report(0, self.f_clk, self.power_w, self.utilization)
 
     def anneal_params(self, seed: int) -> AnnealParams:
         return AnnealParams(
@@ -69,10 +102,7 @@ def parse_ramp(text: str) -> LinearSchedule:
     raise ValueError(f"bad ramp spec {text!r}; use 'v' or 'start:end'")
 
 
-def default_config(**overrides) -> RunConfig:
-    return replace(RunConfig(), **overrides)
-
-
+@functools.cache
 def _load(instance: str):
     graph = gset.load_instance(instance)
     record = None
@@ -87,23 +117,18 @@ def run_one_trial(config: RunConfig, trial_index: int) -> dict:
     graph, model, record = _load(config.instance)
     seed = config.seed + trial_index
     params = config.anneal_params(seed)
-    cycles = hwsim.count_total_cycles(model, config.steps, config.sparse_bypass)
-    if config.engine == "ssqa_ref":
-        result = solver.run_ssqa(model, params, graph)
-    elif config.engine == "ssa":
-        result = solver.run_ssa(model, params, graph)
-    elif config.engine == "psa":
-        result = solver.run_psa(model, params, graph)
-    elif config.engine == "ssqa_hw":
+    if config.engine == "ssqa_hw":
         result, report = hwsim.run_hw(
             model, params, config.delay_kind, graph=graph,
             sparse_bypass=config.sparse_bypass, f_clk=config.f_clk,
             power_w=config.power_w, utilization=config.utilization)
-        cycles = report.total_cycles
     else:
-        raise ValueError(f"unknown engine {config.engine!r}; choose from {ENGINES}")
-    report = hwsim.estimate_report(cycles, config.f_clk, config.power_w,
-                                   config.utilization)
+        run = {"ssqa_ref": solver.run_ssqa, "ssa": solver.run_ssa,
+               "psa": solver.run_psa}[config.engine]
+        result = run(model, params, graph)
+        cycles = hwsim.count_total_cycles(model, config.steps, config.sparse_bypass)
+        report = hwsim.estimate_report(cycles, config.f_clk, config.power_w,
+                                       config.utilization)
     if record is not None and result.best_value > record.best_known_cut:
         raise IntegrityError(
             f"{config.instance}: cut {result.best_value} exceeds best known "
@@ -156,16 +181,14 @@ class TrialSummary:
 
 def run_trials(config: RunConfig) -> TrialSummary:
     """Execute config.trials independent runs; ordering is by trial index."""
-    if config.trials < 1:
-        raise ValueError("trials must be >= 1")
+    # Loaded before the pool starts, so workers started by fork inherit the parse.
+    record = _load(config.instance)[2]
     indices = range(config.trials)
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             rows = list(pool.map(run_one_trial, [config] * config.trials, indices))
     else:
         rows = [run_one_trial(config, i) for i in indices]
-    rows.sort(key=lambda r: r["trial"])
-    _, _, record = _load(config.instance)
     return TrialSummary(config, rows, record.best_known_cut if record else None)
 
 
@@ -183,29 +206,30 @@ def write_trials_csv(path, summaries, extra_cols=()):
                 writer.writerow(list(extras) + [row[c] for c in TRIAL_CSV_COLUMNS])
 
 
-def sweep_replicas(config: RunConfig, r_list) -> list:
-    """One TrialSummary per replica count, same trial seeds throughout."""
-    return [((r,), run_trials(replace(config, replicas=r))) for r in r_list]
+def sweep(config: RunConfig, field: str, values) -> list:
+    """One ((value,), TrialSummary) per value of one RunConfig field, with
+    the same trial seeds at every point."""
+    return [((v,), run_trials(replace(config, **{field: v}))) for v in values]
 
 
-def sweep_steps(config: RunConfig, step_list) -> list:
-    return [((s,), run_trials(replace(config, steps=s))) for s in step_list]
+def compare(config_a: RunConfig, config_b: RunConfig) -> tuple:
+    """Paired comparison of two engine configurations.
 
-
-def compare(config_a: RunConfig, config_b: RunConfig) -> dict:
-    """Paired comparison of two engine configurations on one instance."""
+    Returns (report, summary_a, summary_b). The report holds, per side "a"
+    and "b", the engine, steps, replicas, summary and final-state memory,
+    then the difference of the mean cuts a - b.
+    """
     sa, sb = run_trials(config_a), run_trials(config_b)
     out = {}
     for tag, s in (("a", sa), ("b", sb)):
+        _, model, _ = _load(s.config.instance)
         out[tag] = {
             "engine": s.config.engine,
             "steps": s.config.steps,
             "replicas": s.config.replicas,
             "summary": s.summary_dict(),
+            # Memory model: solution storage is one bit per spin per replica.
+            "final_state_bits": model.n * s.config.replicas,
         }
     out["mean_diff_a_minus_b"] = out["a"]["summary"]["mean"] - out["b"]["summary"]["mean"]
-    # Memory model: solution storage is one bit per spin per replica.
-    for tag, cfg in (("a", config_a), ("b", config_b)):
-        _, model, _ = _load(cfg.instance)
-        out[tag]["final_state_bits"] = model.n * cfg.replicas
     return out, sa, sb

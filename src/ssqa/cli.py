@@ -4,7 +4,8 @@ Subcommands: run, sweep-replicas, sweep-steps, compare, info. Options can
 come from a JSON config file (--config); explicit flags override it.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 integrity
-failure (a reported cut exceeded the registered best-known value).
+failure (a reported cut exceeded the registered best-known value). The
+config checks are RunConfig's own; the CLI maps their errors to exit 2.
 """
 
 from __future__ import annotations
@@ -39,15 +40,14 @@ def _int_list(text: str):
     return values
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_CONFIG_FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
 
 
 def _add_common(parser):
     parser.add_argument("--config", help="JSON file of option defaults (flags win)")
     parser.add_argument("--instance", help="registry name (e.g. G11) or file path")
     parser.add_argument("--engine", choices=bench.ENGINES)
-    parser.add_argument("--delay", dest="delay_kind",
-                        choices=("dual_bram", "shift_register"))
+    parser.add_argument("--delay", dest="delay_kind", choices=hwsim.DELAY_KINDS)
     parser.add_argument("--replicas", type=int)
     parser.add_argument("--steps", type=int)
     parser.add_argument("--trials", type=int)
@@ -66,7 +66,8 @@ def _add_common(parser):
 
 
 def _build_config(args, suffix="") -> RunConfig:
-    """Layer config file values under explicit flags (flags win)."""
+    """Layer config file values under explicit flags (flags win). With a
+    suffix, a flag <name><suffix> (e.g. --steps-b) wins over <name>."""
     values = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -90,40 +91,21 @@ def _build_config(args, suffix="") -> RunConfig:
         if flag is not None:
             values[name] = flag
     try:
-        config = RunConfig(**values)
-        bench.parse_ramp(config.i0)
-        bench.parse_ramp(config.n_rnd)
+        return RunConfig(**values)
     except (TypeError, ValueError) as exc:
         raise _CliError(EXIT_CONFIG, str(exc))
-    _validate(config)
-    return config
 
 
-def _validate(config: RunConfig):
-    checks = [
-        (config.replicas >= 1, "replicas must be >= 1"),
-        (config.steps >= 0, "steps must be >= 0"),
-        (config.trials >= 1, "trials must be >= 1"),
-        (config.q_tau >= 1, "q-tau must be >= 1"),
-        (config.q_max >= config.q_min, "q-max must be >= q-min"),
-        (config.f_clk > 0, "fclk must be positive"),
-        (config.workers >= 1, "workers must be >= 1"),
-        (config.engine in bench.ENGINES, f"engine must be one of {bench.ENGINES}"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise _CliError(EXIT_CONFIG, message)
-
-
-def _write_outputs(args, payload: str, summaries, oneliner: str | None = None):
-    """With --out: write <out>.json / <out>.csv and print a one-line summary.
-    Without --out: print the full JSON document to stdout."""
+def _write_outputs(args, payload: str, summaries, extra_cols=(),
+                   oneliner: str | None = None):
+    """With --out: write <out>.json / <out>.csv (extra_cols lead each CSV
+    row) and print a one-line summary. Without --out: print the full JSON
+    document to stdout."""
     if args.out:
         try:
             with open(args.out + ".json", "w") as fh:
                 fh.write(payload + "\n")
-            extra = getattr(args, "_sweep_col", ())
-            bench.write_trials_csv(args.out + ".csv", summaries, extra_cols=extra)
+            bench.write_trials_csv(args.out + ".csv", summaries, extra_cols)
         except OSError as exc:
             raise _CliError(EXIT_IO, f"cannot write output: {exc}")
         print(oneliner or f"wrote {args.out}.json and {args.out}.csv")
@@ -139,48 +121,28 @@ def cmd_run(args):
     line = (f"{config.instance} {config.engine}: {config.trials} trials, "
             f"mean {s['mean']:.1f} +- {s['std']:.1f}, best {s['max']}{norm} "
             f"-> {args.out}.json/.csv" if args.out else "")
-    _write_outputs(args, summary.as_json(), [((), summary)], line or None)
+    _write_outputs(args, summary.as_json(), [((), summary)], oneliner=line or None)
 
 
-def cmd_sweep_replicas(args):
+def cmd_sweep(args):
     config = _build_config(args)
-    results = bench.sweep_replicas(config, args.replicas_list)
-    args._sweep_col = ("replicas",)
+    field = args.sweep_field
+    results = bench.sweep(config, field, args.values)
     payload = json.dumps({
         "instance": config.instance,
         "engine": config.engine,
-        "sweep": "replicas",
-        "points": [{"replicas": r, "summary": s.summary_dict()} for (r,), s in results],
+        "sweep": field,
+        "points": [{field: v, "summary": s.summary_dict()} for (v,), s in results],
     }, indent=2)
-    _write_outputs(args, payload, results)
-
-
-def cmd_sweep_steps(args):
-    config = _build_config(args)
-    results = bench.sweep_steps(config, args.steps_list)
-    args._sweep_col = ("steps",)
-    payload = json.dumps({
-        "instance": config.instance,
-        "engine": config.engine,
-        "sweep": "steps",
-        "points": [{"steps": s_val, "summary": s.summary_dict()} for (s_val,), s in results],
-    }, indent=2)
-    _write_outputs(args, payload, results)
+    _write_outputs(args, payload, results, extra_cols=(field,))
 
 
 def cmd_compare(args):
     config_a = _build_config(args)
-    overrides = {}
-    for name in ("engine", "steps", "replicas", "delay_kind"):
-        val = getattr(args, name + "_b")
-        if val is not None:
-            overrides[name] = val
-    config_b = dataclasses.replace(config_a, **overrides)
-    _validate(config_b)
+    config_b = _build_config(args, suffix="_b")
     report, sa, sb = bench.compare(config_a, config_b)
-    args._sweep_col = ("side",)
     payload = json.dumps({"instance": config_a.instance, "compare": report}, indent=2)
-    _write_outputs(args, payload, [(("a",), sa), (("b",), sb)])
+    _write_outputs(args, payload, [(("a",), sa), (("b",), sb)], extra_cols=("side",))
 
 
 def cmd_info(args):
@@ -210,17 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_sr = sub.add_parser("sweep-replicas", help="repeat a run across replica counts")
-    _add_common(p_sr)
-    p_sr.add_argument("--replicas-list", type=_int_list, required=True,
-                      help="comma-separated replica counts, e.g. 1,2,5,10,20")
-    p_sr.set_defaults(func=cmd_sweep_replicas)
-
-    p_ss = sub.add_parser("sweep-steps", help="repeat a run across step budgets")
-    _add_common(p_ss)
-    p_ss.add_argument("--steps-list", type=_int_list, required=True,
-                      help="comma-separated step budgets, e.g. 100,200,500")
-    p_ss.set_defaults(func=cmd_sweep_steps)
+    for field, what, example in (("replicas", "replica counts", "1,2,5,10,20"),
+                                 ("steps", "step budgets", "100,200,500")):
+        p_sw = sub.add_parser(f"sweep-{field}", help=f"repeat a run across {what}")
+        _add_common(p_sw)
+        p_sw.add_argument(f"--{field}-list", dest="values", metavar=f"{field.upper()}_LIST",
+                          type=_int_list, required=True,
+                          help=f"comma-separated {what}, e.g. {example}")
+        p_sw.set_defaults(func=cmd_sweep, sweep_field=field)
 
     p_cmp = sub.add_parser("compare", help="paired run of two engine configurations")
     _add_common(p_cmp)
@@ -228,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="engine for side B (defaults to side A's)")
     p_cmp.add_argument("--steps-b", dest="steps_b", type=int)
     p_cmp.add_argument("--replicas-b", dest="replicas_b", type=int)
-    p_cmp.add_argument("--delay-b", dest="delay_kind_b",
-                       choices=("dual_bram", "shift_register"))
+    p_cmp.add_argument("--delay-b", dest="delay_kind_b", choices=hwsim.DELAY_KINDS)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_info = sub.add_parser("info", help="print instance registry metadata")
@@ -252,9 +210,6 @@ def main(argv=None) -> int:
     except gset.GsetParseError as exc:
         print(f"ssqa-bench: parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"ssqa-bench: I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"ssqa-bench: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

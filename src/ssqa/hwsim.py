@@ -42,8 +42,8 @@ from .schedules import AnnealParams, i0_at, n_rnd_at, q_value_at
 from .solver import (
     AccumulatorOverflowError,
     ReplicaSet,
-    RunResult,
     _finalize,
+    accumulator_bound,
     initial_state,
 )
 
@@ -109,8 +109,12 @@ def estimate_report(total_cycles: int, f_clk: float = DEFAULT_F_CLK,
                     power_w: float = DEFAULT_POWER_W,
                     utilization: float = DEFAULT_UTILIZATION,
                     cycles_per_step: int = 0) -> CycleReport:
-    if f_clk <= 0:
+    if not f_clk > 0:
         raise ValueError("clock frequency must be positive")
+    if not power_w >= 0:
+        raise ValueError("power must be >= 0")
+    if not 0 <= utilization <= 1:
+        raise ValueError("utilization must be in [0, 1]")
     latency = total_cycles / f_clk
     return CycleReport(
         total_cycles=total_cycles,
@@ -225,7 +229,8 @@ class ShiftRegDelay:
         return self._cur.copy()
 
 
-_DELAY_KINDS = {"dual_bram": DualBramDelay, "shift_register": ShiftRegDelay}
+_DELAY_LINES = {cls.kind: cls for cls in (DualBramDelay, ShiftRegDelay)}
+DELAY_KINDS = tuple(_DELAY_LINES)
 
 
 def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram",
@@ -242,7 +247,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     """
     if not params.integer_mode:
         raise ValueError("the hardware model is integer-mode only")
-    if delay_kind not in _DELAY_KINDS:
+    if delay_kind not in _DELAY_LINES:
         raise ValueError(f"unknown delay kind {delay_kind!r}")
 
     n, r_count = model.n, params.replicas
@@ -262,12 +267,10 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     init = initial_state(model, params, rng)
     # Delay words and accumulators are spin-major: address i holds the R
     # replica states of spin i.
-    delay = _DELAY_KINDS[delay_kind](init.sigma.T.copy(), init.sigma_prev.T.copy())
+    delay = _DELAY_LINES[delay_kind](init.sigma.T.copy(), init.sigma_prev.T.copy())
     is_acc = np.zeros((n, r_count), dtype=np.int64)
 
-    n_rnd_max = max(abs(n_rnd_at(params, 0)), abs(n_rnd_at(params, max(params.steps - 1, 0))))
-    i0_max = max(abs(i0_at(params, 0)), abs(i0_at(params, max(params.steps - 1, 0))))
-    acc_bound = model.max_input_magnitude(n_rnd_max, int(np.ceil(params.q.q_max))) + i0_max
+    acc_bound = accumulator_bound(model, params)
 
     # Replica k couples to replica k+1 of the t-1 plane; with open chains
     # the last replica has no upper neighbour.

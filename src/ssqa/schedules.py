@@ -67,8 +67,8 @@ class LinearSchedule:
 class AnnealParams:
     """Full run configuration for the annealing engines.
 
-    alpha (saturation offset) and d (replica-coupling delay) are fixed to 1
-    by the update rule; they are exposed only for sensitivity experiments.
+    alpha (saturation offset) is fixed to 1 by the update rule; it is
+    exposed only for sensitivity experiments.
     """
 
     steps: int = 500
@@ -77,7 +77,6 @@ class AnnealParams:
     i0: LinearSchedule = field(default_factory=lambda: LinearSchedule.constant(5))
     n_rnd: LinearSchedule = field(default_factory=lambda: LinearSchedule(6, 0))
     alpha: int = 1
-    d: int = 1
     seed: int = 1
     integer_mode: bool = True
     periodic_replicas: bool = True
@@ -87,8 +86,6 @@ class AnnealParams:
             raise ValueError("steps must be >= 0")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.d != 1:
-            raise ValueError("only d = 1 is supported")
 
     def with_(self, **kw) -> "AnnealParams":
         return replace(self, **kw)

@@ -14,7 +14,7 @@ next plane. The replica-coupling term reads the plane from two steps back
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +35,6 @@ class ReplicaSet:
     sigma_prev: np.ndarray  # (R, N) spins at step t-1
     is_acc: np.ndarray      # (R, N) saturating accumulators
     t: int = 0
-
-    @property
-    def n_replicas(self) -> int:
-        return self.sigma.shape[0]
 
 
 @dataclass(frozen=True)
@@ -104,7 +100,7 @@ def _step_arrays(h, jmat, params, state, noise, t):
     raw = state.is_acc + inp
     is_new = np.where(raw >= i0, i0 - alpha, np.where(raw < -i0, -i0, raw))
     sigma_new = np.where(is_new >= 0, 1, -1).astype(state.sigma.dtype)
-    return ReplicaSet(sigma=sigma_new, sigma_prev=state.sigma, is_acc=is_new, t=t + 1), field
+    return ReplicaSet(sigma=sigma_new, sigma_prev=state.sigma, is_acc=is_new, t=t + 1)
 
 
 def ssqa_step(model: IsingModel, params: AnnealParams, state: ReplicaSet,
@@ -116,8 +112,7 @@ def ssqa_step(model: IsingModel, params: AnnealParams, state: ReplicaSet,
         )
     jmat = model.coupling_matrix()
     noise = _draw_noise(params, rng, model.n)
-    new_state, _ = _step_arrays(model.h, jmat, params, state, noise, state.t)
-    return new_state
+    return _step_arrays(model.h, jmat, params, state, noise, state.t)
 
 
 def _draw_noise(params, rng, n):
@@ -126,13 +121,20 @@ def _draw_noise(params, rng, n):
     return rng.next_uniform(n).T
 
 
+def accumulator_bound(model: IsingModel, params: AnnealParams) -> int:
+    """Largest |raw accumulator sum| an integer-mode step can reach: the
+    widest input (noise gain and q at their extremes) plus the saturation
+    bound. The ramps are linear, so their extremes are at the endpoints."""
+    last = max(params.steps - 1, 0)
+    n_rnd_max = max(abs(n_rnd_at(params, 0)), abs(n_rnd_at(params, last)))
+    i0_max = max(abs(i0_at(params, 0)), abs(i0_at(params, last)))
+    return model.max_input_magnitude(n_rnd_max, int(np.ceil(params.q.q_max))) + i0_max
+
+
 def _check_widths(model: IsingModel, params: AnnealParams):
     if not params.integer_mode:
         return
-    n_rnd_max = max(abs(n_rnd_at(params, 0)), abs(n_rnd_at(params, max(params.steps - 1, 0))))
-    q_max = int(np.ceil(params.q.q_max))
-    i0_max = max(abs(i0_at(params, 0)), abs(i0_at(params, max(params.steps - 1, 0))))
-    worst = model.max_input_magnitude(n_rnd_max, q_max) + i0_max
+    worst = accumulator_bound(model, params)
     if worst >= 2**62:
         raise AccumulatorOverflowError(f"worst-case accumulator {worst} too wide")
 
@@ -180,7 +182,7 @@ def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | Non
     trace = [] if record_trace else None
     for t in range(params.steps):
         noise = _draw_noise(params, rng, model.n)
-        state, _ = _step_arrays(h, jmat, params, state, noise, t)
+        state = _step_arrays(h, jmat, params, state, noise, t)
         if record_trajectory:
             trajectory.append(int(_replica_energies(model, state.sigma).min()))
         if record_trace:

@@ -1,11 +1,17 @@
 """Tests for the benchmark harness and the ssqa-bench command line tool."""
 
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ssqa import bench, cli, gset
+import ssqa
+from ssqa import bench, cli, gset, hwsim
 from ssqa.bench import IntegrityError, RunConfig
 from ssqa.gset import GsetRecord
 from ssqa.ising import maxcut_to_ising
@@ -99,7 +105,7 @@ def test_integrity_check_fires(square_path, monkeypatch):
 
 def test_sweeps_and_csv(square_path, tmp_path):
     cfg = small_config(square_path, trials=2)
-    rows = bench.sweep_replicas(cfg, [1, 2, 4])
+    rows = bench.sweep(cfg, "replicas", [1, 2, 4])
     assert [extras[0] for extras, _ in rows] == [1, 2, 4]
     out = tmp_path / "sweep.csv"
     bench.write_trials_csv(out, rows, extra_cols=("replicas",))
@@ -107,7 +113,7 @@ def test_sweeps_and_csv(square_path, tmp_path):
         table = list(csv.reader(fh))
     assert table[0] == ["replicas"] + bench.TRIAL_CSV_COLUMNS
     assert len(table) == 1 + 3 * 2  # header + 3 replica points x 2 trials
-    steps_rows = bench.sweep_steps(cfg, [10, 20])
+    steps_rows = bench.sweep(cfg, "steps", [10, 20])
     # Cycle counts scale linearly in steps: square graph degree sum 8 + 4.
     assert steps_rows[0][1].trials[0]["cycles"] == 10 * 12
     assert steps_rows[1][1].trials[0]["cycles"] == 20 * 12
@@ -124,6 +130,42 @@ def test_compare(square_path):
     # Solution memory model: one bit per spin per replica.
     assert report["a"]["final_state_bits"] == 4 * 4
     assert report["b"]["final_state_bits"] == 4 * 4
+
+
+def count_loads(monkeypatch):
+    """Count gset.load_instance calls, starting from an empty _load cache."""
+    bench._load.cache_clear()
+    calls = []
+    load = gset.load_instance
+    monkeypatch.setattr(gset, "load_instance",
+                        lambda name: calls.append(name) or load(name))
+    return calls
+
+
+def test_each_instance_is_parsed_once(square_path, monkeypatch):
+    calls = count_loads(monkeypatch)
+    bench.run_trials(small_config(square_path, trials=3))
+    assert calls == [square_path]
+    calls = count_loads(monkeypatch)
+    bench.compare(small_config(square_path, trials=1),
+                  small_config(square_path, trials=1, engine="ssa"))
+    assert calls == [square_path]
+
+
+def test_hw_row_carries_the_run_hw_report(square_path, monkeypatch):
+    run_hw = hwsim.run_hw
+    reports = []
+
+    def marked(*args, **kwargs):
+        result, report = run_hw(*args, **kwargs)
+        reports.append(dataclasses.replace(report, latency_s=1.5, energy_j=2.5))
+        return result, reports[-1]
+
+    monkeypatch.setattr(hwsim, "run_hw", marked)
+    row = bench.run_one_trial(small_config(square_path, engine="ssqa_hw"), 0)
+    (report,) = reports
+    assert (row["cycles"], row["latency_s"], row["energy_j"]) == (
+        report.total_cycles, report.latency_s, report.energy_j)
 
 
 # ---------------------------------------------------------------------- CLI
@@ -228,6 +270,12 @@ def test_cli_exit_codes(square_path, tmp_path, capsys, monkeypatch):
     assert run_cli("run", "--config", str(bad)) == 2
     bad.write_text(json.dumps({"unknown_key": 1}))
     assert run_cli("run", "--config", str(bad)) == 2
+    for flag, value in (("--q-beta", "-1"), ("--power", "-1"), ("--utilization", "-3")):
+        assert run_cli("run", "--instance", square_path, flag, value) == 2
+    for wrong in ({"delay_kind": "foo"}, {"replicas": "4"}, {"steps": 5.0},
+                  {"sparse_bypass": 0}):
+        bad.write_text(json.dumps({"instance": square_path, **wrong}))
+        assert run_cli("run", "--config", str(bad)) == 2
     # 3: I/O errors.
     assert run_cli("run", "--instance", str(tmp_path / "absent.txt")) == 3
     assert run_cli("run", "--config", str(tmp_path / "absent.json")) == 3
@@ -239,3 +287,13 @@ def test_cli_exit_codes(square_path, tmp_path, capsys, monkeypatch):
     assert run_cli("run", "--instance", square_path, "--steps", "50",
                    "--replicas", "4") == 4
     capsys.readouterr()
+
+
+def test_cli_config_error_exits_2_without_traceback(square_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(ssqa.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ssqa.cli", "run", "--instance", square_path,
+         "--q-beta", "-1"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("ssqa-bench: error:")

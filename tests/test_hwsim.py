@@ -58,6 +58,11 @@ def test_estimate_report_arithmetic():
     assert rep.adp_s == pytest.approx(0.199 * rep.latency_s)
     with pytest.raises(ValueError):
         estimate_report(1, f_clk=0)
+    with pytest.raises(ValueError):
+        estimate_report(1, power_w=-1)
+    for utilization in (-3, 1.5):
+        with pytest.raises(ValueError):
+            estimate_report(1, utilization=utilization)
     zero = estimate_report(0, f_clk=166e6, power_w=0.091)
     assert zero.latency_s == 0.0 and zero.energy_j == 0.0 and zero.adp_s == 0.0
 

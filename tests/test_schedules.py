@@ -87,8 +87,6 @@ def test_params_validation_and_with():
         AnnealParams(replicas=0)
     with pytest.raises(ValueError):
         AnnealParams(steps=-1)
-    with pytest.raises(ValueError):
-        AnnealParams(d=2)
     p = AnnealParams()
     q = p.with_(replicas=7)
     assert q.replicas == 7 and p.replicas == 20  # original untouched
