@@ -5,7 +5,8 @@ come from a JSON config file (--config); explicit flags override it.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 integrity
 failure (a reported cut exceeded the registered best-known value). The
-config checks are RunConfig's own; the CLI maps their errors to exit 2.
+config checks are RunConfig's own; the CLI maps their errors to exit 2, and
+so the engines' pre-run check that the schedule fits a 63-bit accumulator.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 
 from . import bench, gset, hwsim
 from .bench import IntegrityError, RunConfig
+from .solver import AccumulatorWidthError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -204,6 +206,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"ssqa-bench: error: {exc}", file=sys.stderr)
         return exc.code
+    except AccumulatorWidthError as exc:
+        print(f"ssqa-bench: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except IntegrityError as exc:
         print(f"ssqa-bench: integrity failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY

@@ -18,16 +18,20 @@ produce identical values and differ only in their resource model:
   address returns the pre-write word (reads before writes).
 * ShiftRegDelay: three full register planes shifted once per step.
 
-run_hw reads a spin row's neighbour words in one gather, read_t(cols_i),
-and advances the cycle count by the row's degree. The gather returns the
-same words as deg_i single-address MAC reads would: the t plane is never a
-write target within a step, and a write commits only at the end of a FIN
-cycle, so nothing a MAC cycle of row i could read changes between its first
-and last MAC cycle. The FIN cycle stays one cycle per spin with its delay
-calls in hardware order (read t-1 word, write t+1 word, commit), so the
-read-before-write hazard of the recycled bank is still exercised spin by
-spin. The step is deliberately not collapsed into one mat-vec: the row
-loop keeps the addressing of both planes observable.
+run_hw executes each step as two transactions over its address streams,
+each equal to the step's cycles in hardware order:
+
+* MAC phase: one read of the whole t plane and one product J @ plane. No
+  cycle of a step writes the t plane, so every MAC cycle reads the words of
+  that one read. A zero weight adds nothing, so the product also serves the
+  dense schedule; only the cycle count differs.
+* FIN phase: FIN cycle i reads t-1 word i and writes t+1 word i, and a
+  step's FIN addresses are a permutation of 0..N-1. So no FIN cycle reads
+  an address that an earlier one wrote: reading all t-1 words, then writing
+  all t+1 words gives the words of cycle order, also on the recycled
+  dual-BRAM bank. The delay line checks the permutation on every array write.
+
+Cycle counts and trace-file lines come from the same address streams.
 """
 
 from __future__ import annotations
@@ -39,17 +43,13 @@ import numpy as np
 from .ising import IsingModel, WeightedGraph
 from .rng import RngStreams
 from .schedules import AnnealParams, i0_at, n_rnd_at, q_value_at
-from .solver import (
-    AccumulatorOverflowError,
-    ReplicaSet,
-    _finalize,
-    accumulator_bound,
-    initial_state,
-)
+from .solver import (AccumulatorOverflowError, ReplicaSet, _finalize, accumulator_bound,
+                     initial_state)
 
 
 class DelayAddressError(IndexError):
-    """Delay-line access outside [0, N)."""
+    """Delay-line access outside [0, N), or an array write whose addresses
+    are not a permutation of 0..N-1."""
 
 
 def _check_addr(n: int, addr):
@@ -62,6 +62,14 @@ def _check_addr(n: int, addr):
         ok = a.size == 0 or (np.minimum.reduce(a) >= 0 and np.maximum.reduce(a) < n)
     if not ok:
         raise DelayAddressError(f"address {addr} outside [0,{n})")
+
+
+def _check_write(n: int, addr):
+    """A write goes to one address, or (a step's FIN phase) to each one once."""
+    _check_addr(n, addr)
+    if not isinstance(addr, (int, np.integer)) and not (
+            len(addr) == n and np.bincount(addr, minlength=n).all()):
+        raise DelayAddressError(f"FIN addresses are not a permutation of 0..{n - 1}")
 
 
 def cycles_per_step(n: int, k: int) -> int:
@@ -163,17 +171,18 @@ class DualBramDelay:
         self._pending = []
 
     def read_t(self, addr):
-        """Word at addr of the t plane; an address array gathers one word
-        per address, as the same number of single reads would."""
+        """Word at addr of the t plane, or one word per address."""
         _check_addr(self.n, addr)
         return self._banks[self.parity][addr]
 
-    def read_tminus1(self, addr: int):
+    def read_tminus1(self, addr):
+        """Word at addr of the t-1 plane, or one word per address."""
         _check_addr(self.n, addr)
         return self._banks[1 - self.parity][addr]
 
-    def write(self, addr: int, word):
-        _check_addr(self.n, addr)
+    def write(self, addr, word):
+        """Queue t+1 word(s) for the end of the cycle, at addr or a permutation."""
+        _check_write(self.n, addr)
         self._pending.append((addr, np.array(word)))
 
     def end_cycle(self):
@@ -202,17 +211,18 @@ class ShiftRegDelay:
         self._pending = []
 
     def read_t(self, addr):
-        """Word at addr of the t plane; an address array gathers one word
-        per address, as the same number of single reads would."""
+        """Word at addr of the t plane, or one word per address."""
         _check_addr(self.n, addr)
         return self._cur[addr]
 
-    def read_tminus1(self, addr: int):
+    def read_tminus1(self, addr):
+        """Word at addr of the t-1 plane, or one word per address."""
         _check_addr(self.n, addr)
         return self._old[addr]
 
-    def write(self, addr: int, word):
-        _check_addr(self.n, addr)
+    def write(self, addr, word):
+        """Queue t+1 word(s) for the end of the cycle, at addr or a permutation."""
+        _check_write(self.n, addr)
         self._pending.append((addr, np.array(word)))
 
     def end_cycle(self):
@@ -249,19 +259,16 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
         raise ValueError("the hardware model is integer-mode only")
     if delay_kind not in _DELAY_LINES:
         raise ValueError(f"unknown delay kind {delay_kind!r}")
+    acc_bound = accumulator_bound(model, params)
 
     n, r_count = model.n, params.replicas
-    # Row i's MAC operands: its stored couplings, or every j != i when the
-    # sparse bypass is off (zero weights still cost a cycle).
     jmat = model.coupling_matrix()
-    if sparse_bypass:
-        indptr, indices, data = jmat.indptr, jmat.indices, jmat.data
-    else:
-        off_diag = ~np.eye(n, dtype=bool)
-        indptr = np.arange(n + 1) * (n - 1)
-        indices = np.nonzero(off_diag)[1]
-        data = jmat.toarray()[off_diag]
-    indptr = indptr.tolist()
+    # Row i's MAC cycles: its stored couplings, or every j != i when the
+    # sparse bypass is off (zero weights still cost a cycle).
+    degree = np.diff(jmat.indptr) if sparse_bypass else np.full(n, n - 1)
+    # The FIN address stream: one cycle per spin, in spin order.
+    spins = np.arange(n)
+    mac_per_step = int(degree.sum())
 
     rng = RngStreams(params.seed, r_count)
     init = initial_state(model, params, rng)
@@ -269,57 +276,46 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     # replica states of spin i.
     delay = _DELAY_LINES[delay_kind](init.sigma.T.copy(), init.sigma_prev.T.copy())
     is_acc = np.zeros((n, r_count), dtype=np.int64)
-
-    acc_bound = accumulator_bound(model, params)
-
-    # Replica k couples to replica k+1 of the t-1 plane; with open chains
-    # the last replica has no upper neighbour.
-    upper_idx = (np.arange(r_count) + 1) % r_count
-    open_mask = None if params.periodic_replicas else (np.arange(r_count) < r_count - 1)
-    mac_cycles = fin_cycles = 0
     trace = [] if record_trace else None
+    if trace_file is not None:
+        # "spin,-1,phase," of each cycle of a step: row i's MAC cycles, then its FIN.
+        line_mid = [f"{i},-1,{phase}," for i, deg in enumerate(degree.tolist())
+                    for phase in ["MAC"] * deg + ["FIN"]]
 
     for t in range(params.steps):
         q = q_value_at(params, t)
         i0 = i0_at(params, t)
         n_rnd = n_rnd_at(params, t)
-        # This step's noise word (one per replica per spin), bias and
-        # accumulator; row i of raw_step becomes spin i's raw accumulator sum
-        # in its finalize cycle, and is_acc[i] changes only there. Summed in
-        # place, so no (N, R) temporary is added to the peak memory.
-        raw_step = rng.next_bipolar(n)
-        raw_step *= n_rnd
-        raw_step += model.h[:, None]
-        raw_step += is_acc
         parity = getattr(delay, "parity", 0)
-        for i in range(n):
-            lo, hi = indptr[i], indptr[i + 1]
-            cols, weights = indices[lo:hi], data[lo:hi]
-            raw = raw_step[i]
-            # MAC cycles: one gather of the row's neighbour words.
-            raw += weights @ delay.read_t(cols)
-            if trace_file is not None:
-                cycle = mac_cycles + fin_cycles
-                trace_file.write("".join(f"{c},{t},{i},-1,MAC,{parity}\n"
-                                         for c in range(cycle, cycle + len(cols))))
-            mac_cycles += len(cols)
-            # Finalize cycle: replica coupling, saturation, sign.
-            upper = delay.read_tminus1(i)[upper_idx]
-            if open_mask is not None:
-                upper *= open_mask
-            raw += q * upper
-            # raw >= I0 saturates to I0 - alpha, raw < -I0 to -I0.
-            is_new = np.where(raw >= i0, i0 - params.alpha, np.maximum(raw, -i0))
-            is_acc[i] = is_new
-            delay.write(i, np.where(is_new >= 0, 1, -1))
-            if trace_file is not None:
-                trace_file.write(f"{mac_cycles + fin_cycles},{t},{i},-1,FIN,{parity}\n")
-            fin_cycles += 1
-            delay.end_cycle()
-        peak = np.abs(raw_step).max()
+        # This step's noise word (one per replica per spin), bias and
+        # accumulator. raw is updated in place to the end of the step, so
+        # that fewer (N, R) temporaries add to the peak memory.
+        raw = rng.next_bipolar(n)
+        raw *= n_rnd
+        raw += model.h[:, None]
+        raw += is_acc
+        # MAC phase: every row's couplings over the t plane, read once.
+        raw += jmat @ delay.read_t(spins)
+        # FIN phase: replica k couples to replica k+1 of the t-1 plane; with
+        # open chains the last replica has no upper neighbour.
+        upper = delay.read_tminus1(spins)
+        upper *= q
+        raw[:, :-1] += upper[:, 1:]
+        if params.periodic_replicas:
+            raw[:, -1] += upper[:, 0]
+        peak = max(raw.max(), -raw.min())
         if peak > acc_bound:
             raise AccumulatorOverflowError(f"|accumulator| {peak} exceeds bound {acc_bound}")
+        # raw >= I0 saturates to I0 - alpha, raw < -I0 to -I0.
+        high = raw >= i0
+        np.maximum(raw, -i0, out=raw)
+        raw[high] = i0 - params.alpha
+        is_acc = raw
+        delay.write(spins, np.where(is_acc >= 0, 1, -1))
         delay.advance_step()
+        if trace_file is not None:
+            trace_file.write("".join(f"{c},{t},{mid}{parity}\n" for c, mid in
+                                     enumerate(line_mid, t * len(line_mid))))
         if record_trace:
             trace.append((delay.plane_t().T.copy(), is_acc.T.copy()))
 
@@ -328,6 +324,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
                        is_acc=is_acc.T.copy(), t=params.steps)
     result = _finalize(model, params, graph, final, params.seed, params.steps,
                        None, trace)
+    mac_cycles, fin_cycles = params.steps * mac_per_step, params.steps * n
     cycle = mac_cycles + fin_cycles
     expected = count_total_cycles(model, params.steps, sparse_bypass)
     assert cycle == expected, f"cycle accounting drift: {cycle} != {expected}"

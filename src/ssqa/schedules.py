@@ -27,11 +27,15 @@ class QSchedule:
     beta: float = 0.05
 
     def __post_init__(self):
-        if self.q_min > self.q_max:
+        # Written so that NaN fails every check.
+        if not all(map(math.isfinite, (self.q_min, self.q_max, self.beta))):
+            raise ValueError(f"q_min, q_max and beta must be finite, got "
+                             f"{self.q_min}, {self.q_max}, {self.beta}")
+        if not (self.q_min <= self.q_max):
             raise ValueError("q_min must be <= q_max")
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
-        if self.beta < 0:
+        if not (self.beta >= 0):
             raise ValueError("beta must be >= 0")
 
 
@@ -52,6 +56,10 @@ class LinearSchedule:
 
     start: float
     end: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ValueError(f"ramp endpoints must be finite, got {self.start}:{self.end}")
 
     @classmethod
     def constant(cls, value) -> "LinearSchedule":

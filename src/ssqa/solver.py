@@ -27,6 +27,11 @@ class AccumulatorOverflowError(ArithmeticError):
     """Integer accumulator exceeded its sized width; indicates a bug."""
 
 
+class AccumulatorWidthError(ValueError):
+    """The schedule needs an accumulator wider than 63 bits: a configuration
+    error, raised before the first step."""
+
+
 @dataclass
 class ReplicaSet:
     """Dynamical state: spin planes at t and t-1 plus the accumulators."""
@@ -39,7 +44,7 @@ class ReplicaSet:
 
 @dataclass(frozen=True)
 class RunResult:
-    best_state: np.ndarray
+    best_state: np.ndarray  # int8 +-1: cast before arithmetic
     best_value: int
     best_replica: int
     per_replica_final: np.ndarray
@@ -124,19 +129,19 @@ def _draw_noise(params, rng, n):
 def accumulator_bound(model: IsingModel, params: AnnealParams) -> int:
     """Largest |raw accumulator sum| an integer-mode step can reach: the
     widest input (noise gain and q at their extremes) plus the saturation
-    bound. The ramps are linear, so their extremes are at the endpoints."""
+    bound. The ramps are linear, so their extremes are at the endpoints, and
+    q stays in [q_min, q_max]. Raises AccumulatorWidthError if the bound
+    needs more than 63 bits."""
     last = max(params.steps - 1, 0)
     n_rnd_max = max(abs(n_rnd_at(params, 0)), abs(n_rnd_at(params, last)))
     i0_max = max(abs(i0_at(params, 0)), abs(i0_at(params, last)))
-    return model.max_input_magnitude(n_rnd_max, int(np.ceil(params.q.q_max))) + i0_max
-
-
-def _check_widths(model: IsingModel, params: AnnealParams):
-    if not params.integer_mode:
-        return
-    worst = accumulator_bound(model, params)
+    q_max = int(np.ceil(max(abs(params.q.q_min), abs(params.q.q_max))))
+    worst = model.max_input_magnitude(n_rnd_max, q_max) + i0_max
     if worst >= 2**62:
-        raise AccumulatorOverflowError(f"worst-case accumulator {worst} too wide")
+        raise AccumulatorWidthError(
+            f"the schedule needs a {worst.bit_length() + 1}-bit accumulator, and the "
+            f"limit is 63 bits; lower |q_min|, |q_max|, i0 or n_rnd")
+    return worst
 
 
 def _finalize(model, params, graph, state, seed, steps, trajectory, trace, spin_mean=None):
@@ -151,7 +156,7 @@ def _finalize(model, params, graph, state, seed, steps, trajectory, trace, spin_
         val = energies[idx].item()
         objective = "energy"
     return RunResult(
-        best_state=np.asarray(state.sigma[idx], dtype=np.int64).copy(),
+        best_state=state.sigma[idx].astype(np.int8),
         best_value=val,
         best_replica=idx,
         per_replica_final=finals,
@@ -173,7 +178,8 @@ def _replica_energies(model: IsingModel, sigma) -> np.ndarray:
 def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None = None,
              record_trajectory: bool = False, record_trace: bool = False) -> RunResult:
     """Run the full replica-coupled anneal; deterministic in (model, params, seed)."""
-    _check_widths(model, params)
+    if params.integer_mode:
+        accumulator_bound(model, params)  # a too-wide schedule raises here
     jmat = model.coupling_matrix()
     h = model.h if params.integer_mode else model.h.astype(np.float64)
     rng = RngStreams(params.seed, params.replicas)

@@ -276,6 +276,15 @@ def test_cli_exit_codes(square_path, tmp_path, capsys, monkeypatch):
                   {"sparse_bypass": 0}):
         bad.write_text(json.dumps({"instance": square_path, **wrong}))
         assert run_cli("run", "--config", str(bad)) == 2
+    # Non-finite schedule values, and a schedule too wide for the accumulator.
+    for wrong in ({"q_max": float("nan")}, {"q_beta": float("inf")}, {"i0": "NaN"},
+                  {"n_rnd": "inf:0"}, {"q_min": -1e300, "q_max": 1e300},
+                  {"q_min": -1e300, "q_max": 0.0, "engine": "ssqa_hw"}):
+        bad.write_text(json.dumps({"instance": square_path, **wrong}))
+        assert run_cli("run", "--config", str(bad)) == 2, wrong
+    for flag, value in (("--q-max", "nan"), ("--n-rnd", "inf:0"), ("--i0", "nan"),
+                        ("--q-min", "-inf")):
+        assert run_cli("run", "--instance", square_path, f"{flag}={value}") == 2, flag
     # 3: I/O errors.
     assert run_cli("run", "--instance", str(tmp_path / "absent.txt")) == 3
     assert run_cli("run", "--config", str(tmp_path / "absent.json")) == 3
@@ -289,11 +298,17 @@ def test_cli_exit_codes(square_path, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_cli_config_error_exits_2_without_traceback(square_path):
+def test_cli_config_error_exits_2_without_traceback(square_path, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(ssqa.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ssqa.cli", "run", "--instance", square_path,
-         "--q-beta", "-1"], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("ssqa-bench: error:")
+    nan_config, wide_config = tmp_path / "nan.json", tmp_path / "wide.json"
+    nan_config.write_text('{"q_max": NaN, "i0": "NaN"}')
+    wide_config.write_text(json.dumps({"q_min": -1e300, "q_max": 1e300}))
+    for args in (["--q-beta", "-1"], ["--config", str(nan_config)],
+                 ["--config", str(wide_config)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ssqa.cli", "run", "--instance", square_path, *args],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, args
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("ssqa-bench: error:")
+        assert len(proc.stderr.splitlines()) == 1

@@ -208,23 +208,60 @@ def test_delay_address_bounds(delay_cls):
 def test_vector_read_t_equals_scalar_reads(delay_cls):
     rng = np.random.default_rng(3)
     n, r = 9, 4
-    d = delay_cls(rng.choice([-1, 1], size=(n, r)), rng.choice([-1, 1], size=(n, r)))
+    p0, p1 = rng.choice([-1, 1], size=(n, r)), rng.choice([-1, 1], size=(n, r))
+    # d takes the array forms, twin the same accesses one address per cycle.
+    d, twin = delay_cls(p0, p1), delay_cls(p0, p1)
     for _ in range(50):
         addrs = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
         if rng.random() < 0.5:
             # A same-cycle pending write is not visible to the gather.
-            d.write(int(rng.integers(0, n)), rng.choice([-1, 1], size=r))
+            a, w = int(rng.integers(0, n)), rng.choice([-1, 1], size=r)
+            d.write(a, w)
+            twin.write(a, w)
         got = d.read_t(addrs)
         assert got.shape == (len(addrs), r)
         for k, a in enumerate(addrs):
             assert np.array_equal(got[k], d.read_t(int(a)))
-        if rng.random() < 0.3:
-            d.advance_step()
-        else:
-            d.end_cycle()
+        advance = rng.random() < 0.3
+        for dl in (d, twin):
+            dl.advance_step() if advance else dl.end_cycle()
+        # A FIN phase over a permutation: all t-1 reads, then all writes,
+        # against one read-write-commit cycle per address in that order.
+        perm, words = rng.permutation(n), rng.choice([-1, 1], size=(n, r))
+        old = d.read_tminus1(perm)
+        d.write(perm, words)
+        d.end_cycle()
+        for k, a in enumerate(perm.tolist()):
+            assert np.array_equal(old[k], twin.read_tminus1(a))
+            twin.write(a, words[k])
+            twin.end_cycle()
+        for dl in (d, twin) if rng.random() < 0.5 else ():
+            dl.advance_step()
+        for a in range(n):
+            assert np.array_equal(d.read_t(a), twin.read_t(a))
+            assert np.array_equal(d.read_tminus1(a), twin.read_tminus1(a))
     for bad in ([-1], [0, n], [3, -2, 1], [n + 5]):
         with pytest.raises(DelayAddressError):
             d.read_t(np.array(bad))
+        with pytest.raises(DelayAddressError):
+            d.read_tminus1(np.array(bad))
+
+
+@pytest.mark.parametrize("delay_cls", [DualBramDelay, ShiftRegDelay])
+def test_fin_write_addresses_must_be_a_permutation(delay_cls):
+    n, r = 4, 2
+    d, fresh = (delay_cls(np.ones((n, r)), -np.ones((n, r))) for _ in range(2))
+    for bad in ([0, 1, 1, 3], [0, 1, 2], [-1, 1, 2, 3], [0, 1, 2, n], [0, 1, 2, 3, 0]):
+        with pytest.raises(DelayAddressError):
+            d.write(np.array(bad), np.zeros((len(bad), r)))
+    # The rejected writes queued nothing.
+    d.advance_step()
+    fresh.advance_step()
+    assert np.array_equal(d.read_t(np.arange(n)), fresh.read_t(np.arange(n)))
+    assert np.array_equal(d.read_tminus1(np.arange(n)), fresh.read_tminus1(np.arange(n)))
+    d.write(np.array([2, 0, 3, 1]), np.array([[1, 1], [-1, -1], [1, -1], [-1, 1]]))
+    d.advance_step()
+    assert d.read_t(np.arange(n)).tolist() == [[-1, -1], [-1, 1], [1, 1], [1, -1]]
 
 
 def test_dual_bram_parity_alternates():

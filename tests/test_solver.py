@@ -309,3 +309,24 @@ def test_psa_solves_square():
                           i0=LinearSchedule(0.2, 4.0), integer_mode=False)
     result = run_psa(model, params, graph)
     assert result.best_value == 4
+
+
+def test_best_state_is_int8_and_scores_like_int64():
+    from ssqa.hwsim import run_hw
+    from ssqa.ising import cut_value, energy
+
+    rng = np.random.default_rng(8)
+    edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.random() < 0.6]
+    graph = WeightedGraph(7, tuple((u, v, int(rng.choice([-1, 1]))) for u, v in edges))
+    model = maxcut_to_ising(graph)
+    params = AnnealParams(steps=60, replicas=3, seed=4)
+    results = [run_ssqa(model, params, graph), run_ssa(model, params, graph),
+               run_hw(model, params, graph=graph)[0],
+               run_psa(model, params.with_(i0=LinearSchedule(0.2, 4.0), integer_mode=False),
+                       graph)]
+    for result in results:
+        state = result.best_state
+        assert state.dtype == np.int8 and set(np.unique(state)) <= {-1, 1}
+        wide = state.astype(np.int64)
+        assert cut_value(graph, state) == cut_value(graph, wide) == result.best_value
+        assert energy(model, state) == energy(model, wide)
