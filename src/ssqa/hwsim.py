@@ -117,10 +117,10 @@ def estimate_report(total_cycles: int, f_clk: float = DEFAULT_F_CLK,
                     power_w: float = DEFAULT_POWER_W,
                     utilization: float = DEFAULT_UTILIZATION,
                     cycles_per_step: int = 0) -> CycleReport:
-    if not f_clk > 0:
-        raise ValueError("clock frequency must be positive")
-    if not power_w >= 0:
-        raise ValueError("power must be >= 0")
+    if not 0 < f_clk < float("inf"):
+        raise ValueError(f"clock frequency must be positive and finite, got {f_clk}")
+    if not 0 <= power_w < float("inf"):
+        raise ValueError(f"power must be >= 0 and finite, got {power_w}")
     if not 0 <= utilization <= 1:
         raise ValueError("utilization must be in [0, 1]")
     latency = total_cycles / f_clk

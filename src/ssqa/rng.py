@@ -26,6 +26,11 @@ A bit matrix M is held as a 4-bit lookup table: entry [j, v] is M applied
 to the word v << 4j. M x is then the XOR of the 16 entries picked by the
 nibbles of x, and the table of a product A B is A applied to every entry of
 the table of B.
+
+Noise bits need no full words: bit 0 of draw i from state s is the parity
+of masks[i] & s, where masks[i] is row 0 of T^(i+1). next_block(n,
+low_bit=True) takes one popcount per word and one T^n apply per state.
+next_bipolar draws through it, so a wrapper on next_block sees every word.
 """
 
 from __future__ import annotations
@@ -140,20 +145,41 @@ def _lane_tables(lanes: int, length: int) -> np.ndarray:
     return tables
 
 
+@functools.lru_cache(maxsize=8)
+def _low_bit_tables(n: int) -> tuple:
+    """Read-only (n,) parity masks of draws 1..n and the table of T^n. masks[i]
+    (row 0 of T^(i+1)) is e_0 mapped i+1 times by the transpose of T, which
+    shifts right by 17, left by 7, then right by 13."""
+    masks, row = np.empty(n, dtype=np.uint64), 1
+    for i in range(n):
+        row ^= row >> 17
+        row = (row ^ (row << 7)) & MASK64
+        masks[i] = row = row ^ (row >> 13)
+    jump = _jump_table(n)
+    masks.flags.writeable = jump.flags.writeable = False
+    return masks, jump
+
+
 class RngStreams:
     """R parallel xorshift streams advanced in lockstep.
 
     next_block(n) returns the next n output words of every stream as an
-    (n, R) array: entry [i, k] is draw i of stream k.
+    (n, R) array: entry [i, k] is draw i of stream k. With low_bit=True it
+    returns bit 0 of each of those words as uint8, without forming the words.
     """
 
     def __init__(self, seed: int, n_streams: int):
         self.states = stream_seeds(seed, n_streams)
         self.n_streams = n_streams
 
-    def next_block(self, n: int) -> np.ndarray:
+    def next_block(self, n: int, low_bit: bool = False) -> np.ndarray:
         states = self.states
         r = states.shape[0]
+        if low_bit:
+            masks, jump = _low_bit_tables(n)
+            bits = np.bitwise_count(masks[:, None] & states) & np.uint8(1)
+            states[:] = _apply(jump[None], states)[0]
+            return bits
         if n == 0:
             return np.empty((0, r), dtype=np.uint64)
         c = math.isqrt(n)
@@ -168,9 +194,8 @@ class RngStreams:
         return out
 
     def next_bipolar(self, n: int) -> np.ndarray:
-        """(n, R) array of +-1 noise bits (low bit of each word)."""
-        words = self.next_block(n)
-        return np.where(words & np.uint64(1), np.int64(1), np.int64(-1))
+        """(n, R) int64 array of +-1 noise bits (low bit of each word)."""
+        return 2 * self.next_block(n, low_bit=True).astype(np.int64) - 1
 
     def next_uniform(self, n: int) -> np.ndarray:
         """(n, R) array of uniforms in [-1, 1)."""

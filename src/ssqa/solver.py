@@ -10,6 +10,12 @@ Sweep discipline: each step reads all spins from the previous-step plane
 matches the hardware model, which reads its delay banks while writing the
 next plane. The replica-coupling term reads the plane from two steps back
 (delay d = 1) of replica k+1, wrapping periodically unless configured open.
+
+Layout: the engines keep spin-major (N, R) planes, the word layout of the
+hardware delay lines: row i holds spin i of every replica. A step's noise
+block arrives in that shape, J @ sigma needs no transpose, and the noise
+buffer becomes the accumulator in place. ReplicaSet, traces and results
+stay replica-major (R, N); only those boundaries transpose.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from .ising import IsingModel, WeightedGraph, DimensionError, cut_value
 from .rng import RngStreams
-from .schedules import AnnealParams, i0_at, n_rnd_at, q_value_at
+from .schedules import AnnealParams, QSchedule, i0_at, n_rnd_at, q_value_at
 
 
 class AccumulatorOverflowError(ArithmeticError):
@@ -73,39 +79,47 @@ def initial_state(model: IsingModel, params: AnnealParams, rng: RngStreams) -> R
     """
     dtype = np.int64 if params.integer_mode else np.float64
     sigma = rng.next_bipolar(model.n).T.astype(dtype).copy()
-    return ReplicaSet(
-        sigma=sigma,
-        sigma_prev=sigma.copy(),
-        is_acc=np.zeros((params.replicas, model.n), dtype=dtype),
-        t=0,
-    )
+    return ReplicaSet(sigma=sigma, sigma_prev=sigma.copy(), is_acc=np.zeros_like(sigma), t=0)
 
 
-def _coupling_neighbor(plane: np.ndarray, periodic: bool) -> np.ndarray:
-    """sigma_{i,k+1}: replica k reads replica k+1, wrapping or zeroed."""
-    nbr = np.roll(plane, -1, axis=0)
-    if not periodic:
-        nbr = nbr.copy()
-        nbr[-1] = 0
-    return nbr
+def _saturate_and_sign(raw, i0, top, sigma):
+    """In place: raw >= i0 becomes top (i0 - alpha), raw < -i0 becomes -i0,
+    and sigma gets the sign, 0 as +1. The top branch is a bit select on the
+    int64 view, so float values stay exact too."""
+    bits, mask = raw.view(np.int64), sigma.view(np.int64)
+    np.greater_equal(raw, i0, out=mask)
+    np.negative(mask, out=mask)  # all ones where raw >= i0
+    np.maximum(raw, -i0, out=raw)
+    mask &= bits ^ np.array(top, dtype=raw.dtype).view(np.int64)
+    bits ^= mask
+    np.greater_equal(raw, 0, out=sigma)
+    sigma += sigma
+    sigma -= 1
 
 
-def _step_arrays(h, jmat, params, state, noise, t):
+def _step_arrays(h, jmat, params, sigma, sigma_prev, raw, is_acc, t):
+    """Step t on spin-major planes, in place: raw (the step's noise) becomes
+    the accumulator and sigma_prev the new spins. The sum runs in the order
+    h + J sigma, noise, coupling, accumulator, so float mode rounds the same."""
     q = q_value_at(params, t)
     i0 = i0_at(params, t)
-    n_rnd = n_rnd_at(params, t)
-    alpha = params.alpha
+    raw *= n_rnd_at(params, t)
+    field = jmat @ sigma  # reads the step-t plane only
+    field += h[:, None]
+    raw += field
+    # Replica k reads replica k+1 at t-1; an open chain's last replica reads none.
+    raw[:, :-1] += q * sigma_prev[:, 1:]
+    if params.periodic_replicas:
+        raw[:, -1] += q * sigma_prev[:, 0]
+    raw += is_acc
+    _saturate_and_sign(raw, i0, i0 - params.alpha, sigma_prev)
 
-    # (R, N), reads the step-t plane only. J is symmetric, so J @ sigma^T
-    # gives the same field without scipy transposing the CSR each call.
-    field = (jmat @ state.sigma.T).T
-    inp = h + field + n_rnd * noise
-    inp = inp + q * _coupling_neighbor(state.sigma_prev, params.periodic_replicas)
 
-    raw = state.is_acc + inp
-    is_new = np.where(raw >= i0, i0 - alpha, np.where(raw < -i0, -i0, raw))
-    sigma_new = np.where(is_new >= 0, 1, -1).astype(state.sigma.dtype)
-    return ReplicaSet(sigma=sigma_new, sigma_prev=state.sigma, is_acc=is_new, t=t + 1)
+def _spin_major(state: ReplicaSet, params: AnnealParams) -> tuple:
+    """(N, R) copies, in the mode's dtype, of the planes and accumulators."""
+    dtype = np.int64 if params.integer_mode else np.float64
+    return tuple(np.array(a.T, dtype=dtype, order="C")
+                 for a in (state.sigma, state.sigma_prev, state.is_acc))
 
 
 def ssqa_step(model: IsingModel, params: AnnealParams, state: ReplicaSet,
@@ -113,17 +127,17 @@ def ssqa_step(model: IsingModel, params: AnnealParams, state: ReplicaSet,
     """One synchronous update of every spin in every replica."""
     if state.sigma.shape != (params.replicas, model.n):
         raise DimensionError(
-            f"state shape {state.sigma.shape}, expected ({params.replicas},{model.n})"
-        )
-    jmat = model.coupling_matrix()
-    noise = _draw_noise(params, rng, model.n)
-    return _step_arrays(model.h, jmat, params, state, noise, state.t)
+            f"state shape {state.sigma.shape}, expected ({params.replicas},{model.n})")
+    sigma, sigma_prev, is_acc = _spin_major(state, params)
+    raw = _draw_noise(params, rng, model.n)
+    _step_arrays(model.h, model.coupling_matrix(), params, sigma, sigma_prev, raw, is_acc, state.t)
+    # sigma_prev now holds the new spins and raw the new accumulators.
+    return ReplicaSet(sigma=sigma_prev.T, sigma_prev=state.sigma, is_acc=raw.T, t=state.t + 1)
 
 
 def _draw_noise(params, rng, n):
-    if params.integer_mode:
-        return rng.next_bipolar(n).T
-    return rng.next_uniform(n).T
+    """(N, R) noise of one step: +-1 bits in integer mode, else uniforms."""
+    return rng.next_bipolar(n) if params.integer_mode else rng.next_uniform(n)
 
 
 def accumulator_bound(model: IsingModel, params: AnnealParams) -> int:
@@ -183,16 +197,18 @@ def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | Non
     jmat = model.coupling_matrix()
     h = model.h if params.integer_mode else model.h.astype(np.float64)
     rng = RngStreams(params.seed, params.replicas)
-    state = initial_state(model, params, rng)
+    sigma, sigma_prev, is_acc = _spin_major(initial_state(model, params, rng), params)
     trajectory = [] if record_trajectory else None
     trace = [] if record_trace else None
     for t in range(params.steps):
-        noise = _draw_noise(params, rng, model.n)
-        state = _step_arrays(h, jmat, params, state, noise, t)
+        raw = _draw_noise(params, rng, model.n)
+        _step_arrays(h, jmat, params, sigma, sigma_prev, raw, is_acc, t)
+        sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
         if record_trajectory:
-            trajectory.append(int(_replica_energies(model, state.sigma).min()))
+            trajectory.append(int(_replica_energies(model, sigma.T).min()))
         if record_trace:
-            trace.append((state.sigma.copy(), state.is_acc.copy()))
+            trace.append((sigma.T.copy(), is_acc.T.copy()))
+    state = ReplicaSet(sigma=sigma.T, sigma_prev=sigma_prev.T, is_acc=is_acc.T, t=params.steps)
     return _finalize(model, params, graph, state, params.seed, params.steps,
                      trajectory, trace)
 
@@ -200,8 +216,6 @@ def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | Non
 def run_ssa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None = None,
             **kw) -> RunResult:
     """Single-network anneal: the R = 1, q = 0 degenerate configuration."""
-    from .schedules import QSchedule
-
     degenerate = params.with_(replicas=1, q=QSchedule(0, 0, 1, 0))
     return run_ssqa(model, degenerate, graph, **kw)
 
@@ -213,19 +227,19 @@ def run_psa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None
     Replicas evolve independently (no coupling term); r is uniform on [-1, 1).
     """
     jmat = model.coupling_matrix()
-    h = model.h.astype(np.float64)
+    h = model.h.astype(np.float64)[:, None]
     rng = RngStreams(params.seed, params.replicas)
-    sigma = rng.next_bipolar(model.n).T.astype(np.float64).copy()
+    sigma = rng.next_bipolar(model.n).astype(np.float64)  # spin-major (N, R)
     spin_sum = np.zeros_like(sigma) if collect_spin_mean else None
     for t in range(params.steps):
         i0 = params.i0.at(t, params.steps)
-        inp = i0 * (h + (jmat @ sigma.T).T)
-        r = rng.next_uniform(model.n).T
+        inp = i0 * (h + jmat @ sigma)
+        r = rng.next_uniform(model.n)
         sigma = np.where(r + np.tanh(inp) >= 0, 1.0, -1.0)
         if collect_spin_mean:
             spin_sum += sigma
-    state = ReplicaSet(sigma=sigma, sigma_prev=sigma, is_acc=np.zeros_like(sigma),
+    state = ReplicaSet(sigma=sigma.T, sigma_prev=sigma.T, is_acc=np.zeros_like(sigma.T),
                        t=params.steps)
-    mean = spin_sum / max(params.steps, 1) if collect_spin_mean else None
+    mean = (spin_sum / max(params.steps, 1)).T if collect_spin_mean else None
     return _finalize(model, params, graph, state, params.seed, params.steps,
                      None, None, spin_mean=mean)

@@ -283,7 +283,8 @@ def test_cli_exit_codes(square_path, tmp_path, capsys, monkeypatch):
         bad.write_text(json.dumps({"instance": square_path, **wrong}))
         assert run_cli("run", "--config", str(bad)) == 2, wrong
     for flag, value in (("--q-max", "nan"), ("--n-rnd", "inf:0"), ("--i0", "nan"),
-                        ("--q-min", "-inf")):
+                        ("--q-min", "-inf"), ("--fclk", "inf"), ("--power", "inf"),
+                        ("--fclk", "nan")):
         assert run_cli("run", "--instance", square_path, f"{flag}={value}") == 2, flag
     # 3: I/O errors.
     assert run_cli("run", "--instance", str(tmp_path / "absent.txt")) == 3

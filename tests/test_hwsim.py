@@ -56,10 +56,12 @@ def test_estimate_report_arithmetic():
     assert rep.latency_s == 2_000_000 / 166e6
     assert rep.energy_j == pytest.approx(0.091 * rep.latency_s)
     assert rep.adp_s == pytest.approx(0.199 * rep.latency_s)
-    with pytest.raises(ValueError):
-        estimate_report(1, f_clk=0)
-    with pytest.raises(ValueError):
-        estimate_report(1, power_w=-1)
+    for f_clk in (0, -1, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            estimate_report(1, f_clk=f_clk)
+    for power_w in (-1, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            estimate_report(1, power_w=power_w)
     for utilization in (-3, 1.5):
         with pytest.raises(ValueError):
             estimate_report(1, utilization=utilization)

@@ -11,6 +11,7 @@ from ssqa.rng import (
     XorShift64,
     _apply,
     _jump_table,
+    _low_bit_tables,
     splitmix64,
     stream_seeds,
     xorshift_next,
@@ -172,3 +173,42 @@ def test_jump_table_equals_scalar_steps(k):
     for _ in range(k):
         gen.next_word()
     assert int(jumped[0, 0]) == gen.state
+
+
+DRAWS = ("block", "low_bit", "bipolar", "uniform")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, MASK64), r=st.integers(1, 24),
+       calls=st.lists(st.tuples(st.sampled_from(DRAWS), BLOCK_SIZES), min_size=1,
+                      max_size=8))
+@example(seed=1, r=20, calls=[("low_bit", 800), ("bipolar", 0), ("uniform", 17),
+                              ("low_bit", 1), ("block", 290), ("bipolar", 97)])
+def test_low_bits_equal_the_full_word_path(seed, r, calls):
+    """Parity-mask draws of any kind and size, interleaved with full-word
+    draws, equal bit 0 of the words of a twin stream and leave the same state."""
+    words_only, mixed = RngStreams(seed, r), RngStreams(seed, r)
+    for kind, n in calls:
+        words = words_only.next_block(n)
+        if kind == "block":
+            assert np.array_equal(mixed.next_block(n), words)
+        elif kind == "low_bit":
+            bits = mixed.next_block(n, low_bit=True)
+            assert bits.dtype == np.uint8 and bits.shape == (n, r)
+            assert np.array_equal(bits, words & np.uint64(1))
+        elif kind == "bipolar":
+            bits = mixed.next_bipolar(n)
+            assert bits.dtype == np.int64
+            assert np.array_equal(bits, np.where(words & np.uint64(1), 1, -1))
+        else:
+            expect = (words >> np.uint64(1)).astype(np.float64) / 2.0**62 - 1.0
+            assert np.array_equal(mixed.next_uniform(n), expect)
+        assert np.array_equal(mixed.states, words_only.states)
+
+
+def test_low_bit_tables_are_cached_and_read_only():
+    masks, jump = _low_bit_tables(800)
+    assert _low_bit_tables(800)[0] is masks and masks.shape == (800,)
+    for table in (masks, jump):
+        with pytest.raises(ValueError):
+            table[0] = 0

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ssqa.ising import IsingModel, WeightedGraph, maxcut_to_ising
 from ssqa.rng import RngStreams
 from ssqa.schedules import AnnealParams, LinearSchedule, QSchedule, i0_at, n_rnd_at, q_value_at
 from ssqa.solver import (
     ReplicaSet,
+    _saturate_and_sign,
     initial_state,
     run_psa,
     run_ssa,
@@ -164,6 +167,26 @@ def test_saturation_and_sign_invariants():
         assert (is_acc >= -i0).all() and (is_acc <= i0 - params.alpha).all()
         assert np.array_equal(sigma, np.where(is_acc >= 0, 1, -1))
         assert set(np.unique(sigma)) <= {-1, 1}
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                      elements=st.integers(-40, 40)),
+       i0=st.integers(-12, 12), alpha=st.integers(0, 3), floating=st.booleans())
+# With i0 < 0 or alpha >= 2 the rule is not np.clip(raw, -i0, i0 - alpha).
+@example(raw=np.array([[-5, -3, 0, 3, 5]]), i0=-3, alpha=0, floating=False)
+@example(raw=np.array([[1, 2, 3, 4]]), i0=4, alpha=3, floating=True)
+def test_saturate_and_sign_matches_three_branch_rule(raw, i0, alpha, floating):
+    """The branch-free in-place update equals the nested np.where rule bit
+    for bit, in integer and float mode."""
+    if floating:  # quarter steps, so raw often equals +-i0 exactly
+        raw, i0 = raw / 4, i0 / 4
+    top = i0 - alpha
+    expect = np.where(raw >= i0, top, np.where(raw < -i0, -i0, raw)).astype(raw.dtype)
+    got, sigma = raw.copy(), np.empty_like(raw)
+    _saturate_and_sign(got, i0, top, sigma)
+    assert got.tobytes() == expect.tobytes()
+    assert np.array_equal(sigma, np.where(expect >= 0, 1, -1))
 
 
 def test_initial_state_properties():
