@@ -164,7 +164,7 @@ def _finalize(model, params, graph, state, seed, steps, trajectory, trace, spin_
         idx, val = select_best_replica(finals)
         objective = "cut"
     else:
-        energies = _replica_energies(model, state.sigma)
+        energies = _replica_energies(model, state.sigma.T)
         idx, _ = select_best_replica(-energies)
         finals = energies
         val = energies[idx].item()
@@ -184,9 +184,9 @@ def _finalize(model, params, graph, state, seed, steps, trajectory, trace, spin_
 
 
 def _replica_energies(model: IsingModel, sigma) -> np.ndarray:
+    """Energy of each replica of a spin-major (N, R) plane."""
     sig = np.asarray(sigma, dtype=np.int64)
-    field = (model.coupling_matrix() @ sig.T).T
-    return -(sig @ model.h) - (sig * field).sum(axis=1) // 2
+    return -(model.h @ sig) - (sig * (model.coupling_matrix() @ sig)).sum(axis=0) // 2
 
 
 def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None = None,
@@ -205,7 +205,7 @@ def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | Non
         _step_arrays(h, jmat, params, sigma, sigma_prev, raw, is_acc, t)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
         if record_trajectory:
-            trajectory.append(int(_replica_energies(model, sigma.T).min()))
+            trajectory.append(int(_replica_energies(model, sigma).min()))
         if record_trace:
             trace.append((sigma.T.copy(), is_acc.T.copy()))
     state = ReplicaSet(sigma=sigma.T, sigma_prev=sigma_prev.T, is_acc=is_acc.T, t=params.steps)
