@@ -158,7 +158,7 @@ def cmd_info(args):
         info["bundled"] = args.instance in gset.bundled_instance_names()
         if info["bundled"]:
             graph = gset.load_instance(args.instance)
-            info["total_weight"] = sum(w for _, _, w in graph.edges)
+            info["total_weight"] = graph.total_weight
         print(json.dumps(info, indent=2))
     else:
         print(gset.registry_as_json())

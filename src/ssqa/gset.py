@@ -64,6 +64,7 @@ def parse_gset(text: str) -> WeightedGraph:
     lines = text.splitlines()
     header = None
     edges = []
+    seen = set()
     n = m = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -90,24 +91,15 @@ def parse_gset(text: str) -> WeightedGraph:
         if u == v:
             raise GsetParseError(f"line {lineno}: self-loop at node {u}")
         a, b = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+        if (a, b) in seen:
+            raise GsetParseError(f"line {lineno}: duplicate edge ({a + 1},{b + 1})")
+        seen.add((a, b))
         edges.append((a, b, w))
     if header is None:
         raise GsetParseError("empty file: no 'N M' header")
     if len(edges) != m:
         raise GsetParseError(f"edge count mismatch: header says {m}, found {len(edges)}")
-    if len(set((u, v) for u, v, _ in edges)) != len(edges):
-        dup = _first_duplicate(edges)
-        raise GsetParseError(f"duplicate edge ({dup[0] + 1},{dup[1] + 1})")
     return WeightedGraph(n_nodes=n, edges=tuple(edges))
-
-
-def _first_duplicate(edges):
-    seen = set()
-    for u, v, _ in edges:
-        if (u, v) in seen:
-            return (u, v)
-        seen.add((u, v))
-    return None
 
 
 def serialize_gset(graph: WeightedGraph) -> str:

@@ -9,14 +9,15 @@ step on a regular-degree graph. All R replica gates advance in lockstep and
 share each (J_ij, j) fetch; the per-replica noise word is consumed in the
 finalize cycle.
 
-Delay lines supply the step-t plane (for interaction reads) and the
-step-(t-1) plane (for the replica-coupling read). The two implementations
-produce identical values and differ only in their resource model:
-
-* DualBramDelay: two banks alternate roles each step; the new plane
-  overwrites the oldest one in place, and a same-cycle read at a written
-  address returns the pre-write word (reads before writes).
-* ShiftRegDelay: three full register planes shifted once per step.
+A DelayLine supplies the step-t plane (for interaction reads) and the
+step-(t-1) plane (for the replica-coupling read), in two kinds:
+DualBramDelay writes the t+1 plane over the t-1 bank in place, and
+ShiftRegDelay keeps three register planes. Once a write commits, a
+dual-BRAM read_tminus1 at that address returns the new word and a shift
+register's the old one. Under the spin-serial schedule the kinds give the
+same values, because FIN cycle i reads t-1 word i before its own t+1 write
+commits and no other cycle of the step reads it; so they differ only in
+their resource model.
 
 run_hw executes each step as two transactions over its address streams,
 each equal to the step's cycles in hardware order:
@@ -43,8 +44,7 @@ import numpy as np
 from .ising import IsingModel, WeightedGraph
 from .rng import RngStreams
 from .schedules import AnnealParams, i0_at, n_rnd_at, q_value_at
-from .solver import (AccumulatorOverflowError, ReplicaSet, _finalize, accumulator_bound,
-                     initial_state)
+from .solver import AccumulatorOverflowError, _finalize, accumulator_bound, initial_state
 
 
 class DelayAddressError(IndexError):
@@ -152,33 +152,39 @@ def resource_scaling_model(n: int, delay_kind: str, weight_bits: int = 4) -> dic
     raise ValueError(f"unknown delay kind {delay_kind!r}")
 
 
-class DualBramDelay:
-    """Two alternating banks holding the t and t-1 spin planes.
+class DelayLine:
+    """The t and t-1 spin planes and the plane that receives t+1 words.
 
     Each word is the length-R vector of one spin's state across replicas
     (the R per-replica memories share addressing). Writes commit at the end
     of the cycle, so a same-cycle read of a written address returns the old
-    word. advance_step swaps bank roles: the bank just filled with the t+1
-    plane becomes the t plane, the former t plane becomes the t-1 plane.
+    word. The class attribute kind picks where t+1 words land and how
+    advance_step rotates the planes:
+
+    * dual_bram: two banks. t+1 words overwrite the t-1 bank in place;
+      advance_step swaps the bank roles and flips parity.
+    * shift_register: three planes. t+1 words go to a third plane;
+      advance_step shifts it into t and t into t-1, and parity stays 0.
     """
 
-    kind = "dual_bram"
+    kind: str  # set by each subclass
 
     def __init__(self, plane_t: np.ndarray, plane_tm1: np.ndarray):
         self.n = plane_t.shape[0]
         self.parity = 0
-        self._banks = [plane_t.copy(), plane_tm1.copy()]
+        self._t, self._tm1 = plane_t.copy(), plane_tm1.copy()
+        self._next = self._tm1 if self.kind == "dual_bram" else plane_t.copy()
         self._pending = []
 
     def read_t(self, addr):
         """Word at addr of the t plane, or one word per address."""
         _check_addr(self.n, addr)
-        return self._banks[self.parity][addr]
+        return self._t[addr]
 
     def read_tminus1(self, addr):
         """Word at addr of the t-1 plane, or one word per address."""
         _check_addr(self.n, addr)
-        return self._banks[1 - self.parity][addr]
+        return self._tm1[addr]
 
     def write(self, addr, word):
         """Queue t+1 word(s) for the end of the cycle, at addr or a permutation."""
@@ -187,56 +193,37 @@ class DualBramDelay:
 
     def end_cycle(self):
         for addr, word in self._pending:
-            self._banks[1 - self.parity][addr] = word
+            self._next[addr] = word
         self._pending.clear()
 
     def advance_step(self):
         self.end_cycle()
-        self.parity ^= 1
+        if self.kind == "dual_bram":
+            self._t, self._tm1 = self._next, self._t
+            self._next = self._tm1
+            self.parity ^= 1
+        else:
+            self._t, self._tm1 = self._next.copy(), self._t
 
     def plane_t(self) -> np.ndarray:
-        return self._banks[self.parity].copy()
+        return self._t.copy()
 
 
-class ShiftRegDelay:
-    """Three sequential register planes (t+1, t, t-1), shifted once per step."""
+# perfbench/tracer.py counts the calls of read_t and write through
+# owner.__dict__[...] of each class, so each subclass re-binds them; without
+# that, every traced run raises KeyError. The re-binds go when the benchmark
+# takes its cycle counters from CycleReport.
 
+class DualBramDelay(DelayLine):
+    """Two alternating banks; the t+1 plane overwrites the t-1 bank in place."""
+    kind = "dual_bram"
+    read_t, write = DelayLine.read_t, DelayLine.write
+
+
+class ShiftRegDelay(DelayLine):
+    """Three register planes (t+1, t, t-1), shifted once per step."""
     kind = "shift_register"
-
-    def __init__(self, plane_t: np.ndarray, plane_tm1: np.ndarray):
-        self.n = plane_t.shape[0]
-        self._new = plane_t.copy()  # receives t+1 writes during the step
-        self._cur = plane_t.copy()
-        self._old = plane_tm1.copy()
-        self._pending = []
-
-    def read_t(self, addr):
-        """Word at addr of the t plane, or one word per address."""
-        _check_addr(self.n, addr)
-        return self._cur[addr]
-
-    def read_tminus1(self, addr):
-        """Word at addr of the t-1 plane, or one word per address."""
-        _check_addr(self.n, addr)
-        return self._old[addr]
-
-    def write(self, addr, word):
-        """Queue t+1 word(s) for the end of the cycle, at addr or a permutation."""
-        _check_write(self.n, addr)
-        self._pending.append((addr, np.array(word)))
-
-    def end_cycle(self):
-        for addr, word in self._pending:
-            self._new[addr] = word
-        self._pending.clear()
-
-    def advance_step(self):
-        self.end_cycle()
-        self._old = self._cur
-        self._cur = self._new.copy()
-
-    def plane_t(self) -> np.ndarray:
-        return self._cur.copy()
+    read_t, write = DelayLine.read_t, DelayLine.write
 
 
 _DELAY_LINES = {cls.kind: cls for cls in (DualBramDelay, ShiftRegDelay)}
@@ -274,7 +261,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     init = initial_state(model, params, rng)
     # Delay words and accumulators are spin-major: address i holds the R
     # replica states of spin i.
-    delay = _DELAY_LINES[delay_kind](init.sigma.T.copy(), init.sigma_prev.T.copy())
+    delay = _DELAY_LINES[delay_kind](init.sigma.T, init.sigma_prev.T)
     is_acc = np.zeros((n, r_count), dtype=np.int64)
     trace = [] if record_trace else None
     if trace_file is not None:
@@ -286,7 +273,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
         q = q_value_at(params, t)
         i0 = i0_at(params, t)
         n_rnd = n_rnd_at(params, t)
-        parity = getattr(delay, "parity", 0)
+        parity = delay.parity
         # This step's noise word (one per replica per spin), bias and
         # accumulator. raw is updated in place to the end of the step, so
         # that fewer (N, R) temporaries add to the peak memory.
@@ -319,11 +306,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
         if record_trace:
             trace.append((delay.plane_t().T.copy(), is_acc.T.copy()))
 
-    final = ReplicaSet(sigma=delay.plane_t().T.copy(),
-                       sigma_prev=np.zeros((r_count, n), dtype=np.int64),
-                       is_acc=is_acc.T.copy(), t=params.steps)
-    result = _finalize(model, params, graph, final, params.seed, params.steps,
-                       None, trace)
+    result = _finalize(model, params, graph, delay.plane_t(), trace=trace)
     mac_cycles, fin_cycles = params.steps * mac_per_step, params.steps * n
     cycle = mac_cycles + fin_cycles
     expected = count_total_cycles(model, params.steps, sparse_bypass)

@@ -158,25 +158,26 @@ def accumulator_bound(model: IsingModel, params: AnnealParams) -> int:
     return worst
 
 
-def _finalize(model, params, graph, state, seed, steps, trajectory, trace, spin_mean=None):
+def _finalize(model, params, graph, sigma, trajectory=None, trace=None, spin_mean=None):
+    """RunResult of a run whose final spin-major (N, R) plane is sigma."""
     if graph is not None:
-        finals = np.array([cut_value(graph, s) for s in np.asarray(state.sigma, dtype=np.int64)])
+        finals = np.array([cut_value(graph, s) for s in np.asarray(sigma, dtype=np.int64).T])
         idx, val = select_best_replica(finals)
         objective = "cut"
     else:
-        energies = _replica_energies(model, state.sigma.T)
+        energies = _replica_energies(model, sigma)
         idx, _ = select_best_replica(-energies)
         finals = energies
         val = energies[idx].item()
         objective = "energy"
     return RunResult(
-        best_state=state.sigma[idx].astype(np.int8),
+        best_state=sigma[:, idx].astype(np.int8),
         best_value=val,
         best_replica=idx,
         per_replica_final=finals,
         objective=objective,
-        steps_executed=steps,
-        seed=seed,
+        steps_executed=params.steps,
+        seed=params.seed,
         trajectory=trajectory,
         trace=trace,
         spin_mean=spin_mean,
@@ -208,9 +209,7 @@ def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | Non
             trajectory.append(int(_replica_energies(model, sigma).min()))
         if record_trace:
             trace.append((sigma.T.copy(), is_acc.T.copy()))
-    state = ReplicaSet(sigma=sigma.T, sigma_prev=sigma_prev.T, is_acc=is_acc.T, t=params.steps)
-    return _finalize(model, params, graph, state, params.seed, params.steps,
-                     trajectory, trace)
+    return _finalize(model, params, graph, sigma, trajectory, trace)
 
 
 def run_ssa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None = None,
@@ -238,8 +237,5 @@ def run_psa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None
         sigma = np.where(r + np.tanh(inp) >= 0, 1.0, -1.0)
         if collect_spin_mean:
             spin_sum += sigma
-    state = ReplicaSet(sigma=sigma.T, sigma_prev=sigma.T, is_acc=np.zeros_like(sigma.T),
-                       t=params.steps)
     mean = (spin_sum / max(params.steps, 1)).T if collect_spin_mean else None
-    return _finalize(model, params, graph, state, params.seed, params.steps,
-                     None, None, spin_mean=mean)
+    return _finalize(model, params, graph, sigma, spin_mean=mean)

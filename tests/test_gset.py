@@ -40,7 +40,7 @@ def test_roundtrip():
     ("3 1\n1 4 1\n", "out of range"),
     ("3 1\n2 2 1\n", "self-loop"),
     ("3 2\n1 2 1\n", "count mismatch"),
-    ("3 2\n1 2 1\n2 1 3\n", "duplicate"),
+    ("3 2\n1 2 1\n2 1 3\n", "line 3: duplicate"),
 ])
 def test_parse_errors(text, match):
     with pytest.raises(GsetParseError, match=match):

@@ -1,6 +1,7 @@
 """Tests for the cycle-accurate datapath model and delay-line semantics."""
 
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -266,13 +267,18 @@ def test_fin_write_addresses_must_be_a_permutation(delay_cls):
     assert d.read_t(np.arange(n)).tolist() == [[-1, -1], [-1, 1], [1, 1], [1, -1]]
 
 
-def test_dual_bram_parity_alternates():
-    d = DualBramDelay(np.ones((2, 1)), np.ones((2, 1)))
-    assert d.parity == 0
-    d.advance_step()
-    assert d.parity == 1
-    d.advance_step()
-    assert d.parity == 0
+@pytest.mark.parametrize("delay_cls,parities", [
+    (DualBramDelay, [0, 1, 0]),
+    (ShiftRegDelay, [0, 0, 0]),
+], ids=["dual_bram", "shift_register"])
+def test_delay_parity(delay_cls, parities):
+    """The dual-BRAM bank parity alternates each step; a shift register's stays 0."""
+    d = delay_cls(np.ones((2, 1)), np.ones((2, 1)))
+    seen = [d.parity]
+    for _ in parities[1:]:
+        d.advance_step()
+        seen.append(d.parity)
+    assert seen == parities
 
 
 # ------------------------------------------------------------ run_hw behavior
@@ -292,6 +298,23 @@ def test_run_hw_bit_exact_and_cycle_exact(delay_kind, sparse):
     for (sa, ia), (sb, ib) in zip(ref.trace, hw.trace):
         assert np.array_equal(sa, sb) and np.array_equal(ia, ib)
     assert report.total_cycles == count_total_cycles(model, 40, sparse)
+
+
+@pytest.mark.parametrize("delay_kind", ["dual_bram", "shift_register"])
+def test_run_hw_calls_its_own_delay_class(delay_kind, monkeypatch):
+    """run_hw reads the t plane and writes the t+1 plane once per step, through
+    read_t and write in its kind's class __dict__, which is where the traced
+    benchmark counts them."""
+    calls = Counter()
+    for cls in (DualBramDelay, ShiftRegDelay):
+        for attr in ("read_t", "write"):
+            def counted(self, *args, _orig=cls.__dict__[attr], _key=(cls.kind, attr)):
+                calls[_key] += 1
+                return _orig(self, *args)
+            monkeypatch.setattr(cls, attr, counted)
+    model = IsingModel(3, np.zeros(3, dtype=np.int64), ((0, 1, 1), (1, 2, -1)))
+    run_hw(model, AnnealParams(steps=7, replicas=2, seed=1), delay_kind)
+    assert calls == {(delay_kind, "read_t"): 7, (delay_kind, "write"): 7}
 
 
 def test_run_hw_trace_file_format():
