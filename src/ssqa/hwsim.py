@@ -31,6 +31,8 @@ each equal to the step's cycles in hardware order:
   an address that an earlier one wrote: reading all t-1 words, then writing
   all t+1 words gives the words of cycle order, also on the recycled
   dual-BRAM bank. The delay line checks the permutation on every array write.
+  The saturation and sign are the reference engine's own kernel
+  (solver._saturate_and_sign), run on the step dtype that both engines share.
 
 Cycle counts and trace-file lines come from the same address streams.
 """
@@ -44,7 +46,8 @@ import numpy as np
 from .ising import IsingModel, WeightedGraph
 from .rng import RngStreams
 from .schedules import AnnealParams, i0_at, n_rnd_at, q_value_at
-from .solver import AccumulatorOverflowError, _finalize, accumulator_bound, initial_state
+from .solver import (AccumulatorOverflowError, _draw_noise, _finalize, _saturate_and_sign,
+                     _step_dtype, _trace_entry, accumulator_bound, initial_state)
 
 
 class DelayAddressError(IndexError):
@@ -250,9 +253,14 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
 
     n, r_count = model.n, params.replicas
     jmat = model.coupling_matrix()
+    # Delay words, noise, h, J and the accumulators are held in the step
+    # dtype, sized from the register widths, not from acc_bound, so that
+    # the check below sees every true sum.
+    dtype = _step_dtype(model, params, jmat)
     # Row i's MAC cycles: its stored couplings, or every j != i when the
     # sparse bypass is off (zero weights still cost a cycle).
     degree = np.diff(jmat.indptr) if sparse_bypass else np.full(n, n - 1)
+    jmat, h = jmat.astype(dtype), model.h.astype(dtype)[:, None]
     # The FIN address stream: one cycle per spin, in spin order.
     spins = np.arange(n)
     mac_per_step = int(degree.sum())
@@ -261,8 +269,9 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     init = initial_state(model, params, rng)
     # Delay words and accumulators are spin-major: address i holds the R
     # replica states of spin i.
-    delay = _DELAY_LINES[delay_kind](init.sigma.T, init.sigma_prev.T)
-    is_acc = np.zeros((n, r_count), dtype=np.int64)
+    delay = _DELAY_LINES[delay_kind](init.sigma.T.astype(dtype), init.sigma_prev.T.astype(dtype))
+    is_acc = np.zeros((n, r_count), dtype=dtype)
+    words = np.empty_like(is_acc)  # the t+1 words of a step
     trace = [] if record_trace else None
     if trace_file is not None:
         # "spin,-1,phase," of each cycle of a step: row i's MAC cycles, then its FIN.
@@ -277,9 +286,9 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
         # This step's noise word (one per replica per spin), bias and
         # accumulator. raw is updated in place to the end of the step, so
         # that fewer (N, R) temporaries add to the peak memory.
-        raw = rng.next_bipolar(n)
+        raw = _draw_noise(params, rng, n, dtype)
         raw *= n_rnd
-        raw += model.h[:, None]
+        raw += h
         raw += is_acc
         # MAC phase: every row's couplings over the t plane, read once.
         raw += jmat @ delay.read_t(spins)
@@ -290,21 +299,21 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
         raw[:, :-1] += upper[:, 1:]
         if params.periodic_replicas:
             raw[:, -1] += upper[:, 0]
-        peak = max(raw.max(), -raw.min())
+        # Python ints: on a narrow dtype, -raw.min() could wrap.
+        peak = max(int(raw.max()), -int(raw.min()))
         if peak > acc_bound:
             raise AccumulatorOverflowError(f"|accumulator| {peak} exceeds bound {acc_bound}")
-        # raw >= I0 saturates to I0 - alpha, raw < -I0 to -I0.
-        high = raw >= i0
-        np.maximum(raw, -i0, out=raw)
-        raw[high] = i0 - params.alpha
+        # The reference engine's saturation: raw >= I0 becomes I0 - alpha,
+        # raw < -I0 becomes -I0, and each t+1 word is the sign.
+        _saturate_and_sign(raw, i0, i0 - params.alpha, words)
         is_acc = raw
-        delay.write(spins, np.where(is_acc >= 0, 1, -1))
+        delay.write(spins, words)
         delay.advance_step()
         if trace_file is not None:
             trace_file.write("".join(f"{c},{t},{mid}{parity}\n" for c, mid in
                                      enumerate(line_mid, t * len(line_mid))))
         if record_trace:
-            trace.append((delay.plane_t().T.copy(), is_acc.T.copy()))
+            trace.append(_trace_entry(delay.plane_t(), is_acc))
 
     result = _finalize(model, params, graph, delay.plane_t(), trace=trace)
     mac_cycles, fin_cycles = params.steps * mac_per_step, params.steps * n

@@ -27,7 +27,7 @@ def _check_state(spins, n) -> np.ndarray:
     s = np.asarray(spins)
     if s.shape[-1] != n:
         raise DimensionError(f"state has {s.shape[-1]} spins, expected {n}")
-    if not np.isin(s, (-1, 1)).all():
+    if not ((s == 1) | (s == -1)).all():
         raise ValueError("spins must be -1 or +1")
     return s.astype(np.int64)
 

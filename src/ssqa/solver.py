@@ -14,8 +14,13 @@ next plane. The replica-coupling term reads the plane from two steps back
 Layout: the engines keep spin-major (N, R) planes, the word layout of the
 hardware delay lines: row i holds spin i of every replica. A step's noise
 block arrives in that shape, J @ sigma needs no transpose, and the noise
-buffer becomes the accumulator in place. ReplicaSet, traces and results
-stay replica-major (R, N); only those boundaries transpose.
+buffer becomes the accumulator in place. In integer mode, run_ssqa and
+hwsim.run_hw hold the planes, the noise, h, J and the accumulators in one
+step dtype per run: a signed integer sized, like the hardware registers,
+from the weight width, the row degree and the schedule endpoints (int8 on
+G11, int16 on G14; see _step_dtype). ReplicaSet, traces and results stay
+replica-major (R, N) and int64 (float64 in float mode); only those
+boundaries transpose and widen.
 """
 
 from __future__ import annotations
@@ -84,13 +89,15 @@ def initial_state(model: IsingModel, params: AnnealParams, rng: RngStreams) -> R
 
 def _saturate_and_sign(raw, i0, top, sigma):
     """In place: raw >= i0 becomes top (i0 - alpha), raw < -i0 becomes -i0,
-    and sigma gets the sign, 0 as +1. The top branch is a bit select on the
-    int64 view, so float values stay exact too."""
-    bits, mask = raw.view(np.int64), sigma.view(np.int64)
+    and sigma (raw's dtype) gets the sign, 0 as +1. The top branch is a bit
+    select on the same-width signed integer view, so one kernel serves every
+    integer width and float values stay exact too."""
+    view = f"i{raw.itemsize}"
+    bits, mask = raw.view(view), sigma.view(view)
     np.greater_equal(raw, i0, out=mask)
     np.negative(mask, out=mask)  # all ones where raw >= i0
     np.maximum(raw, -i0, out=raw)
-    mask &= bits ^ np.array(top, dtype=raw.dtype).view(np.int64)
+    mask &= bits ^ np.array(top, dtype=raw.dtype).view(view)
     bits ^= mask
     np.greater_equal(raw, 0, out=sigma)
     sigma += sigma
@@ -115,9 +122,8 @@ def _step_arrays(h, jmat, params, sigma, sigma_prev, raw, is_acc, t):
     _saturate_and_sign(raw, i0, i0 - params.alpha, sigma_prev)
 
 
-def _spin_major(state: ReplicaSet, params: AnnealParams) -> tuple:
-    """(N, R) copies, in the mode's dtype, of the planes and accumulators."""
-    dtype = np.int64 if params.integer_mode else np.float64
+def _spin_major(state: ReplicaSet, dtype) -> tuple:
+    """(N, R) copies, in dtype, of the planes and accumulators."""
     return tuple(np.array(a.T, dtype=dtype, order="C")
                  for a in (state.sigma, state.sigma_prev, state.is_acc))
 
@@ -128,34 +134,64 @@ def ssqa_step(model: IsingModel, params: AnnealParams, state: ReplicaSet,
     if state.sigma.shape != (params.replicas, model.n):
         raise DimensionError(
             f"state shape {state.sigma.shape}, expected ({params.replicas},{model.n})")
-    sigma, sigma_prev, is_acc = _spin_major(state, params)
-    raw = _draw_noise(params, rng, model.n)
+    dtype = np.int64 if params.integer_mode else np.float64
+    sigma, sigma_prev, is_acc = _spin_major(state, dtype)
+    raw = _draw_noise(params, rng, model.n, dtype)
     _step_arrays(model.h, model.coupling_matrix(), params, sigma, sigma_prev, raw, is_acc, state.t)
     # sigma_prev now holds the new spins and raw the new accumulators.
     return ReplicaSet(sigma=sigma_prev.T, sigma_prev=state.sigma, is_acc=raw.T, t=state.t + 1)
 
 
-def _draw_noise(params, rng, n):
-    """(N, R) noise of one step: +-1 bits in integer mode, else uniforms."""
-    return rng.next_bipolar(n) if params.integer_mode else rng.next_uniform(n)
+def _draw_noise(params, rng, n, dtype):
+    """(N, R) noise of one step: +-1 bits in dtype in integer mode, else uniforms."""
+    if not params.integer_mode:
+        return rng.next_uniform(n)
+    raw = rng.next_block(n, low_bit=True).astype(dtype)
+    raw += raw
+    raw -= 1
+    return raw
+
+
+def _schedule_extremes(params: AnnealParams) -> tuple:
+    """Largest |n_rnd|, |q| and |saturated accumulator| over the run. The
+    ramps are linear, so their extremes are at the endpoints, and q stays in
+    [q_min, q_max]. A saturated Is lies in [-i0, i0 - alpha], and i0 - alpha
+    is below -i0 when alpha > 2 i0."""
+    last = max(params.steps - 1, 0)
+    n_rnd_max = max(abs(n_rnd_at(params, 0)), abs(n_rnd_at(params, last)))
+    i0_max = max(max(abs(i0), abs(i0 - params.alpha))
+                 for i0 in (i0_at(params, 0), i0_at(params, last)))
+    q_max = int(np.ceil(max(abs(params.q.q_min), abs(params.q.q_max))))
+    return n_rnd_max, q_max, i0_max
 
 
 def accumulator_bound(model: IsingModel, params: AnnealParams) -> int:
     """Largest |raw accumulator sum| an integer-mode step can reach: the
     widest input (noise gain and q at their extremes) plus the saturation
-    bound. The ramps are linear, so their extremes are at the endpoints, and
-    q stays in [q_min, q_max]. Raises AccumulatorWidthError if the bound
-    needs more than 63 bits."""
-    last = max(params.steps - 1, 0)
-    n_rnd_max = max(abs(n_rnd_at(params, 0)), abs(n_rnd_at(params, last)))
-    i0_max = max(abs(i0_at(params, 0)), abs(i0_at(params, last)))
-    q_max = int(np.ceil(max(abs(params.q.q_min), abs(params.q.q_max))))
+    bound. Raises AccumulatorWidthError if the bound needs more than 63
+    bits."""
+    n_rnd_max, q_max, i0_max = _schedule_extremes(params)
     worst = model.max_input_magnitude(n_rnd_max, q_max) + i0_max
     if worst >= 2**62:
         raise AccumulatorWidthError(
             f"the schedule needs a {worst.bit_length() + 1}-bit accumulator, and the "
             f"limit is 63 bits; lower |q_min|, |q_max|, i0 or n_rnd")
     return worst
+
+
+def _step_dtype(model: IsingModel, params: AnnealParams, jmat) -> np.dtype:
+    """The integer-mode step dtype: the narrowest signed integer that holds
+    +-2 * bound, where bound covers every partial sum of a step from widths
+    alone (every h and J at 2^(weight_bits-1), a full row of the widest
+    degree) plus the schedule extremes. It is not sized from
+    accumulator_bound, so a wrong accumulator_bound shows up in run_hw's
+    check instead of wrapping silently. Past int64 the run stays in int64,
+    where accumulator_bound keeps every sum exact."""
+    n_rnd_max, q_max, i0_max = _schedule_extremes(params)
+    degree = int(np.diff(jmat.indptr).max())  # jmat: the model's coupling CSR
+    bound = ((1 + degree) << (model.weight_bits - 1)) + n_rnd_max + q_max + i0_max
+    # A signed type that holds -(2 bound + 1) also holds +2 bound.
+    return np.min_scalar_type(-1 - min(2 * bound, 2**63 - 1))
 
 
 def _finalize(model, params, graph, sigma, trajectory=None, trace=None, spin_mean=None):
@@ -193,23 +229,33 @@ def _replica_energies(model: IsingModel, sigma) -> np.ndarray:
 def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None = None,
              record_trajectory: bool = False, record_trace: bool = False) -> RunResult:
     """Run the full replica-coupled anneal; deterministic in (model, params, seed)."""
+    jmat = model.coupling_matrix()
     if params.integer_mode:
         accumulator_bound(model, params)  # a too-wide schedule raises here
-    jmat = model.coupling_matrix()
-    h = model.h if params.integer_mode else model.h.astype(np.float64)
+        dtype = _step_dtype(model, params, jmat)
+    else:
+        dtype = np.float64
+    jmat, h = jmat.astype(dtype), model.h.astype(dtype)
     rng = RngStreams(params.seed, params.replicas)
-    sigma, sigma_prev, is_acc = _spin_major(initial_state(model, params, rng), params)
+    sigma, sigma_prev, is_acc = _spin_major(initial_state(model, params, rng), dtype)
     trajectory = [] if record_trajectory else None
     trace = [] if record_trace else None
     for t in range(params.steps):
-        raw = _draw_noise(params, rng, model.n)
+        raw = _draw_noise(params, rng, model.n, dtype)
         _step_arrays(h, jmat, params, sigma, sigma_prev, raw, is_acc, t)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
         if record_trajectory:
             trajectory.append(int(_replica_energies(model, sigma).min()))
         if record_trace:
-            trace.append((sigma.T.copy(), is_acc.T.copy()))
+            trace.append(_trace_entry(sigma, is_acc))
     return _finalize(model, params, graph, sigma, trajectory, trace)
+
+
+def _trace_entry(sigma, is_acc) -> tuple:
+    """Replica-major copies (sigma, Is) of spin-major planes: int64 in
+    integer mode whatever the step dtype, float64 in float mode."""
+    dtype = np.promote_types(sigma.dtype, np.int64)
+    return sigma.T.astype(dtype, order="C"), is_acc.T.astype(dtype, order="C")
 
 
 def run_ssa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None = None,

@@ -355,6 +355,21 @@ def test_run_hw_accumulator_bound_is_enforced(monkeypatch):
         run_hw(model, params)
 
 
+def test_run_hw_accumulator_check_sees_sums_past_int8(monkeypatch):
+    """The step dtype is sized from the weight width, not from the bound that
+    the per-step check verifies, so a wrong bound raises instead of wrapping.
+    Here the true sums reach |J| * 2 = 240, past int8, and the check reports
+    the true peak, which no int8 holds."""
+    model = IsingModel(3, np.zeros(3, dtype=np.int64),
+                       ((0, 1, 120), (0, 2, -120), (1, 2, 100)), weight_bits=8)
+    params = AnnealParams(steps=4, replicas=2, seed=3)
+    run_hw(model, params)  # the true bound holds
+    monkeypatch.setattr(IsingModel, "max_input_magnitude", lambda self, n_rnd, q: 0)
+    with pytest.raises(AccumulatorOverflowError, match="exceeds bound 5") as err:
+        run_hw(model, params)
+    assert int(str(err.value).split()[1]) > 128
+
+
 def test_run_hw_rejects_float_mode():
     model = IsingModel(2, np.zeros(2, dtype=np.int64), ((0, 1, 1),))
     with pytest.raises(ValueError):

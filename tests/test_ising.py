@@ -81,6 +81,19 @@ def test_energy_rejects_bad_state():
         energy(model, np.array([1, 0, 1, -1]))
 
 
+@pytest.mark.parametrize("bad", [0, 2, -3])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+def test_cut_and_energy_reject_non_spin_values(bad, dtype):
+    graph = square_graph()
+    state = np.array([1, -1, bad, 1], dtype=dtype)
+    with pytest.raises(ValueError, match="spins must be"):
+        cut_value(graph, state)
+    with pytest.raises(ValueError, match="spins must be"):
+        energy(maxcut_to_ising(graph), state)
+    state[2] = -1
+    assert cut_value(graph, state) == 2 and energy(maxcut_to_ising(graph), state) == 0
+
+
 # ------------------------------------------------------------ hand oracles
 
 def test_square_cut_values():

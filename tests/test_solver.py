@@ -5,12 +5,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ssqa.gset import load_instance
 from ssqa.ising import IsingModel, WeightedGraph, maxcut_to_ising
 from ssqa.rng import RngStreams
 from ssqa.schedules import AnnealParams, LinearSchedule, QSchedule, i0_at, n_rnd_at, q_value_at
 from ssqa.solver import (
     ReplicaSet,
     _saturate_and_sign,
+    _step_dtype,
+    accumulator_bound,
     initial_state,
     run_psa,
     run_ssa,
@@ -32,14 +35,15 @@ def noiseless_params(**kw):
     return AnnealParams(**base)
 
 
-def random_model(rng, n, p=0.4):
+def random_model(rng, n, p=0.4, weight_bits=4):
+    lim = 1 << (weight_bits - 1)
     couplings = []
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < p:
-                couplings.append((i, j, int(rng.integers(-8, 8))))
-    h = rng.integers(-8, 8, size=n)
-    return IsingModel(n, h, tuple(couplings))
+                couplings.append((i, j, int(rng.integers(-lim, lim))))
+    h = rng.integers(-lim, lim, size=n)
+    return IsingModel(n, h, tuple(couplings), weight_bits)
 
 
 # ------------------------------------------------------- hand-computed trace
@@ -154,6 +158,65 @@ def test_engine_matches_naive_oracle(seed, periodic):
         assert np.array_equal(is_a, is_b)
 
 
+# Each weight width with an i0 ramp on its scale lands on its own step dtype.
+@pytest.mark.parametrize("weight_bits,i0,n_rnd,dtype", [
+    (4, LinearSchedule(4, 8), 2, np.int8),
+    (8, LinearSchedule(200, 600), 50, np.int16),
+    (12, LinearSchedule(3000, 5000), 800, np.int32),
+])
+def test_engines_match_naive_oracle_at_each_step_dtype(weight_bits, i0, n_rnd, dtype):
+    from ssqa.hwsim import run_hw
+
+    model = random_model(np.random.default_rng(weight_bits), 6, p=0.6, weight_bits=weight_bits)
+    params = AnnealParams(steps=40, replicas=3, seed=weight_bits, q=QSchedule(0, 4, 5, 1.0),
+                          i0=i0, n_rnd=LinearSchedule.constant(n_rnd))
+    assert _step_dtype(model, params, model.coupling_matrix()) == dtype
+    expected = naive_trace(model, params)
+    runs = [run_ssqa(model, params, record_trace=True).trace]
+    runs += [run_hw(model, params, kind, record_trace=True)[0].trace
+             for kind in ("dual_bram", "shift_register")]
+    for trace in runs:
+        assert len(trace) == len(expected) == 40
+        for (sig_a, is_a), (sig_b, is_b) in zip(trace, expected):
+            assert sig_a.dtype == is_a.dtype == np.int64
+            assert np.array_equal(sig_a, sig_b) and np.array_equal(is_a, is_b)
+
+
+def test_step_dtype_is_sized_from_widths():
+    g11 = maxcut_to_ising(load_instance("G11"))
+    g14 = maxcut_to_ising(load_instance("G14"))
+
+    def dtype(model, **kw):
+        return _step_dtype(model, AnnealParams(**kw), model.coupling_matrix())
+
+    assert dtype(g11) == np.int8  # 2 * (5 * 8 + 6 + 2 + 5) = 106
+    assert dtype(g14) == np.int16  # 2 * (133 * 8 + 6 + 2 + 5) = 2154
+    assert dtype(g11, i0=LinearSchedule.constant(2**40)) == np.int64
+    # Twice the bound crosses 127 between i0 = 15 (bound 63) and i0 = 16 (bound 64).
+    assert dtype(g11, i0=LinearSchedule.constant(15)) == np.int8
+    assert dtype(g11, i0=LinearSchedule.constant(16)) == np.int16
+    # Float mode keeps its own dtype: no integer width applies.
+    assert run_ssqa(g11, AnnealParams(steps=2, replicas=2, integer_mode=False),
+                    record_trace=True).trace[0][1].dtype == np.float64
+
+
+def test_accumulator_bound_covers_a_large_alpha():
+    """With alpha > 2 i0, a saturated Is = i0 - alpha lies below -i0."""
+    from ssqa.hwsim import run_hw
+
+    graph = load_instance("G11")
+    model = maxcut_to_ising(graph)
+    assert accumulator_bound(model, AnnealParams()) == 17
+    assert accumulator_bound(maxcut_to_ising(load_instance("G14")), AnnealParams()) == 145
+    params = AnnealParams(steps=50, replicas=4, seed=1, alpha=30)
+    assert accumulator_bound(model, params) == 12 + 25
+    hw, _ = run_hw(model, params, graph=graph, record_trace=True)
+    ref = run_ssqa(model, params, graph, record_trace=True)
+    assert min(int(acc.min()) for _, acc in ref.trace) == 5 - 30
+    assert hw.best_value == ref.best_value
+    assert all(np.array_equal(a, b) for x, y in zip(hw.trace, ref.trace) for a, b in zip(x, y))
+
+
 # --------------------------------------------------------------- invariants
 
 def test_saturation_and_sign_invariants():
@@ -172,15 +235,19 @@ def test_saturation_and_sign_invariants():
 @settings(max_examples=300, deadline=None)
 @given(raw=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
                       elements=st.integers(-40, 40)),
-       i0=st.integers(-12, 12), alpha=st.integers(0, 3), floating=st.booleans())
+       i0=st.integers(-12, 12), alpha=st.integers(0, 3),
+       dtype=st.sampled_from(["int8", "int16", "int32", "int64", "float64"]))
 # With i0 < 0 or alpha >= 2 the rule is not np.clip(raw, -i0, i0 - alpha).
-@example(raw=np.array([[-5, -3, 0, 3, 5]]), i0=-3, alpha=0, floating=False)
-@example(raw=np.array([[1, 2, 3, 4]]), i0=4, alpha=3, floating=True)
-def test_saturate_and_sign_matches_three_branch_rule(raw, i0, alpha, floating):
+@example(raw=np.array([[-5, -3, 0, 3, 5]]), i0=-3, alpha=0, dtype="int64")
+@example(raw=np.array([[-5, -3, 0, 3, 5]]), i0=-3, alpha=0, dtype="int8")
+@example(raw=np.array([[1, 2, 3, 4]]), i0=4, alpha=3, dtype="float64")
+def test_saturate_and_sign_matches_three_branch_rule(raw, i0, alpha, dtype):
     """The branch-free in-place update equals the nested np.where rule bit
-    for bit, in integer and float mode."""
-    if floating:  # quarter steps, so raw often equals +-i0 exactly
+    for bit, at every integer step dtype and in float mode. The elements
+    stay in int8 range."""
+    if dtype == "float64":  # quarter steps, so raw often equals +-i0 exactly
         raw, i0 = raw / 4, i0 / 4
+    raw = raw.astype(dtype)
     top = i0 - alpha
     expect = np.where(raw >= i0, top, np.where(raw < -i0, -i0, raw)).astype(raw.dtype)
     got, sigma = raw.copy(), np.empty_like(raw)
