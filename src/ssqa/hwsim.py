@@ -31,8 +31,9 @@ each equal to the step's cycles in hardware order:
   an address that an earlier one wrote: reading all t-1 words, then writing
   all t+1 words gives the words of cycle order, also on the recycled
   dual-BRAM bank. The delay line checks the permutation on every array write.
-  The saturation and sign are the reference engine's own kernel
-  (solver._saturate_and_sign), run on the step dtype that both engines share.
+  The replica coupling and the saturation and sign are the reference
+  engine's own passes (solver._add_coupling, solver._saturate_and_sign),
+  run on the step dtype that both engines share.
 
 Cycle counts and trace-file lines come from the same address streams.
 """
@@ -46,8 +47,9 @@ import numpy as np
 from .ising import IsingModel, WeightedGraph
 from .rng import RngStreams
 from .schedules import AnnealParams, i0_at, n_rnd_at, q_value_at
-from .solver import (AccumulatorOverflowError, _draw_noise, _finalize, _saturate_and_sign,
-                     _step_dtype, _trace_entry, accumulator_bound, initial_state)
+from .solver import (AccumulatorOverflowError, _add_coupling, _bias_plane, _draw_noise,
+                     _finalize, _saturate_and_sign, _step_dtype, _trace_entry,
+                     accumulator_bound, initial_state)
 
 
 class DelayAddressError(IndexError):
@@ -260,7 +262,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     # Row i's MAC cycles: its stored couplings, or every j != i when the
     # sparse bypass is off (zero weights still cost a cycle).
     degree = np.diff(jmat.indptr) if sparse_bypass else np.full(n, n - 1)
-    jmat, h = jmat.astype(dtype), model.h.astype(dtype)[:, None]
+    jmat, h = jmat.astype(dtype), _bias_plane(model, r_count, dtype)
     # The FIN address stream: one cycle per spin, in spin order.
     spins = np.arange(n)
     mac_per_step = int(degree.sum())
@@ -294,11 +296,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
         raw += jmat @ delay.read_t(spins)
         # FIN phase: replica k couples to replica k+1 of the t-1 plane; with
         # open chains the last replica has no upper neighbour.
-        upper = delay.read_tminus1(spins)
-        upper *= q
-        raw[:, :-1] += upper[:, 1:]
-        if params.periodic_replicas:
-            raw[:, -1] += upper[:, 0]
+        _add_coupling(raw, delay.read_tminus1(spins), q, params.periodic_replicas)
         # Python ints: on a narrow dtype, -raw.min() could wrap.
         peak = max(int(raw.max()), -int(raw.min()))
         if peak > acc_bound:

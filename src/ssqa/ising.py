@@ -23,12 +23,16 @@ class WeightRangeError(ValueError):
     """A bias or coupling does not fit the declared bit-width."""
 
 
+def _check_spins(s: np.ndarray) -> None:
+    if not ((s == 1) | (s == -1)).all():
+        raise ValueError("spins must be -1 or +1")
+
+
 def _check_state(spins, n) -> np.ndarray:
     s = np.asarray(spins)
     if s.shape[-1] != n:
         raise DimensionError(f"state has {s.shape[-1]} spins, expected {n}")
-    if not ((s == 1) | (s == -1)).all():
-        raise ValueError("spins must be -1 or +1")
+    _check_spins(s)
     return s.astype(np.int64)
 
 
@@ -65,6 +69,12 @@ class WeightedGraph:
     def _edge_arrays(self) -> tuple:
         """(u, v, w) int64 arrays of the edge list."""
         return _columns(self.edges)
+
+    @cached_property
+    def _narrow_weights(self) -> np.ndarray:
+        """The edge weights in the narrowest signed integer that holds them."""
+        w = self._edge_arrays[2]
+        return w.astype(np.min_scalar_type(-1 - int(np.abs(w).max(initial=0))))
 
 
 @dataclass(frozen=True)
@@ -137,9 +147,24 @@ def energy(model: IsingModel, state) -> int:
 
 def cut_value(graph: WeightedGraph, state) -> int:
     """Total weight of edges crossing the partition induced by the state."""
-    s = _check_state(state, graph.n_nodes)
-    u, v, w = graph._edge_arrays
-    return int(w[s[u] != s[v]].sum())
+    return int(replica_cuts(graph, np.asarray(state)[:, None])[0])
+
+
+def replica_cuts(graph: WeightedGraph, plane) -> np.ndarray:
+    """(R,) int64 cuts of the R replicas of a spin-major (N, R) plane, from
+    one gather of each edge endpoint. The (E, R) planes are held in the
+    narrowest integer that holds every weight (int8 on the G-set)."""
+    s = np.asarray(plane)
+    if s.shape[0] != graph.n_nodes:
+        raise DimensionError(f"state has {s.shape[0]} spins, expected {graph.n_nodes}")
+    _check_spins(s)
+    u, v, _ = graph._edge_arrays
+    w = graph._narrow_weights
+    side = (s < 0).astype(w.dtype)
+    crossed = side[u]
+    crossed ^= side[v]  # 1 where the edge crosses the cut
+    crossed *= w[:, None]
+    return np.add.reduce(crossed, axis=0, dtype=np.int64)
 
 
 def maxcut_to_ising(graph: WeightedGraph, weight_bits: int = 4) -> IsingModel:

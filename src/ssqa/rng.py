@@ -27,10 +27,13 @@ to the word v << 4j. M x is then the XOR of the 16 entries picked by the
 nibbles of x, and the table of a product A B is A applied to every entry of
 the table of B.
 
-Noise bits need no full words: bit 0 of draw i from state s is the parity
-of masks[i] & s, where masks[i] is row 0 of T^(i+1). next_block(n,
-low_bit=True) takes one popcount per word and one T^n apply per state.
-next_bipolar draws through it, so a wrapper on next_block sees every word.
+Noise bits need no full words. Bit 0 of draw i is linear in the state,
+so the bits of draws 0..n-1 and the state after them are one GF(2)-linear
+map of the state, held as a nibble table like the jump tables: entry
+[j, v] packs the n low bits drawn from the state v << 4j into ceil(n / 64)
+words, followed by T^n (v << 4j). next_block(n, low_bit=True) is then one
+table gather per block, whose last word is the new state. next_bipolar
+draws through it, so a wrapper on next_block sees every word.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ def stream_seeds(seed: int, n_streams: int) -> np.ndarray:
 _S13, _S7, _S17 = np.uint64(13), np.uint64(7), np.uint64(17)
 _NIBBLE = np.arange(16, dtype=np.uint64)
 _NIBBLE_SHIFT = (np.uint64(4) * _NIBBLE)[:, None]
-_NIBBLE_ROW = np.arange(16)[:, None]
+# Row j of a table flattened to 256 entries starts at entry 16 j.
+_NIBBLE_BASE = 16 * np.arange(16)[:, None]
 # Lookup table of the identity matrix: entry [j, v] is v << 4j.
 _IDENTITY = _NIBBLE << _NIBBLE_SHIFT
 
@@ -106,13 +110,17 @@ def _advance(x: np.ndarray) -> None:
 
 
 def _apply(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """(M, K) images of the K words under each of the M matrix tables.
+    """(M, K) images of the K words under each of the M matrix tables, or
+    (M, K, ...) when the table entries have trailing axes (the packed words
+    of a low-bit table).
 
     The gather holds one table entry per (matrix, nibble, word), never one
     per bit.
     """
     idx = ((words >> _NIBBLE_SHIFT) & np.uint64(15)).astype(np.intp)
-    return np.bitwise_xor.reduce(tables[:, _NIBBLE_ROW, idx], axis=1)
+    idx += _NIBBLE_BASE
+    flat = tables.reshape(tables.shape[0], 256, *tables.shape[3:])
+    return np.bitwise_xor.reduce(np.take(flat, idx, axis=1), axis=1)
 
 
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,18 +154,30 @@ def _lane_tables(lanes: int, length: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _low_bit_tables(n: int) -> tuple:
-    """Read-only (n,) parity masks of draws 1..n and the table of T^n. masks[i]
-    (row 0 of T^(i+1)) is e_0 mapped i+1 times by the transpose of T, which
-    shifts right by 17, left by 7, then right by 13."""
-    masks, row = np.empty(n, dtype=np.uint64), 1
+def _low_bit_table(n: int) -> np.ndarray:
+    """Read-only (16, 16, ceil(n / 64) + 1) nibble table of the n noise bits
+    and the state after them. Bit j of masks[i] is draw i's bit from the
+    basis state e_j: masks[i] is row 0 of T^(i+1), e_0 mapped i+1 times by
+    the transpose of T, which shifts right by 17, left by 7, then right by 13.
+    The table is built from the 64 basis rows one nibble bit at a time."""
+    masks, row = np.empty(n, dtype="<u8"), 1
     for i in range(n):
         row ^= row >> 17
         row = (row ^ (row << 7)) & MASK64
         masks[i] = row = row ^ (row >> 13)
-    jump = _jump_table(n)
-    masks.flags.writeable = jump.flags.writeable = False
-    return masks, jump
+    words = -(-n // 64)
+    # bits[i, j] is bit j of masks[i]; each basis row packs 64 draws a word.
+    bits = np.unpackbits(masks.view(np.uint8).reshape(n, 8), axis=1, bitorder="little")
+    packed = np.zeros((64, 8 * words), dtype=np.uint8)
+    packed[:, :(n + 7) // 8] = np.packbits(bits.T, axis=1, bitorder="little")
+    basis = np.empty((64, words + 1), dtype=np.uint64)
+    basis[:, :-1] = packed.view("<u8")
+    basis[:, -1] = _apply(_jump_table(n)[None], np.uint64(1) << np.arange(64, dtype=np.uint64))[0]
+    table = np.zeros((16, 16, words + 1), dtype=np.uint64)
+    for k in range(4):  # entries v < 2^(k+1) from entries v < 2^k and nibble bit k
+        table[:, 1 << k:2 << k] = table[:, :1 << k] ^ basis[k::4, None]
+    table.flags.writeable = False
+    return table
 
 
 class RngStreams:
@@ -176,10 +196,11 @@ class RngStreams:
         states = self.states
         r = states.shape[0]
         if low_bit:
-            masks, jump = _low_bit_tables(n)
-            bits = np.bitwise_count(masks[:, None] & states) & np.uint8(1)
-            states[:] = _apply(jump[None], states)[0]
-            return bits
+            out = _apply(_low_bit_table(n)[None], states)[0]  # (R, words + 1)
+            states[:] = out[:, -1]
+            # Byte b of word w packs draws 64 w + 8 b .. 64 w + 8 b + 7.
+            packed = out[:, :-1].astype("<u8", copy=False).view(np.uint8).T
+            return np.unpackbits(packed, axis=0, count=n, bitorder="little")
         if n == 0:
             return np.empty((0, r), dtype=np.uint64)
         c = math.isqrt(n)

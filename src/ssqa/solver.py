@@ -18,9 +18,12 @@ buffer becomes the accumulator in place. In integer mode, run_ssqa and
 hwsim.run_hw hold the planes, the noise, h, J and the accumulators in one
 step dtype per run: a signed integer sized, like the hardware registers,
 from the weight width, the row degree and the schedule endpoints (int8 on
-G11, int16 on G14; see _step_dtype). ReplicaSet, traces and results stay
-replica-major (R, N) and int64 (float64 in float mode); only those
-boundaries transpose and widen.
+G11, int16 on G14; see _step_dtype). Every pass of a step runs over whole
+contiguous planes: h is held as a plane, the saturation clamps against a
+plane, and the replica coupling is one pass over a neighbour plane built
+by a flat shifted copy (_add_coupling, which run_hw shares). ReplicaSet,
+traces and results stay replica-major (R, N) and int64 (float64 in float
+mode); only those boundaries transpose and widen.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ising import IsingModel, WeightedGraph, DimensionError, cut_value
+from .ising import IsingModel, WeightedGraph, DimensionError, replica_cuts
+# perfbench/tracer.py times solver.cut_value, so the name stays bound here;
+# _finalize scores every replica at once through replica_cuts.
+from .ising import cut_value  # noqa: F401
 from .rng import RngStreams
 from .schedules import AnnealParams, QSchedule, i0_at, n_rnd_at, q_value_at
 
@@ -96,7 +102,9 @@ def _saturate_and_sign(raw, i0, top, sigma):
     bits, mask = raw.view(view), sigma.view(view)
     np.greater_equal(raw, i0, out=mask)
     np.negative(mask, out=mask)  # all ones where raw >= i0
-    np.maximum(raw, -i0, out=raw)
+    floor = np.empty_like(raw)
+    floor.fill(-i0)  # numpy clamps against a plane several times faster than a scalar
+    np.maximum(raw, floor, out=raw)
     mask &= bits ^ np.array(top, dtype=raw.dtype).view(view)
     bits ^= mask
     np.greater_equal(raw, 0, out=sigma)
@@ -104,22 +112,40 @@ def _saturate_and_sign(raw, i0, top, sigma):
     sigma -= 1
 
 
+def _add_coupling(raw, prev, q, periodic):
+    """In place on spin-major planes: replica k adds q times replica k+1 of
+    the t-1 plane prev; an open chain's last replica adds nothing. One flat
+    shifted copy of prev builds the neighbour plane, so no pass is strided,
+    and every entry of raw gets the term the two-slice rule gives it."""
+    if q == 0 and raw.dtype.kind == "i":
+        return  # adding 0 changes no integer
+    upper = np.empty(prev.shape, dtype=prev.dtype)  # C order: written through reshape
+    upper.reshape(-1)[:-1] = prev.reshape(-1)[1:]  # [i, k] = prev[i, k + 1] but in the last column
+    upper[:, -1] = prev[:, 0]
+    upper *= q
+    if not periodic:
+        upper[:, -1] = -0.0  # adds nothing, also to a float -0.0; 0 in an integer plane
+    raw += upper
+
+
 def _step_arrays(h, jmat, params, sigma, sigma_prev, raw, is_acc, t):
     """Step t on spin-major planes, in place: raw (the step's noise) becomes
-    the accumulator and sigma_prev the new spins. The sum runs in the order
-    h + J sigma, noise, coupling, accumulator, so float mode rounds the same."""
-    q = q_value_at(params, t)
+    the accumulator and sigma_prev the new spins. h is the bias as a plane
+    of the same shape. The sum runs in the order h + J sigma, noise,
+    coupling, accumulator, so float mode rounds the same."""
     i0 = i0_at(params, t)
     raw *= n_rnd_at(params, t)
     field = jmat @ sigma  # reads the step-t plane only
-    field += h[:, None]
+    field += h
     raw += field
-    # Replica k reads replica k+1 at t-1; an open chain's last replica reads none.
-    raw[:, :-1] += q * sigma_prev[:, 1:]
-    if params.periodic_replicas:
-        raw[:, -1] += q * sigma_prev[:, 0]
+    _add_coupling(raw, sigma_prev, q_value_at(params, t), params.periodic_replicas)
     raw += is_acc
     _saturate_and_sign(raw, i0, i0 - params.alpha, sigma_prev)
+
+
+def _bias_plane(model: IsingModel, replicas: int, dtype) -> np.ndarray:
+    """h as a C-order (N, R) plane in dtype: adding it needs no broadcast."""
+    return np.repeat(model.h.astype(dtype)[:, None], replicas, axis=1)
 
 
 def _spin_major(state: ReplicaSet, dtype) -> tuple:
@@ -137,16 +163,18 @@ def ssqa_step(model: IsingModel, params: AnnealParams, state: ReplicaSet,
     dtype = np.int64 if params.integer_mode else np.float64
     sigma, sigma_prev, is_acc = _spin_major(state, dtype)
     raw = _draw_noise(params, rng, model.n, dtype)
-    _step_arrays(model.h, model.coupling_matrix(), params, sigma, sigma_prev, raw, is_acc, state.t)
+    _step_arrays(_bias_plane(model, params.replicas, dtype), model.coupling_matrix(), params,
+                 sigma, sigma_prev, raw, is_acc, state.t)
     # sigma_prev now holds the new spins and raw the new accumulators.
     return ReplicaSet(sigma=sigma_prev.T, sigma_prev=state.sigma, is_acc=raw.T, t=state.t + 1)
 
 
 def _draw_noise(params, rng, n, dtype):
-    """(N, R) noise of one step: +-1 bits in dtype in integer mode, else uniforms."""
+    """C-order (N, R) noise of one step: +-1 bits in dtype in integer mode,
+    else uniforms."""
     if not params.integer_mode:
         return rng.next_uniform(n)
-    raw = rng.next_block(n, low_bit=True).astype(dtype)
+    raw = rng.next_block(n, low_bit=True).astype(dtype, order="C")
     raw += raw
     raw -= 1
     return raw
@@ -197,7 +225,7 @@ def _step_dtype(model: IsingModel, params: AnnealParams, jmat) -> np.dtype:
 def _finalize(model, params, graph, sigma, trajectory=None, trace=None, spin_mean=None):
     """RunResult of a run whose final spin-major (N, R) plane is sigma."""
     if graph is not None:
-        finals = np.array([cut_value(graph, s) for s in np.asarray(sigma, dtype=np.int64).T])
+        finals = replica_cuts(graph, sigma)
         idx, val = select_best_replica(finals)
         objective = "cut"
     else:
@@ -235,7 +263,7 @@ def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | Non
         dtype = _step_dtype(model, params, jmat)
     else:
         dtype = np.float64
-    jmat, h = jmat.astype(dtype), model.h.astype(dtype)
+    jmat, h = jmat.astype(dtype), _bias_plane(model, params.replicas, dtype)
     rng = RngStreams(params.seed, params.replicas)
     sigma, sigma_prev, is_acc = _spin_major(initial_state(model, params, rng), dtype)
     trajectory = [] if record_trajectory else None

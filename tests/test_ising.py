@@ -15,6 +15,7 @@ from ssqa.ising import (
     energy,
     maxcut_to_ising,
     pseudo_quantum_energy,
+    replica_cuts,
 )
 
 
@@ -101,6 +102,30 @@ def test_square_cut_values():
     assert cut_value(g, np.array([1, -1, 1, -1])) == 4
     assert cut_value(g, np.array([1, 1, 1, 1])) == 0
     assert cut_value(g, np.array([1, 1, -1, -1])) == 2
+
+
+@pytest.mark.parametrize("weights", [(-1, 1), (-300, 7, 200), (2**40, -(2**35))])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.float64])
+def test_replica_cuts_score_every_column_like_a_loop(weights, dtype):
+    """One gather scores each replica of a spin-major plane as a straight
+    loop over the edges does, whatever width the weights need."""
+    rng = np.random.default_rng(len(weights))
+    graph = random_graph(rng, 9, weights)
+    plane = rng.choice([-1, 1], size=(9, 5)).astype(dtype)
+    got = replica_cuts(graph, plane)
+    expect = [sum(w for u, v, w in graph.edges if plane[u, k] != plane[v, k]) for k in range(5)]
+    assert got.dtype == np.int64 and got.tolist() == expect
+    assert [cut_value(graph, plane[:, k]) for k in range(5)] == expect
+
+
+def test_replica_cuts_reject_bad_planes():
+    graph = square_graph()
+    with pytest.raises(DimensionError):
+        replica_cuts(graph, np.ones((3, 2), dtype=np.int8))
+    plane = np.ones((4, 3), dtype=np.int8)
+    plane[2, 1] = 0
+    with pytest.raises(ValueError, match="spins must be"):
+        replica_cuts(graph, plane)
 
 
 def test_two_spin_energy_by_hand():

@@ -11,7 +11,7 @@ from ssqa.rng import (
     XorShift64,
     _apply,
     _jump_table,
-    _low_bit_tables,
+    _low_bit_table,
     splitmix64,
     stream_seeds,
     xorshift_next,
@@ -184,6 +184,11 @@ DRAWS = ("block", "low_bit", "bipolar", "uniform")
                       max_size=8))
 @example(seed=1, r=20, calls=[("low_bit", 800), ("bipolar", 0), ("uniform", 17),
                               ("low_bit", 1), ("block", 290), ("bipolar", 97)])
+# The word boundaries of the packed low-bit table, at one and many streams.
+@example(seed=1, r=1, calls=[("low_bit", 63), ("low_bit", 64), ("low_bit", 65),
+                             ("low_bit", 128), ("bipolar", 65)])
+@example(seed=1, r=24, calls=[("low_bit", 63), ("low_bit", 64), ("low_bit", 65),
+                              ("low_bit", 128), ("bipolar", 65)])
 def test_low_bits_equal_the_full_word_path(seed, r, calls):
     """Parity-mask draws of any kind and size, interleaved with full-word
     draws, equal bit 0 of the words of a twin stream and leave the same state."""
@@ -207,8 +212,13 @@ def test_low_bits_equal_the_full_word_path(seed, r, calls):
 
 
 def test_low_bit_tables_are_cached_and_read_only():
-    masks, jump = _low_bit_tables(800)
-    assert _low_bit_tables(800)[0] is masks and masks.shape == (800,)
-    for table in (masks, jump):
-        with pytest.raises(ValueError):
-            table[0] = 0
+    table = _low_bit_table(800)
+    assert _low_bit_table(800) is table and table.shape == (16, 16, 14)
+    for n, words in ((0, 0), (63, 1), (64, 1), (65, 2), (128, 2)):
+        assert _low_bit_table(n).shape == (16, 16, words + 1)
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 0
+    # The last word of every entry is that entry's state mapped by T^800.
+    states = stream_seeds(3, 24)
+    assert np.array_equal(_apply(table[..., -1][None], states),
+                          _apply(_jump_table(800)[None], states))

@@ -11,6 +11,8 @@ from ssqa.rng import RngStreams
 from ssqa.schedules import AnnealParams, LinearSchedule, QSchedule, i0_at, n_rnd_at, q_value_at
 from ssqa.solver import (
     ReplicaSet,
+    _add_coupling,
+    _draw_noise,
     _saturate_and_sign,
     _step_dtype,
     accumulator_bound,
@@ -254,6 +256,48 @@ def test_saturate_and_sign_matches_three_branch_rule(raw, i0, alpha, dtype):
     _saturate_and_sign(got, i0, top, sigma)
     assert got.tobytes() == expect.tobytes()
     assert np.array_equal(sigma, np.where(expect >= 0, 1, -1))
+
+
+@st.composite
+def coupling_cases(draw):
+    """(raw, prev, q, periodic) of one coupling add; float raw includes -0.0."""
+    dtype = draw(st.sampled_from(["int8", "int16", "int64", "float64"]))
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 24)))
+    qs = [0, 1, -1, 2] if dtype != "float64" else [0.0, 1.0, -1.0, 2.0, 0.05]
+    values = st.integers(-60, 60)
+    if dtype == "float64":
+        values = st.one_of(values.map(lambda v: v / 4), st.just(-0.0))
+    raw = draw(hnp.arrays(dtype, shape, elements=values))
+    prev = draw(hnp.arrays(dtype, shape, elements=st.sampled_from([-1, 1])))
+    return raw, prev, draw(st.sampled_from(qs)), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=coupling_cases())
+# Float q = 0 still adds +-0.0, which turns a -0.0 accumulator into +0.0.
+@example(case=(np.array([[-0.0, -0.0]]), np.array([[1.0, -1.0]]), 0.0, True))
+@example(case=(np.array([[-0.0, -0.0]]), np.array([[1.0, 1.0]]), -1.0, False))
+def test_add_coupling_matches_two_slice_rule(case):
+    """The one-pass neighbour plane adds, byte for byte, what the two slice
+    adds over the replica axis add, for open and periodic chains."""
+    raw, prev, q, periodic = case
+    expect = raw.copy()
+    expect[:, :-1] += q * prev[:, 1:]
+    if periodic:
+        expect[:, -1] += q * prev[:, 0]
+    _add_coupling(raw, prev, q, periodic)
+    assert raw.dtype == expect.dtype and raw.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("replicas", [1, 20])
+def test_draw_noise_is_a_c_order_plane(replicas):
+    """Every plane of a step is C-ordered: an elementwise pass that mixes a
+    C- and an F-ordered plane is strided."""
+    for integer_mode, dtype in ((True, np.int8), (True, np.int16), (False, np.float64)):
+        params = AnnealParams(replicas=replicas, integer_mode=integer_mode)
+        noise = _draw_noise(params, RngStreams(1, replicas), 800, dtype)
+        assert noise.shape == (800, replicas) and noise.dtype == dtype
+        assert noise.flags.c_contiguous
 
 
 def test_initial_state_properties():
