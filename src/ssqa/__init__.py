@@ -24,12 +24,11 @@ from .ising import (
 )
 from .gset import GsetRecord, load_instance, parse_gset, registry_lookup, serialize_gset
 from .schedules import AnnealParams, LinearSchedule, QSchedule, i0_at, n_rnd_at, q_at
-from .solver import ReplicaSet, RunResult, run_psa, run_ssa, run_ssqa, select_best_replica
+from .solver import RunResult, run_psa, run_ssa, run_ssqa, select_best_replica
 from .hwsim import (
     CycleReport,
     DualBramDelay,
     ShiftRegDelay,
-    cycles_per_step,
     count_total_cycles,
     estimate_report,
     resource_scaling_model,

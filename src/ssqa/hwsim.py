@@ -31,9 +31,9 @@ each equal to the step's cycles in hardware order:
   an address that an earlier one wrote: reading all t-1 words, then writing
   all t+1 words gives the words of cycle order, also on the recycled
   dual-BRAM bank. The delay line checks the permutation on every array write.
-  The replica coupling and the saturation and sign are the reference
-  engine's own passes (solver._add_coupling, solver._saturate_and_sign),
-  run on the step dtype that both engines share.
+  The update sum is the reference engine's own function (solver._accumulate,
+  over the t and t-1 reads), and so are the saturation and sign
+  (solver._saturate_and_sign), run on the step dtype both engines share.
 
 Cycle counts and trace-file lines come from the same address streams.
 """
@@ -46,8 +46,11 @@ import numpy as np
 
 from .ising import IsingModel, WeightedGraph
 from .rng import RngStreams
-from .schedules import AnnealParams, i0_at, n_rnd_at, q_value_at
-from .solver import (AccumulatorOverflowError, _add_coupling, _bias_plane, _draw_noise,
+from .schedules import AnnealParams, i0_at
+# perfbench/tracer.py times hwsim.n_rnd_at and hwsim.q_value_at, so the
+# names stay bound here; solver._accumulate calls its own.
+from .schedules import n_rnd_at, q_value_at  # noqa: F401
+from .solver import (AccumulatorOverflowError, _accumulate, _bias_plane, _draw_noise,
                      _finalize, _saturate_and_sign, _step_dtype, _trace_entry,
                      accumulator_bound, initial_state)
 
@@ -77,23 +80,13 @@ def _check_write(n: int, addr):
         raise DelayAddressError(f"FIN addresses are not a permutation of 0..{n - 1}")
 
 
-def cycles_per_step(n: int, k: int) -> int:
-    """Cycles for one full annealing step: N interaction rows of k MACs + 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (0 <= k <= n - 1):
-        raise ValueError("k must satisfy 0 <= k <= n-1")
-    return n * (k + 1)
-
-
 def count_total_cycles(model: IsingModel, steps: int, sparse_bypass: bool = True) -> int:
-    """Exact cycle count of run_hw for this model and step budget."""
-    if sparse_bypass:
-        # sum_i (deg_i + 1): every coupling is stored in two rows.
-        per_step = model.n + 2 * len(model.couplings)
-    else:
-        per_step = cycles_per_step(model.n, model.n - 1)
-    return steps * per_step
+    """Exact cycle count of run_hw for this model and step budget: per step,
+    one FIN cycle per spin and one MAC cycle per stored coupling (each is
+    stored in two rows), or per j != i of every row without the sparse
+    bypass."""
+    macs = 2 * len(model.couplings) if sparse_bypass else model.n * (model.n - 1)
+    return steps * (model.n + macs)
 
 
 @dataclass(frozen=True)
@@ -268,11 +261,11 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     mac_per_step = int(degree.sum())
 
     rng = RngStreams(params.seed, r_count)
-    init = initial_state(model, params, rng)
     # Delay words and accumulators are spin-major: address i holds the R
-    # replica states of spin i.
-    delay = _DELAY_LINES[delay_kind](init.sigma.T.astype(dtype), init.sigma_prev.T.astype(dtype))
-    is_acc = np.zeros((n, r_count), dtype=dtype)
+    # replica states of spin i. The t-1 plane starts as a copy of the t plane.
+    plane = initial_state(model, rng, dtype)
+    delay = _DELAY_LINES[delay_kind](plane, plane)
+    is_acc = np.zeros_like(plane)
     words = np.empty_like(is_acc)  # the t+1 words of a step
     trace = [] if record_trace else None
     if trace_file is not None:
@@ -281,28 +274,21 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
                     for phase in ["MAC"] * deg + ["FIN"]]
 
     for t in range(params.steps):
-        q = q_value_at(params, t)
-        i0 = i0_at(params, t)
-        n_rnd = n_rnd_at(params, t)
         parity = delay.parity
-        # This step's noise word (one per replica per spin), bias and
-        # accumulator. raw is updated in place to the end of the step, so
-        # that fewer (N, R) temporaries add to the peak memory.
+        # This step's noise word, one per replica per spin, becomes the sum
+        # in place: the MAC phase's product over the t plane, read once, and
+        # the FIN phase's bias, noise, coupling to replica k+1 of the t-1
+        # plane and accumulator.
         raw = _draw_noise(params, rng, n, dtype)
-        raw *= n_rnd
-        raw += h
-        raw += is_acc
-        # MAC phase: every row's couplings over the t plane, read once.
-        raw += jmat @ delay.read_t(spins)
-        # FIN phase: replica k couples to replica k+1 of the t-1 plane; with
-        # open chains the last replica has no upper neighbour.
-        _add_coupling(raw, delay.read_tminus1(spins), q, params.periodic_replicas)
+        _accumulate(h, jmat, params, delay.read_t(spins), delay.read_tminus1(spins), raw,
+                    is_acc, t)
         # Python ints: on a narrow dtype, -raw.min() could wrap.
         peak = max(int(raw.max()), -int(raw.min()))
         if peak > acc_bound:
             raise AccumulatorOverflowError(f"|accumulator| {peak} exceeds bound {acc_bound}")
         # The reference engine's saturation: raw >= I0 becomes I0 - alpha,
         # raw < -I0 becomes -I0, and each t+1 word is the sign.
+        i0 = i0_at(params, t)
         _saturate_and_sign(raw, i0, i0 - params.alpha, words)
         is_acc = raw
         delay.write(spins, words)
@@ -316,8 +302,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     result = _finalize(model, params, graph, delay.plane_t(), trace=trace)
     mac_cycles, fin_cycles = params.steps * mac_per_step, params.steps * n
     cycle = mac_cycles + fin_cycles
-    expected = count_total_cycles(model, params.steps, sparse_bypass)
-    assert cycle == expected, f"cycle accounting drift: {cycle} != {expected}"
-    per_step = expected // params.steps if params.steps else 0
+    per_step = count_total_cycles(model, 1, sparse_bypass)
+    assert cycle == params.steps * per_step, f"cycle accounting drift: {cycle} != {per_step}/step"
     report = estimate_report(cycle, f_clk, power_w, utilization, cycles_per_step=per_step)
     return result, replace(report, mac_cycles=mac_cycles, fin_cycles=fin_cycles)

@@ -21,9 +21,9 @@ from the weight width, the row degree and the schedule endpoints (int8 on
 G11, int16 on G14; see _step_dtype). Every pass of a step runs over whole
 contiguous planes: h is held as a plane, the saturation clamps against a
 plane, and the replica coupling is one pass over a neighbour plane built
-by a flat shifted copy (_add_coupling, which run_hw shares). ReplicaSet,
-traces and results stay replica-major (R, N) and int64 (float64 in float
-mode); only those boundaries transpose and widen.
+by a flat shifted copy (_add_coupling). run_hw forms its sums through the
+same _accumulate. Only traces and results are replica-major (R, N) and
+int64 (float64 in float mode), and only those boundaries transpose and widen.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ising import IsingModel, WeightedGraph, DimensionError, replica_cuts
+from .ising import IsingModel, WeightedGraph, replica_cuts
 # perfbench/tracer.py times solver.cut_value, so the name stays bound here;
 # _finalize scores every replica at once through replica_cuts.
 from .ising import cut_value  # noqa: F401
@@ -47,16 +47,6 @@ class AccumulatorOverflowError(ArithmeticError):
 class AccumulatorWidthError(ValueError):
     """The schedule needs an accumulator wider than 63 bits: a configuration
     error, raised before the first step."""
-
-
-@dataclass
-class ReplicaSet:
-    """Dynamical state: spin planes at t and t-1 plus the accumulators."""
-
-    sigma: np.ndarray       # (R, N) spins at step t
-    sigma_prev: np.ndarray  # (R, N) spins at step t-1
-    is_acc: np.ndarray      # (R, N) saturating accumulators
-    t: int = 0
 
 
 @dataclass(frozen=True)
@@ -82,15 +72,10 @@ def select_best_replica(finals) -> tuple:
     return idx, finals[idx].item()
 
 
-def initial_state(model: IsingModel, params: AnnealParams, rng: RngStreams) -> ReplicaSet:
-    """Random +-1 spins (one noise bit per spin per replica), accumulators 0.
-
-    The t-1 plane starts as a copy of the t plane so the first step's
-    replica-coupling term is well defined.
-    """
-    dtype = np.int64 if params.integer_mode else np.float64
-    sigma = rng.next_bipolar(model.n).T.astype(dtype).copy()
-    return ReplicaSet(sigma=sigma, sigma_prev=sigma.copy(), is_acc=np.zeros_like(sigma), t=0)
+def initial_state(model: IsingModel, rng: RngStreams, dtype) -> np.ndarray:
+    """Random +-1 spins, one noise bit per spin per replica, as a C-order
+    (N, R) plane in dtype."""
+    return rng.next_bipolar(model.n).astype(dtype, order="C")
 
 
 def _saturate_and_sign(raw, i0, top, sigma):
@@ -128,45 +113,32 @@ def _add_coupling(raw, prev, q, periodic):
     raw += upper
 
 
-def _step_arrays(h, jmat, params, sigma, sigma_prev, raw, is_acc, t):
-    """Step t on spin-major planes, in place: raw (the step's noise) becomes
-    the accumulator and sigma_prev the new spins. h is the bias as a plane
-    of the same shape. The sum runs in the order h + J sigma, noise,
-    coupling, accumulator, so float mode rounds the same."""
-    i0 = i0_at(params, t)
+def _accumulate(h, jmat, params, sigma, sigma_prev, raw, is_acc, t):
+    """Step t's unsaturated sum on spin-major planes, in place: raw (the
+    step's noise) becomes h + J sigma + n_rnd raw + q sigma_prev[:, k + 1]
+    + is_acc. h is the bias as a plane of the same shape. The sum runs in
+    the order h + J sigma, noise, coupling, accumulator, so float mode
+    rounds the same; an integer sum is exact in any order, because
+    _step_dtype bounds the sum of every |term|."""
     raw *= n_rnd_at(params, t)
     field = jmat @ sigma  # reads the step-t plane only
     field += h
     raw += field
     _add_coupling(raw, sigma_prev, q_value_at(params, t), params.periodic_replicas)
     raw += is_acc
+
+
+def _step_arrays(h, jmat, params, sigma, sigma_prev, raw, is_acc, t):
+    """Step t in place: raw becomes the accumulator and sigma_prev the new
+    spins."""
+    _accumulate(h, jmat, params, sigma, sigma_prev, raw, is_acc, t)
+    i0 = i0_at(params, t)
     _saturate_and_sign(raw, i0, i0 - params.alpha, sigma_prev)
 
 
 def _bias_plane(model: IsingModel, replicas: int, dtype) -> np.ndarray:
     """h as a C-order (N, R) plane in dtype: adding it needs no broadcast."""
     return np.repeat(model.h.astype(dtype)[:, None], replicas, axis=1)
-
-
-def _spin_major(state: ReplicaSet, dtype) -> tuple:
-    """(N, R) copies, in dtype, of the planes and accumulators."""
-    return tuple(np.array(a.T, dtype=dtype, order="C")
-                 for a in (state.sigma, state.sigma_prev, state.is_acc))
-
-
-def ssqa_step(model: IsingModel, params: AnnealParams, state: ReplicaSet,
-              rng: RngStreams) -> ReplicaSet:
-    """One synchronous update of every spin in every replica."""
-    if state.sigma.shape != (params.replicas, model.n):
-        raise DimensionError(
-            f"state shape {state.sigma.shape}, expected ({params.replicas},{model.n})")
-    dtype = np.int64 if params.integer_mode else np.float64
-    sigma, sigma_prev, is_acc = _spin_major(state, dtype)
-    raw = _draw_noise(params, rng, model.n, dtype)
-    _step_arrays(_bias_plane(model, params.replicas, dtype), model.coupling_matrix(), params,
-                 sigma, sigma_prev, raw, is_acc, state.t)
-    # sigma_prev now holds the new spins and raw the new accumulators.
-    return ReplicaSet(sigma=sigma_prev.T, sigma_prev=state.sigma, is_acc=raw.T, t=state.t + 1)
 
 
 def _draw_noise(params, rng, n, dtype):
@@ -265,7 +237,10 @@ def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | Non
         dtype = np.float64
     jmat, h = jmat.astype(dtype), _bias_plane(model, params.replicas, dtype)
     rng = RngStreams(params.seed, params.replicas)
-    sigma, sigma_prev, is_acc = _spin_major(initial_state(model, params, rng), dtype)
+    sigma = initial_state(model, rng, dtype)
+    # The t-1 plane starts as a copy of the t plane, so that the first
+    # step's replica-coupling term is well defined.
+    sigma_prev, is_acc = sigma.copy(), np.zeros_like(sigma)
     trajectory = [] if record_trajectory else None
     trace = [] if record_trace else None
     for t in range(params.steps):
@@ -302,7 +277,7 @@ def run_psa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None
     jmat = model.coupling_matrix()
     h = model.h.astype(np.float64)[:, None]
     rng = RngStreams(params.seed, params.replicas)
-    sigma = rng.next_bipolar(model.n).astype(np.float64)  # spin-major (N, R)
+    sigma = initial_state(model, rng, np.float64)
     spin_sum = np.zeros_like(sigma) if collect_spin_mean else None
     for t in range(params.steps):
         i0 = params.i0.at(t, params.steps)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -313,3 +314,17 @@ def test_cli_config_error_exits_2_without_traceback(square_path, tmp_path):
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("ssqa-bench: error:")
         assert len(proc.stderr.splitlines()) == 1
+
+
+def test_tracer_pinned_names_are_bound():
+    """perfbench/tracer.py wraps and counts callables through
+    owner.__dict__[attr], so a name that a refactor unbinds fails only the
+    traced benchmark run, with a KeyError. This names every missing one."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    pinned = [(owner, attr) for _, owner, attr, _ in tracer._targets()]
+    pinned += [(owner, attr) for _, owner, attr in tracer._counted()]
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in pinned if attr not in owner.__dict__]
+    assert not missing, f"the traced benchmark looks up unbound names: {missing}"

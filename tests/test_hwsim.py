@@ -13,7 +13,6 @@ from ssqa.hwsim import (
     DelayAddressError,
     ShiftRegDelay,
     count_total_cycles,
-    cycles_per_step,
     estimate_report,
     resource_scaling_model,
     run_hw,
@@ -34,22 +33,24 @@ def random_model(rng, n, p=0.4):
 
 # ---------------------------------------------------------- cycle accounting
 
-def test_cycles_per_step_formula():
-    assert cycles_per_step(800, 4) == 4000      # degree-4 torus row
-    assert cycles_per_step(800, 799) == 640000  # fully connected row
-    assert cycles_per_step(1, 0) == 1
-    with pytest.raises(ValueError):
-        cycles_per_step(0, 0)
-    with pytest.raises(ValueError):
-        cycles_per_step(4, 4)  # k cannot reach n
-
-
 def test_count_total_cycles_sparse_vs_dense():
     model = IsingModel(4, np.zeros(4, dtype=np.int64), ((0, 1, 1), (2, 3, -1)))
     # Degrees are (1,1,1,1): sparse bypass costs sum(deg+1) = 8 per step.
     assert count_total_cycles(model, 10, sparse_bypass=True) == 80
     # Dense mode costs n*(n-1+1) = 16 per step.
     assert count_total_cycles(model, 10, sparse_bypass=False) == 160
+    # A degree-4 circulant row: 800 * (4 + 1) per step.
+    edges = sorted({tuple(sorted((i, (i + d) % 800))) for i in range(800) for d in (1, 2)})
+    ring = IsingModel(800, np.zeros(800, dtype=np.int64), tuple((i, j, 1) for i, j in edges))
+    assert count_total_cycles(ring, 1) == 4000
+    # Every row of K_n holds n - 1 couplings, so both schedules cost n^2.
+    n = 12
+    complete = IsingModel(n, np.zeros(n, dtype=np.int64),
+                          tuple((i, j, 1) for i in range(n) for j in range(i + 1, n)))
+    assert count_total_cycles(complete, 1, sparse_bypass=False) == n * n
+    assert count_total_cycles(complete, 3) == 3 * n * n
+    single = IsingModel(1, np.zeros(1, dtype=np.int64), ())
+    assert count_total_cycles(single, 1) == count_total_cycles(single, 1, False) == 1
 
 
 def test_estimate_report_arithmetic():
@@ -386,3 +387,8 @@ def test_run_hw_report_defaults():
     assert report.power_w == DEFAULT_POWER_W
     assert report.cycles_per_step == count_total_cycles(model, 1)
     assert report.latency_s == report.total_cycles / DEFAULT_F_CLK
+    # A run of no steps still reports the schedule's per-step count.
+    path = WeightedGraph(3, ((0, 1, 1), (1, 2, 1)))
+    _, report = run_hw(maxcut_to_ising(path), AnnealParams(steps=0, replicas=2), graph=path)
+    assert report.total_cycles == 0
+    assert report.cycles_per_step == count_total_cycles(maxcut_to_ising(path), 1) == 7

@@ -10,10 +10,11 @@ from ssqa.ising import IsingModel, WeightedGraph, maxcut_to_ising
 from ssqa.rng import RngStreams
 from ssqa.schedules import AnnealParams, LinearSchedule, QSchedule, i0_at, n_rnd_at, q_value_at
 from ssqa.solver import (
-    ReplicaSet,
     _add_coupling,
+    _bias_plane,
     _draw_noise,
     _saturate_and_sign,
+    _step_arrays,
     _step_dtype,
     accumulator_bound,
     initial_state,
@@ -21,7 +22,6 @@ from ssqa.solver import (
     run_ssa,
     run_ssqa,
     select_best_replica,
-    ssqa_step,
 )
 
 
@@ -50,6 +50,24 @@ def random_model(rng, n, p=0.4, weight_bits=4):
 
 # ------------------------------------------------------- hand-computed trace
 
+def hand_steps(model, params, rng, sigma, is_acc):
+    """Step the engines' kernel, _step_arrays, in the run's step dtype from
+    hand-set replica-major (R, N) planes, with the t-1 plane a copy of the
+    t plane as at the start of a run. Yields replica-major (sigma, Is)
+    after each of params.steps steps."""
+    jmat = model.coupling_matrix()
+    dtype = _step_dtype(model, params, jmat)
+    jmat, h = jmat.astype(dtype), _bias_plane(model, params.replicas, dtype)
+    sigma = np.array(np.transpose(sigma), dtype=dtype, order="C")
+    is_acc = np.array(np.transpose(is_acc), dtype=dtype, order="C")
+    sigma_prev = sigma.copy()
+    for t in range(params.steps):
+        raw = _draw_noise(params, rng, model.n, dtype)
+        _step_arrays(h, jmat, params, sigma, sigma_prev, raw, is_acc, t)
+        sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
+        yield sigma.T.copy(), is_acc.T.copy()
+
+
 def test_three_step_golden_trace():
     """Hand evaluation of the update rule for N=2, R=2, q=2, I0=4, no noise.
 
@@ -59,25 +77,21 @@ def test_three_step_golden_trace():
     """
     model = two_spin_model()
     params = noiseless_params()
-    rng = RngStreams(1, 2)
-    state = ReplicaSet(
-        sigma=np.array([[1, -1], [-1, 1]], dtype=np.int64),
-        sigma_prev=np.array([[1, -1], [-1, 1]], dtype=np.int64),
-        is_acc=np.zeros((2, 2), dtype=np.int64),
-    )
-    state = ssqa_step(model, params, state, rng)
-    assert state.sigma.tolist() == [[-1, 1], [1, -1]]
-    assert state.is_acc.tolist() == [[-3, 3], [3, -4]]  # both saturation branches
+    steps = list(hand_steps(model, params, RngStreams(1, 2),
+                            sigma=[[1, -1], [-1, 1]], is_acc=np.zeros((2, 2))))
+    assert len(steps) == 3
+    sigma, is_acc = steps[0]
+    assert sigma.tolist() == [[-1, 1], [1, -1]]
+    assert is_acc.tolist() == [[-3, 3], [3, -4]]  # both saturation branches
 
-    state = ssqa_step(model, params, state, rng)
-    assert state.sigma.tolist() == [[1, 1], [1, -1]]
+    sigma, is_acc = steps[1]
+    assert sigma.tolist() == [[1, 1], [1, -1]]
     # raw = -4 is NOT below -I0 = -4, so the middle branch keeps it.
-    assert state.is_acc.tolist() == [[0, 1], [3, -4]]
+    assert is_acc.tolist() == [[0, 1], [3, -4]]
 
-    state = ssqa_step(model, params, state, rng)
-    assert state.sigma.tolist() == [[1, 1], [1, 1]]
-    assert state.is_acc.tolist() == [[3, 1], [0, 0]]
-    assert state.t == 3
+    sigma, is_acc = steps[2]
+    assert sigma.tolist() == [[1, 1], [1, 1]]
+    assert is_acc.tolist() == [[3, 1], [0, 0]]
 
 
 def test_single_pbit_accumulation_and_saturation():
@@ -86,15 +100,11 @@ def test_single_pbit_accumulation_and_saturation():
     model = IsingModel(1, np.array([2]), ())
     params = noiseless_params(replicas=1, q=QSchedule(0, 0, 1, 0))
     rng = RngStreams(1, 1)
-    state = ReplicaSet(sigma=np.array([[1]]), sigma_prev=np.array([[1]]),
-                       is_acc=np.zeros((1, 1), dtype=np.int64))
-    state = ssqa_step(model, params, state, rng)
-    assert state.is_acc.tolist() == [[2]] and state.sigma.tolist() == [[1]]
+    sigma, is_acc = next(hand_steps(model, params, rng, sigma=[[1]], is_acc=[[0]]))
+    assert is_acc.tolist() == [[2]] and sigma.tolist() == [[1]]
     # From Is=3, raw = 3 + 2 = 5 >= I0=4 -> saturate at I0 - alpha = 3.
-    state = ReplicaSet(sigma=np.array([[1]]), sigma_prev=np.array([[1]]),
-                       is_acc=np.array([[3]]))
-    state = ssqa_step(model, params, state, rng)
-    assert state.is_acc.tolist() == [[3]] and state.sigma.tolist() == [[1]]
+    sigma, is_acc = next(hand_steps(model, params, rng, sigma=[[1]], is_acc=[[3]]))
+    assert is_acc.tolist() == [[3]] and sigma.tolist() == [[1]]
 
 
 def test_zero_steps_run_is_well_defined():
@@ -167,21 +177,24 @@ def test_engine_matches_naive_oracle(seed, periodic):
     (12, LinearSchedule(3000, 5000), 800, np.int32),
 ])
 def test_engines_match_naive_oracle_at_each_step_dtype(weight_bits, i0, n_rnd, dtype):
+    """Both engines on a periodic and an open replica chain."""
     from ssqa.hwsim import run_hw
 
     model = random_model(np.random.default_rng(weight_bits), 6, p=0.6, weight_bits=weight_bits)
-    params = AnnealParams(steps=40, replicas=3, seed=weight_bits, q=QSchedule(0, 4, 5, 1.0),
-                          i0=i0, n_rnd=LinearSchedule.constant(n_rnd))
-    assert _step_dtype(model, params, model.coupling_matrix()) == dtype
-    expected = naive_trace(model, params)
-    runs = [run_ssqa(model, params, record_trace=True).trace]
-    runs += [run_hw(model, params, kind, record_trace=True)[0].trace
-             for kind in ("dual_bram", "shift_register")]
-    for trace in runs:
-        assert len(trace) == len(expected) == 40
-        for (sig_a, is_a), (sig_b, is_b) in zip(trace, expected):
-            assert sig_a.dtype == is_a.dtype == np.int64
-            assert np.array_equal(sig_a, sig_b) and np.array_equal(is_a, is_b)
+    for periodic in (True, False):
+        params = AnnealParams(steps=40, replicas=3, seed=weight_bits, q=QSchedule(0, 4, 5, 1.0),
+                              i0=i0, n_rnd=LinearSchedule.constant(n_rnd),
+                              periodic_replicas=periodic)
+        assert _step_dtype(model, params, model.coupling_matrix()) == dtype
+        expected = naive_trace(model, params)
+        runs = [run_ssqa(model, params, record_trace=True).trace]
+        runs += [run_hw(model, params, kind, record_trace=True)[0].trace
+                 for kind in ("dual_bram", "shift_register")]
+        for trace in runs:
+            assert len(trace) == len(expected) == 40
+            for (sig_a, is_a), (sig_b, is_b) in zip(trace, expected):
+                assert sig_a.dtype == is_a.dtype == np.int64
+                assert np.array_equal(sig_a, sig_b) and np.array_equal(is_a, is_b)
 
 
 def test_step_dtype_is_sized_from_widths():
@@ -301,13 +314,16 @@ def test_draw_noise_is_a_c_order_plane(replicas):
 
 
 def test_initial_state_properties():
+    """The start plane is spin-major and C-ordered in the step dtype, and
+    the same draw at every dtype."""
     model = random_model(np.random.default_rng(0), 8)
-    params = AnnealParams(replicas=5, seed=2)
-    state = initial_state(model, params, RngStreams(2, 5))
-    assert state.sigma.shape == (5, 8)
-    assert set(np.unique(state.sigma)) <= {-1, 1}
-    assert np.array_equal(state.sigma, state.sigma_prev)
-    assert not state.is_acc.any()
+    planes = [initial_state(model, RngStreams(2, 5), dtype)
+              for dtype in (np.int8, np.int16, np.float64)]
+    for plane, dtype in zip(planes, (np.int8, np.int16, np.float64)):
+        assert plane.shape == (8, 5) and plane.dtype == dtype
+        assert plane.flags.c_contiguous
+        assert set(np.unique(plane)) <= {-1, 1}
+        assert np.array_equal(plane, planes[0])
 
 
 # ------------------------------------------------------------- equivalences
@@ -342,11 +358,12 @@ def test_identically_seeded_streams_give_identical_replicas():
     params = AnnealParams(steps=30, replicas=4, q=QSchedule(0, 0, 1, 0), seed=1)
     rng = RngStreams(1, 4)
     rng.states[:] = rng.states[0]  # collapse to one shared stream state
-    state = initial_state(model, params, rng)
-    for _ in range(30):
-        state = ssqa_step(model, params, state, rng)
-        assert all(np.array_equal(state.sigma[0], state.sigma[k]) for k in range(4))
-        assert all(np.array_equal(state.is_acc[0], state.is_acc[k]) for k in range(4))
+    start = initial_state(model, rng, np.int64).T
+    steps = list(hand_steps(model, params, rng, sigma=start, is_acc=np.zeros_like(start)))
+    assert len(steps) == 30
+    for sigma, is_acc in steps:
+        assert all(np.array_equal(sigma[0], sigma[k]) for k in range(4))
+        assert all(np.array_equal(is_acc[0], is_acc[k]) for k in range(4))
 
 
 def test_ssa_finds_small_optimum_majority_of_seeds():
