@@ -6,36 +6,23 @@ when the sparse bypass is off, so N-1 cycles for a dense row) plus one
 finalize (FIN) cycle that applies the noise, the replica coupling, the
 saturating accumulator and the sign, giving N*(k+1) cycles per annealing
 step on a regular-degree graph. All R replica gates advance in lockstep and
-share each (J_ij, j) fetch; the per-replica noise word is consumed in the
-finalize cycle.
+share each (J_ij, j) fetch; the per-replica noise word is consumed in FIN.
 
-A DelayLine supplies the step-t plane (for interaction reads) and the
-step-(t-1) plane (for the replica-coupling read), in two kinds:
-DualBramDelay writes the t+1 plane over the t-1 bank in place, and
-ShiftRegDelay keeps three register planes. Once a write commits, a
-dual-BRAM read_tminus1 at that address returns the new word and a shift
-register's the old one. Under the spin-serial schedule the kinds give the
-same values, because FIN cycle i reads t-1 word i before its own t+1 write
-commits and no other cycle of the step reads it; so they differ only in
-their resource model.
+run_hw binds its FIN address stream, 0..N-1 in spin order, to a DelayLine
+once per run: binding checks that it is a permutation and freezes it, so
+no step checks it again. Each step is two transactions over it, each equal
+to the step's cycles in hardware order:
 
-run_hw executes each step as two transactions over its address streams,
-each equal to the step's cycles in hardware order:
+* MAC phase: one read of the whole t plane (a read-only view of the bank)
+  and one product J @ plane. No cycle of a step writes the t plane, and a
+  zero weight adds nothing, so the product also serves the dense schedule.
+* FIN phase: cycle i reads t-1 word i and writes t+1 word i, once per
+  address, so reading every t-1 word (a view), then writing every t+1 word
+  in place into the receiving plane, the t-1 bank on dual-BRAM, gives the
+  words of cycle order. The sum, saturation and sign are the reference
+  engine's (solver._accumulate, _saturate_and_sign) on the shared dtype.
 
-* MAC phase: one read of the whole t plane and one product J @ plane. No
-  cycle of a step writes the t plane, so every MAC cycle reads the words of
-  that one read. A zero weight adds nothing, so the product also serves the
-  dense schedule; only the cycle count differs.
-* FIN phase: FIN cycle i reads t-1 word i and writes t+1 word i, and a
-  step's FIN addresses are a permutation of 0..N-1. So no FIN cycle reads
-  an address that an earlier one wrote: reading all t-1 words, then writing
-  all t+1 words gives the words of cycle order, also on the recycled
-  dual-BRAM bank. The delay line checks the permutation on every array write.
-  The update sum is the reference engine's own function (solver._accumulate,
-  over the t and t-1 reads), and so are the saturation and sign
-  (solver._saturate_and_sign), run on the step dtype both engines share.
-
-Cycle counts and trace-file lines come from the same address streams.
+Cycle counts and trace-file lines come from the same address stream.
 """
 
 from __future__ import annotations
@@ -56,35 +43,28 @@ from .solver import (AccumulatorOverflowError, _accumulate, _bias_plane, _draw_n
 
 
 class DelayAddressError(IndexError):
-    """Delay-line access outside [0, N), or an array write whose addresses
-    are not a permutation of 0..N-1."""
+    """Delay-line access outside [0, N), or a FIN stream not over 0..N-1 once each."""
 
 
 def _check_addr(n: int, addr):
     """Raise DelayAddressError unless addr (an int or a 1-D int array) is in
     [0, n). Checked explicitly: numpy would wrap a negative array index."""
-    if isinstance(addr, (int, np.integer)):
-        ok = 0 <= addr < n
-    else:
-        a = np.asarray(addr)
-        ok = a.size == 0 or (np.minimum.reduce(a) >= 0 and np.maximum.reduce(a) < n)
-    if not ok:
+    a = np.asarray(addr)
+    if a.size and not (a.min() >= 0 and a.max() < n):
         raise DelayAddressError(f"address {addr} outside [0,{n})")
 
 
 def _check_write(n: int, addr):
     """A write goes to one address, or (a step's FIN phase) to each one once."""
     _check_addr(n, addr)
-    if not isinstance(addr, (int, np.integer)) and not (
-            len(addr) == n and np.bincount(addr, minlength=n).all()):
+    if np.ndim(addr) and not (len(addr) == n and np.bincount(addr, minlength=n).all()):
         raise DelayAddressError(f"FIN addresses are not a permutation of 0..{n - 1}")
 
 
 def count_total_cycles(model: IsingModel, steps: int, sparse_bypass: bool = True) -> int:
-    """Exact cycle count of run_hw for this model and step budget: per step,
-    one FIN cycle per spin and one MAC cycle per stored coupling (each is
-    stored in two rows), or per j != i of every row without the sparse
-    bypass."""
+    """Exact cycle count of run_hw: per step, one FIN cycle per spin and one
+    MAC cycle per stored coupling (each is stored in two rows), or per j != i
+    of every row without the sparse bypass."""
     macs = 2 * len(model.couplings) if sparse_bypass else model.n * (model.n - 1)
     return steps * (model.n + macs)
 
@@ -122,16 +102,10 @@ def estimate_report(total_cycles: int, f_clk: float = DEFAULT_F_CLK,
     if not 0 <= utilization <= 1:
         raise ValueError("utilization must be in [0, 1]")
     latency = total_cycles / f_clk
-    return CycleReport(
-        total_cycles=total_cycles,
-        cycles_per_step=cycles_per_step,
-        f_clk=f_clk,
-        latency_s=latency,
-        power_w=power_w,
-        energy_j=power_w * latency,
-        utilization=utilization,
-        adp_s=utilization * latency,
-    )
+    return CycleReport(total_cycles=total_cycles, cycles_per_step=cycles_per_step,
+                       f_clk=f_clk, latency_s=latency, power_w=power_w,
+                       energy_j=power_w * latency, utilization=utilization,
+                       adp_s=utilization * latency)
 
 
 def resource_scaling_model(n: int, delay_kind: str, weight_bits: int = 4) -> dict:
@@ -154,15 +128,20 @@ class DelayLine:
     """The t and t-1 spin planes and the plane that receives t+1 words.
 
     Each word is the length-R vector of one spin's state across replicas
-    (the R per-replica memories share addressing). Writes commit at the end
-    of the cycle, so a same-cycle read of a written address returns the old
-    word. The class attribute kind picks where t+1 words land and how
-    advance_step rotates the planes:
+    (the R per-replica memories share addressing). The class attribute kind
+    picks where t+1 words land and how advance_step rotates the planes:
 
     * dual_bram: two banks. t+1 words overwrite the t-1 bank in place;
       advance_step swaps the bank roles and flips parity.
-    * shift_register: three planes. t+1 words go to a third plane;
-      advance_step shifts it into t and t into t-1, and parity stays 0.
+    * shift_register: three planes, parity 0. t+1 words go to a third
+      plane; advance_step copies it into the t-1 plane, which becomes t.
+
+    Scalar and array accesses are checked on each call, and their writes
+    commit at the end of the cycle, so a same-cycle read returns the old
+    word. The bound stream's reads are read-only views, and its t+1 words,
+    written in place into next_plane(), commit as they land (read every t-1
+    word first). FIN cycle i reads t-1 word i before its own write and no
+    other cycle reads it, so both kinds give run_hw the same values.
     """
 
     kind: str  # set by each subclass
@@ -172,22 +151,44 @@ class DelayLine:
         self.parity = 0
         self._t, self._tm1 = plane_t.copy(), plane_tm1.copy()
         self._next = self._tm1 if self.kind == "dual_bram" else plane_t.copy()
-        self._pending = []
+        self._pending, self._stream = [], None  # the bound FIN address stream
+
+    def bind(self, stream) -> np.ndarray:
+        """Check a FIN address stream (0..N-1 in spin order) once; return it frozen."""
+        stream = np.array(stream)
+        _check_write(self.n, stream)
+        if np.any(stream[1:] < stream[:-1]):  # a sorted permutation is 0..N-1
+            raise DelayAddressError("a bound FIN stream runs in spin order")
+        stream.flags.writeable = False
+        self._stream = stream
+        return stream
+
+    def _read(self, plane, addr):
+        if addr is not self._stream:
+            _check_addr(self.n, addr)
+            return plane[addr]
+        view = plane.view()
+        view.flags.writeable = False
+        return view
 
     def read_t(self, addr):
         """Word at addr of the t plane, or one word per address."""
-        _check_addr(self.n, addr)
-        return self._t[addr]
+        return self._read(self._t, addr)
 
     def read_tminus1(self, addr):
         """Word at addr of the t-1 plane, or one word per address."""
-        _check_addr(self.n, addr)
-        return self._tm1[addr]
+        return self._read(self._tm1, addr)
+
+    def next_plane(self) -> np.ndarray:
+        """The plane that receives this step's t+1 words, for a bound write."""
+        return self._next
 
     def write(self, addr, word):
-        """Queue t+1 word(s) for the end of the cycle, at addr or a permutation."""
-        _check_write(self.n, addr)
-        self._pending.append((addr, np.array(word)))
+        """Queue t+1 word(s) for the end of the cycle, at addr or a permutation;
+        the bound stream's words, already in next_plane(), are committed."""
+        if addr is not self._stream or word is not self._next:
+            _check_write(self.n, addr)
+            self._pending.append((addr, np.array(word)))
 
     def end_cycle(self):
         for addr, word in self._pending:
@@ -201,7 +202,8 @@ class DelayLine:
             self._next = self._tm1
             self.parity ^= 1
         else:
-            self._t, self._tm1 = self._next.copy(), self._t
+            np.copyto(self._tm1, self._next)
+            self._t, self._tm1 = self._tm1, self._t
 
     def plane_t(self) -> np.ndarray:
         return self._t.copy()
@@ -256,17 +258,15 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     # sparse bypass is off (zero weights still cost a cycle).
     degree = np.diff(jmat.indptr) if sparse_bypass else np.full(n, n - 1)
     jmat, h = jmat.astype(dtype), _bias_plane(model, r_count, dtype)
-    # The FIN address stream: one cycle per spin, in spin order.
-    spins = np.arange(n)
-    mac_per_step = int(degree.sum())
 
     rng = RngStreams(params.seed, r_count)
     # Delay words and accumulators are spin-major: address i holds the R
     # replica states of spin i. The t-1 plane starts as a copy of the t plane.
     plane = initial_state(model, rng, dtype)
     delay = _DELAY_LINES[delay_kind](plane, plane)
+    # The FIN address stream, one cycle per spin: checked once, read as views.
+    spins = delay.bind(np.arange(n))
     is_acc = np.zeros_like(plane)
-    words = np.empty_like(is_acc)  # the t+1 words of a step
     trace = [] if record_trace else None
     if trace_file is not None:
         # "spin,-1,phase," of each cycle of a step: row i's MAC cycles, then its FIN.
@@ -275,10 +275,9 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
 
     for t in range(params.steps):
         parity = delay.parity
-        # This step's noise word, one per replica per spin, becomes the sum
-        # in place: the MAC phase's product over the t plane, read once, and
-        # the FIN phase's bias, noise, coupling to replica k+1 of the t-1
-        # plane and accumulator.
+        # This step's noise word per replica per spin becomes the sum in place:
+        # the MAC product over the t plane, then the FIN phase's bias, noise,
+        # coupling to replica k+1 of the t-1 plane and accumulator.
         raw = _draw_noise(params, rng, n, dtype)
         _accumulate(h, jmat, params, delay.read_t(spins), delay.read_tminus1(spins), raw,
                     is_acc, t)
@@ -286,9 +285,10 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
         peak = max(int(raw.max()), -int(raw.min()))
         if peak > acc_bound:
             raise AccumulatorOverflowError(f"|accumulator| {peak} exceeds bound {acc_bound}")
-        # The reference engine's saturation: raw >= I0 becomes I0 - alpha,
-        # raw < -I0 becomes -I0, and each t+1 word is the sign.
+        # raw >= I0 becomes I0 - alpha, raw < -I0 becomes -I0, and each t+1
+        # word is the sign, in place now that every t-1 word has been read.
         i0 = i0_at(params, t)
+        words = delay.next_plane()
         _saturate_and_sign(raw, i0, i0 - params.alpha, words)
         is_acc = raw
         delay.write(spins, words)
@@ -300,7 +300,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
             trace.append(_trace_entry(delay.plane_t(), is_acc))
 
     result = _finalize(model, params, graph, delay.plane_t(), trace=trace)
-    mac_cycles, fin_cycles = params.steps * mac_per_step, params.steps * n
+    mac_cycles, fin_cycles = params.steps * int(degree.sum()), params.steps * n
     cycle = mac_cycles + fin_cycles
     per_step = count_total_cycles(model, 1, sparse_bypass)
     assert cycle == params.steps * per_step, f"cycle accounting drift: {cycle} != {per_step}/step"

@@ -92,9 +92,10 @@ def _saturate_and_sign(raw, i0, top, sigma):
     np.maximum(raw, floor, out=raw)
     mask &= bits ^ np.array(top, dtype=raw.dtype).view(view)
     bits ^= mask
-    np.greater_equal(raw, 0, out=sigma)
-    sigma += sigma
-    sigma -= 1
+    # The sign goes through bool: comparing into bool beats comparing into sigma.
+    pos = np.greater_equal(raw, 0).view(np.int8)
+    pos += pos
+    np.subtract(pos, 1, out=sigma)
 
 
 def _add_coupling(raw, prev, q, periodic):

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from ssqa import hwsim
 from ssqa.hwsim import (
     DEFAULT_F_CLK,
     DEFAULT_POWER_W,
@@ -268,6 +269,67 @@ def test_fin_write_addresses_must_be_a_permutation(delay_cls):
     assert d.read_t(np.arange(n)).tolist() == [[-1, -1], [-1, 1], [1, 1], [1, -1]]
 
 
+@pytest.mark.parametrize("delay_cls", [DualBramDelay, ShiftRegDelay])
+def test_bind_rejects_a_bad_stream_and_binds_nothing(delay_cls):
+    n, r = 4, 2
+    d = delay_cls(np.ones((n, r)), -np.ones((n, r)))
+    good = d.bind(np.arange(n))
+    for bad in ([0, 1, 1, 3], [0, 1, 2], [-1, 1, 2, 3], [0, 1, 2, n], [0, 1, 2, 3, 0],
+                [1, 0, 2, 3]):  # the last is a permutation, but not in spin order
+        with pytest.raises(DelayAddressError):
+            d.bind(np.array(bad))
+    # The stream bound before the rejected binds is still the bound one.
+    assert np.shares_memory(d.read_t(good), d._t)
+    assert not np.shares_memory(d.read_t(np.arange(n)), d._t)
+
+
+@pytest.mark.parametrize("delay_cls", [DualBramDelay, ShiftRegDelay])
+def test_bound_stream_is_read_only(delay_cls):
+    n = 5
+    d = delay_cls(np.ones((n, 1)), np.ones((n, 1)))
+    stream = np.arange(n)
+    bound = d.bind(stream)
+    assert not bound.flags.writeable
+    with pytest.raises(ValueError):
+        bound[0] = 1
+    stream[0] = 1  # the caller's array is not the bound one
+    assert bound.tolist() == list(range(n))
+
+
+@pytest.mark.parametrize("delay_cls", [DualBramDelay, ShiftRegDelay])
+def test_bound_transactions_equal_checked_ones(delay_cls):
+    """Reads by the bound stream are read-only views of the banks with the
+    words of the checked gather, and a step written in place into
+    next_plane() leaves the delay line as the checked array write does. The
+    bound stream with any other word array is a checked, queued write."""
+    rng = np.random.default_rng(5)
+    n, r = 7, 3
+    p0, p1 = rng.choice([-1, 1], size=(n, r)), rng.choice([-1, 1], size=(n, r))
+    d, twin = delay_cls(p0, p1), delay_cls(p0, p1)
+    spins = d.bind(np.arange(n))
+    for step in range(6):
+        for read, bank in ((d.read_t, d._t), (d.read_tminus1, d._tm1)):
+            view = read(spins)
+            assert np.array_equal(view, read(np.arange(n)))
+            assert np.shares_memory(view, bank) and not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0, 0] = 0
+        # The FIN order: every t-1 word is read before the first write.
+        assert np.array_equal(d.read_tminus1(spins), twin.read_tminus1(np.arange(n)))
+        words = rng.choice([-1, 1], size=(n, r))
+        if step % 2:
+            d.write(spins, words)
+        else:
+            d.next_plane()[...] = words
+            d.write(spins, d.next_plane())
+        twin.write(np.arange(n), words)
+        for dl in (d, twin):
+            dl.advance_step()
+        assert np.array_equal(d.plane_t(), twin.plane_t())
+        assert np.array_equal(d.read_tminus1(spins), twin.read_tminus1(np.arange(n)))
+        assert d.parity == twin.parity
+
+
 @pytest.mark.parametrize("delay_cls,parities", [
     (DualBramDelay, [0, 1, 0]),
     (ShiftRegDelay, [0, 0, 0]),
@@ -316,6 +378,20 @@ def test_run_hw_calls_its_own_delay_class(delay_kind, monkeypatch):
     model = IsingModel(3, np.zeros(3, dtype=np.int64), ((0, 1, 1), (1, 2, -1)))
     run_hw(model, AnnealParams(steps=7, replicas=2, seed=1), delay_kind)
     assert calls == {(delay_kind, "read_t"): 7, (delay_kind, "write"): 7}
+
+
+@pytest.mark.parametrize("delay_kind", ["dual_bram", "shift_register"])
+def test_run_hw_checks_its_address_stream_once_per_run(delay_kind, monkeypatch):
+    """run_hw binds its FIN stream once; no step runs an address check."""
+    calls = Counter()
+    for name in ("_check_addr", "_check_write"):
+        def counted(*args, _orig=getattr(hwsim, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(hwsim, name, counted)
+    model = IsingModel(3, np.zeros(3, dtype=np.int64), ((0, 1, 1), (1, 2, -1)))
+    run_hw(model, AnnealParams(steps=7, replicas=2, seed=1), delay_kind)
+    assert calls == {"_check_write": 1, "_check_addr": 1}
 
 
 def test_run_hw_trace_file_format():
