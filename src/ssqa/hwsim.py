@@ -19,8 +19,8 @@ to the step's cycles in hardware order:
 * FIN phase: cycle i reads t-1 word i and writes t+1 word i, once per
   address, so reading every t-1 word (a view), then writing every t+1 word
   in place into the receiving plane, the t-1 bank on dual-BRAM, gives the
-  words of cycle order. The sum, saturation and sign are the reference
-  engine's (solver._accumulate, _saturate_and_sign) on the shared dtype.
+  words of cycle order. Noise, sum, saturation and sign are the reference
+  engine's, in its dtype (solver._noise_planes, _accumulate, _saturate_and_sign).
 
 Cycle counts and trace-file lines come from the same address stream.
 """
@@ -35,10 +35,10 @@ from .ising import IsingModel, WeightedGraph
 from .rng import RngStreams
 from .schedules import AnnealParams, i0_at
 # perfbench/tracer.py times hwsim.n_rnd_at and hwsim.q_value_at, so the
-# names stay bound here; solver._accumulate calls its own.
+# names stay bound here; solver calls its own.
 from .schedules import n_rnd_at, q_value_at  # noqa: F401
-from .solver import (AccumulatorOverflowError, _accumulate, _bias_plane, _draw_noise,
-                     _finalize, _saturate_and_sign, _step_dtype, _trace_entry,
+from .solver import (AccumulatorOverflowError, _accumulate, _bias_plane, _finalize,
+                     _noise_planes, _saturate_and_sign, _step_dtype, _trace_entry,
                      accumulator_bound, initial_state)
 
 
@@ -273,12 +273,11 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
         line_mid = [f"{i},-1,{phase}," for i, deg in enumerate(degree.tolist())
                     for phase in ["MAC"] * deg + ["FIN"]]
 
-    for t in range(params.steps):
+    # Each step's scaled noise word per replica per spin becomes the sum in
+    # place: the MAC product over the t plane, then the FIN phase's bias,
+    # noise, coupling to replica k+1 of the t-1 plane and accumulator.
+    for t, raw in enumerate(_noise_planes(params, rng, n, dtype)):
         parity = delay.parity
-        # This step's noise word per replica per spin becomes the sum in place:
-        # the MAC product over the t plane, then the FIN phase's bias, noise,
-        # coupling to replica k+1 of the t-1 plane and accumulator.
-        raw = _draw_noise(params, rng, n, dtype)
         _accumulate(h, jmat, params, delay.read_t(spins), delay.read_tminus1(spins), raw,
                     is_acc, t)
         # Python ints: on a narrow dtype, -raw.min() could wrap.

@@ -156,22 +156,25 @@ def _lane_tables(lanes: int, length: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _low_bit_table(n: int) -> np.ndarray:
     """Read-only (16, 16, ceil(n / 64) + 1) nibble table of the n noise bits
-    and the state after them. Bit j of masks[i] is draw i's bit from the
-    basis state e_j: masks[i] is row 0 of T^(i+1), e_0 mapped i+1 times by
-    the transpose of T, which shifts right by 17, left by 7, then right by 13.
-    The table is built from the 64 basis rows one nibble bit at a time."""
-    masks, row = np.empty(n, dtype="<u8"), 1
-    for i in range(n):
-        row ^= row >> 17
-        row = (row ^ (row << 7)) & MASK64
-        masks[i] = row = row ^ (row >> 13)
-    words = -(-n // 64)
-    # bits[i, j] is bit j of masks[i]; each basis row packs 64 draws a word.
-    bits = np.unpackbits(masks.view(np.uint8).reshape(n, 8), axis=1, bitorder="little")
-    packed = np.zeros((64, 8 * words), dtype=np.uint8)
-    packed[:, :(n + 7) // 8] = np.packbits(bits.T, axis=1, bitorder="little")
-    basis = np.empty((64, words + 1), dtype=np.uint64)
-    basis[:, :-1] = packed.view("<u8")
+    and the state after them, built from the 64 basis rows one nibble bit at
+    a time. Bit j of masks[i] is draw i's bit from the basis state e_j, so
+    masks[i] is row 0 of T^(i+1): U^(i+1) e_0 for the transpose U of T (right
+    by 17, left by 7, right by 13), and masks[i + L] is U^L masks[i]."""
+    power = _IDENTITY ^ (_IDENTITY >> _S17)  # the table of U, then of U^step
+    power ^= power << _S7
+    power ^= power >> _S13
+    masks = power[0, 1:2]
+    while len(masks) < n:  # the masks double up to 256 words, then grow 256 a pass
+        step = min(len(masks), 256)
+        masks = np.concatenate((masks, _apply(power[None], masks[-step:][:n - len(masks)])[0]))
+        if step < 256:
+            power = _compose(power, power)
+    # Row b of rows holds byte b of each mask; a basis row packs 64 draws a word.
+    words, rows = -(-n // 64), masks[:n].astype("<u8").view(np.uint8).reshape(n, 8).T.copy()
+    basis = np.zeros((64, words + 1), dtype="<u8")
+    for b, packed in enumerate(basis.view(np.uint8)[:, :(n + 7) // 8].reshape(8, 8, -1)):
+        packed[:] = np.packbits(np.unpackbits(rows[b:b + 1], axis=0, bitorder="little"),
+                                axis=1, bitorder="little")  # basis rows 8b..8b+7
     basis[:, -1] = _apply(_jump_table(n)[None], np.uint64(1) << np.arange(64, dtype=np.uint64))[0]
     table = np.zeros((16, 16, words + 1), dtype=np.uint64)
     for k in range(4):  # entries v < 2^(k+1) from entries v < 2^k and nibble bit k

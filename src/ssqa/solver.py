@@ -24,6 +24,10 @@ plane, and the replica coupling is one pass over a neighbour plane built
 by a flat shifted copy (_add_coupling). run_hw forms its sums through the
 same _accumulate. Only traces and results are replica-major (R, N) and
 int64 (float64 in float mode), and only those boundaries transpose and widen.
+
+Noise: the replica streams run free of the spins, as the p-bit RNGs do in
+hardware, so both engines step over _noise_planes, which draws several
+steps' noise per RNG call; draw i of a stream is the same in any block size.
 """
 
 from __future__ import annotations
@@ -116,12 +120,11 @@ def _add_coupling(raw, prev, q, periodic):
 
 def _accumulate(h, jmat, params, sigma, sigma_prev, raw, is_acc, t):
     """Step t's unsaturated sum on spin-major planes, in place: raw (the
-    step's noise) becomes h + J sigma + n_rnd raw + q sigma_prev[:, k + 1]
-    + is_acc. h is the bias as a plane of the same shape. The sum runs in
-    the order h + J sigma, noise, coupling, accumulator, so float mode
-    rounds the same; an integer sum is exact in any order, because
-    _step_dtype bounds the sum of every |term|."""
-    raw *= n_rnd_at(params, t)
+    step's noise, already scaled by n_rnd) becomes h + J sigma + raw
+    + q sigma_prev[:, k + 1] + is_acc. h is the bias as a plane of the same
+    shape. The sum runs in the order h + J sigma, noise, coupling,
+    accumulator, so float mode rounds the same; an integer sum is exact in
+    any order, because _step_dtype bounds the sum of every |term|."""
     field = jmat @ sigma  # reads the step-t plane only
     field += h
     raw += field
@@ -142,15 +145,21 @@ def _bias_plane(model: IsingModel, replicas: int, dtype) -> np.ndarray:
     return np.repeat(model.h.astype(dtype)[:, None], replicas, axis=1)
 
 
-def _draw_noise(params, rng, n, dtype):
-    """C-order (N, R) noise of one step: +-1 bits in dtype in integer mode,
-    else uniforms."""
-    if not params.integer_mode:
-        return rng.next_uniform(n)
-    raw = rng.next_block(n, low_bit=True).astype(dtype, order="C")
-    raw += raw
-    raw -= 1
-    return raw
+_NOISE_BLOCK = 4096  # draws per stream in one noise block: 64 words a table entry
+
+
+def _noise_planes(params, rng, n, dtype):
+    """Yield each step's (N, R) noise, n_rnd times +-1 bits in dtype (float
+    mode: times uniforms), as C-order, writable views of blocks of K = max(1,
+    _NOISE_BLOCK // n) steps, one RNG call each; the last holds the rest."""
+    per_block = max(1, _NOISE_BLOCK // n)
+    for start in range(0, params.steps, per_block):
+        k = min(per_block, params.steps - start)
+        block = (2 * rng.next_block(k * n, low_bit=True).astype(dtype) - 1 if params.integer_mode
+                 else rng.next_uniform(k * n)).reshape(k, n, rng.n_streams)
+        block *= np.array([n_rnd_at(params, t) for t in range(start, start + k)],
+                          dtype=dtype)[:, None, None]
+        yield from block
 
 
 def _schedule_extremes(params: AnnealParams) -> tuple:
@@ -244,8 +253,7 @@ def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | Non
     sigma_prev, is_acc = sigma.copy(), np.zeros_like(sigma)
     trajectory = [] if record_trajectory else None
     trace = [] if record_trace else None
-    for t in range(params.steps):
-        raw = _draw_noise(params, rng, model.n, dtype)
+    for t, raw in enumerate(_noise_planes(params, rng, model.n, dtype)):
         _step_arrays(h, jmat, params, sigma, sigma_prev, raw, is_acc, t)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
         if record_trajectory:

@@ -10,9 +10,10 @@ from ssqa.ising import IsingModel, WeightedGraph, maxcut_to_ising
 from ssqa.rng import RngStreams
 from ssqa.schedules import AnnealParams, LinearSchedule, QSchedule, i0_at, n_rnd_at, q_value_at
 from ssqa.solver import (
+    _NOISE_BLOCK,
     _add_coupling,
     _bias_plane,
-    _draw_noise,
+    _noise_planes,
     _saturate_and_sign,
     _step_arrays,
     _step_dtype,
@@ -61,8 +62,7 @@ def hand_steps(model, params, rng, sigma, is_acc):
     sigma = np.array(np.transpose(sigma), dtype=dtype, order="C")
     is_acc = np.array(np.transpose(is_acc), dtype=dtype, order="C")
     sigma_prev = sigma.copy()
-    for t in range(params.steps):
-        raw = _draw_noise(params, rng, model.n, dtype)
+    for t, raw in enumerate(_noise_planes(params, rng, model.n, dtype)):
         _step_arrays(h, jmat, params, sigma, sigma_prev, raw, is_acc, t)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
         yield sigma.T.copy(), is_acc.T.copy()
@@ -303,14 +303,82 @@ def test_add_coupling_matches_two_slice_rule(case):
 
 
 @pytest.mark.parametrize("replicas", [1, 20])
-def test_draw_noise_is_a_c_order_plane(replicas):
+def test_noise_planes_are_c_order_planes(replicas):
     """Every plane of a step is C-ordered: an elementwise pass that mixes a
     C- and an F-ordered plane is strided."""
     for integer_mode, dtype in ((True, np.int8), (True, np.int16), (False, np.float64)):
-        params = AnnealParams(replicas=replicas, integer_mode=integer_mode)
-        noise = _draw_noise(params, RngStreams(1, replicas), 800, dtype)
-        assert noise.shape == (800, replicas) and noise.dtype == dtype
-        assert noise.flags.c_contiguous
+        params = AnnealParams(steps=7, replicas=replicas, integer_mode=integer_mode)
+        for noise in _noise_planes(params, RngStreams(1, replicas), 800, dtype):
+            assert noise.shape == (800, replicas) and noise.dtype == dtype
+            assert noise.flags.c_contiguous
+
+
+def steps_per_block(n):
+    return max(1, _NOISE_BLOCK // n)
+
+
+# Step counts around the block size K: none, one, a block short of its last
+# step, one whole block, and one or several blocks with a short last block.
+STEP_COUNTS = (lambda k: 0, lambda k: 1, lambda k: k - 1, lambda k: k, lambda k: k + 1,
+               lambda k: 2 * k + 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 7, 800, _NOISE_BLOCK + 5]), steps=st.sampled_from(STEP_COUNTS),
+       replicas=st.sampled_from([1, 3, 20]), dtype=st.sampled_from([np.int8, np.int16, np.float64]),
+       seed=st.integers(0, 2**32), n_rnd=st.tuples(st.integers(0, 7), st.integers(0, 7)))
+@example(n=_NOISE_BLOCK + 5, steps=STEP_COUNTS[-1], replicas=20, dtype=np.int16, seed=1,
+         n_rnd=(6, 0))
+@example(n=1, steps=STEP_COUNTS[-1], replicas=3, dtype=np.float64, seed=2, n_rnd=(7, 1))
+def test_noise_planes_equal_step_by_step_draws(n, steps, replicas, dtype, seed, n_rnd):
+    """Each plane is n_rnd(t) times the +-1 bits (float mode: the uniforms)
+    of a twin stream drawing one step at a time, in the step dtype; planes
+    are C-ordered, writable and disjoint, and both streams end in one state."""
+    integer_mode = dtype is not np.float64
+    params = AnnealParams(steps=steps(steps_per_block(n)), replicas=replicas, seed=seed,
+                          n_rnd=LinearSchedule(*n_rnd), integer_mode=integer_mode)
+    blocks, twin = RngStreams(seed, replicas), RngStreams(seed, replicas)
+    planes = list(_noise_planes(params, blocks, n, dtype))
+    assert len(planes) == params.steps
+    for t, plane in enumerate(planes):
+        draw = twin.next_bipolar(n) if integer_mode else twin.next_uniform(n)
+        expect = (n_rnd_at(params, t) * draw).astype(dtype)
+        assert plane.dtype == dtype and plane.shape == (n, replicas)
+        assert plane.tobytes() == expect.tobytes()
+        assert plane.flags.c_contiguous and plane.flags.writeable
+    # Disjoint: sorted by address, each plane ends before the next begins.
+    spans = sorted((p.__array_interface__["data"][0], p.nbytes) for p in planes)
+    assert all(start + size <= nxt for (start, size), (nxt, _) in zip(spans, spans[1:]))
+    assert not any(np.shares_memory(a, b) for a, b in zip(planes, planes[1:]))
+    assert np.array_equal(blocks.states, twin.states)
+
+
+@pytest.mark.parametrize("engine", ["run_ssqa", "run_ssa", "dual_bram", "shift_register"])
+def test_runs_draw_one_word_per_spin_update(engine, monkeypatch):
+    """A run draws R N (steps + 1) words, the start plane and each step's
+    noise, whatever the block size: no step overdraws its streams."""
+    from ssqa.hwsim import run_hw
+
+    words, next_block = [], RngStreams.next_block
+
+    def spy(self, n, low_bit=False):
+        words.append(self.n_streams * n)
+        return next_block(self, n, low_bit)
+
+    monkeypatch.setattr(RngStreams, "next_block", spy)
+    graph = load_instance("G11")
+    model = maxcut_to_ising(graph)
+    for steps in (0, 1, steps_per_block(model.n) + 1):
+        params = AnnealParams(steps=steps, replicas=3, seed=4)
+        words.clear()
+        if engine == "run_ssqa":
+            run_ssqa(model, params, graph)
+        elif engine == "run_ssa":
+            run_ssa(model, params, graph)
+            params = params.with_(replicas=1)
+        else:
+            run_hw(model, params, engine, graph)
+        assert sum(words) == params.replicas * model.n * (steps + 1)
 
 
 def test_initial_state_properties():
