@@ -88,7 +88,6 @@ class RunConfig:
             i0=parse_ramp(self.i0),
             n_rnd=parse_ramp(self.n_rnd),
             seed=seed,
-            integer_mode=self.engine != "psa",
         )
 
 

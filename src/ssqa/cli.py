@@ -6,7 +6,8 @@ come from a JSON config file (--config); explicit flags override it.
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 integrity
 failure (a reported cut exceeded the registered best-known value). The
 config checks are RunConfig's own; the CLI maps their errors to exit 2, and
-so the engines' pre-run check that the schedule fits a 63-bit accumulator.
+so the engines' pre-run check that the schedule fits a 63-bit accumulator
+and the model's check that every weight fits its bit-width.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 
 from . import bench, gset, hwsim
 from .bench import IntegrityError, RunConfig
+from .ising import WeightRangeError
 from .solver import AccumulatorWidthError
 
 EXIT_OK = 0
@@ -206,7 +208,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"ssqa-bench: error: {exc}", file=sys.stderr)
         return exc.code
-    except AccumulatorWidthError as exc:
+    except (AccumulatorWidthError, WeightRangeError) as exc:
         print(f"ssqa-bench: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrityError as exc:

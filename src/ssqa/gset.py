@@ -78,6 +78,8 @@ def parse_gset(text: str) -> WeightedGraph:
                 n, m = int(parts[0]), int(parts[1])
             except ValueError:
                 raise GsetParseError(f"line {lineno}: non-integer header") from None
+            if n < 1:
+                raise GsetParseError(f"line {lineno}: header declares {n} nodes, need >= 1")
             header = (n, m)
             continue
         if len(parts) != 3:

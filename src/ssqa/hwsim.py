@@ -238,12 +238,10 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     """Spin-serial execution of the schedule, cycle-accounted.
 
     Returns (RunResult, CycleReport); the RunResult is bit-exact equal to
-    run_ssqa with the same inputs in integer mode. trace_file, when given,
-    receives one line per cycle: "cycle,step,spin,replica,phase,parity"
-    with replica -1 meaning all gates in lockstep.
+    run_ssqa with the same inputs. trace_file, when given, receives one line
+    per cycle: "cycle,step,spin,replica,phase,parity" with replica -1
+    meaning all gates in lockstep.
     """
-    if not params.integer_mode:
-        raise ValueError("the hardware model is integer-mode only")
     if delay_kind not in _DELAY_LINES:
         raise ValueError(f"unknown delay kind {delay_kind!r}")
     acc_bound = accumulator_bound(model, params)

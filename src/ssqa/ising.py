@@ -28,14 +28,6 @@ def _check_spins(s: np.ndarray) -> None:
         raise ValueError("spins must be -1 or +1")
 
 
-def _check_state(spins, n) -> np.ndarray:
-    s = np.asarray(spins)
-    if s.shape[-1] != n:
-        raise DimensionError(f"state has {s.shape[-1]} spins, expected {n}")
-    _check_spins(s)
-    return s.astype(np.int64)
-
-
 def _columns(triples) -> tuple:
     """(a, b, w) int64 read-only arrays of a tuple of (a, b, w) triples."""
     cols = np.array(triples, dtype=np.int64).reshape(-1, 3).T.copy()
@@ -140,9 +132,18 @@ class IsingModel:
 
 def energy(model: IsingModel, state) -> int:
     """H(s) = -sum_i h_i s_i - sum_{i<j} J_ij s_i s_j, exact integer."""
-    s = _check_state(state, model.n)
+    return int(replica_energies(model, np.asarray(state)[:, None])[0])
+
+
+def replica_energies(model: IsingModel, plane) -> np.ndarray:
+    """(R,) int64 energies of the R replicas of a spin-major (N, R) plane."""
+    s = np.asarray(plane)
+    if s.shape[0] != model.n:
+        raise DimensionError(f"state has {s.shape[0]} spins, expected {model.n}")
+    _check_spins(s)
+    s = s.astype(np.int64)
     # s.J.s counts every coupling twice.
-    return -int(model.h @ s) - int(s @ (model._csr @ s)) // 2
+    return -(model.h @ s) - (s * (model._csr @ s)).sum(axis=0) // 2
 
 
 def cut_value(graph: WeightedGraph, state) -> int:
@@ -190,7 +191,7 @@ def pseudo_quantum_energy(model: IsingModel, replica_spins, q, periodic: bool = 
     sig = np.asarray(replica_spins)
     if sig.ndim != 2 or sig.shape[1] != model.n:
         raise DimensionError(f"replica array shape {sig.shape}, expected (R, {model.n})")
-    total = sum(energy(model, sig[k]) for k in range(sig.shape[0]))
+    total = int(replica_energies(model, sig.T).sum())
     nbr = np.roll(sig, -1, axis=0)
     inter = (sig * nbr).sum(axis=1)
     if not periodic:

@@ -3,7 +3,7 @@ i0(t), and noise magnitude n_rnd(t).
 
 q(t) is a non-decreasing staircase: it starts at q_min, gains `beta` every
 `tau` steps, and clamps at q_max. i0 and n_rnd interpolate linearly between
-their endpoints; in integer mode values are rounded to the nearest integer.
+their endpoints. The engines read all three rounded half up to integers.
 
 Default values were chosen by a grid sweep on the G11 benchmark (see the
 project README); they are tuned constants, not quantities with any external
@@ -86,7 +86,6 @@ class AnnealParams:
     n_rnd: LinearSchedule = field(default_factory=lambda: LinearSchedule(6, 0))
     alpha: int = 1
     seed: int = 1
-    integer_mode: bool = True
     periodic_replicas: bool = True
 
     def __post_init__(self):
@@ -103,16 +102,13 @@ def _quantize(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def i0_at(params: AnnealParams, t: int):
-    v = params.i0.at(t, params.steps)
-    return _quantize(v) if params.integer_mode else v
+def i0_at(params: AnnealParams, t: int) -> int:
+    return _quantize(params.i0.at(t, params.steps))
 
 
-def n_rnd_at(params: AnnealParams, t: int):
-    v = params.n_rnd.at(t, params.steps)
-    return _quantize(v) if params.integer_mode else v
+def n_rnd_at(params: AnnealParams, t: int) -> int:
+    return _quantize(params.n_rnd.at(t, params.steps))
 
 
-def q_value_at(params: AnnealParams, t: int):
-    v = q_at(params.q, t)
-    return _quantize(v) if params.integer_mode else v
+def q_value_at(params: AnnealParams, t: int) -> int:
+    return _quantize(q_at(params.q, t))

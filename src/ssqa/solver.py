@@ -14,16 +14,16 @@ next plane. The replica-coupling term reads the plane from two steps back
 Layout: the engines keep spin-major (N, R) planes, the word layout of the
 hardware delay lines: row i holds spin i of every replica. A step's noise
 block arrives in that shape, J @ sigma needs no transpose, and the noise
-buffer becomes the accumulator in place. In integer mode, run_ssqa and
-hwsim.run_hw hold the planes, the noise, h, J and the accumulators in one
-step dtype per run: a signed integer sized, like the hardware registers,
-from the weight width, the row degree and the schedule endpoints (int8 on
-G11, int16 on G14; see _step_dtype). Every pass of a step runs over whole
-contiguous planes: h is held as a plane, the saturation clamps against a
-plane, and the replica coupling is one pass over a neighbour plane built
-by a flat shifted copy (_add_coupling). run_hw forms its sums through the
-same _accumulate. Only traces and results are replica-major (R, N) and
-int64 (float64 in float mode), and only those boundaries transpose and widen.
+buffer becomes the accumulator in place. run_ssqa and hwsim.run_hw hold the
+planes, the noise, h, J and the accumulators in one step dtype per run: a
+signed integer sized, like the hardware registers, from the weight width,
+the row degree and the schedule endpoints (int8 on G11, int16 on G14; see
+_step_dtype). Every pass of a step runs over whole contiguous planes: h is
+held as a plane, the saturation clamps against a plane, and the replica
+coupling is one pass over a neighbour plane built by a flat shifted copy
+(_add_coupling). run_hw forms its sums through the same _accumulate. Only
+traces and results are replica-major (R, N) and int64, and only those
+boundaries transpose and widen.
 
 Noise: the replica streams run free of the spins, as the p-bit RNGs do in
 hardware, so both engines step over _noise_planes, which draws several
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ising import IsingModel, WeightedGraph, replica_cuts
+from .ising import IsingModel, WeightedGraph, replica_cuts, replica_energies
 # perfbench/tracer.py times solver.cut_value, so the name stays bound here;
 # _finalize scores every replica at once through replica_cuts.
 from .ising import cut_value  # noqa: F401
@@ -62,7 +62,6 @@ class RunResult:
     objective: str  # "cut" or "energy"
     steps_executed: int
     seed: int
-    trajectory: list | None = None
     trace: list | None = None
     spin_mean: np.ndarray | None = None
 
@@ -84,18 +83,15 @@ def initial_state(model: IsingModel, rng: RngStreams, dtype) -> np.ndarray:
 
 def _saturate_and_sign(raw, i0, top, sigma):
     """In place: raw >= i0 becomes top (i0 - alpha), raw < -i0 becomes -i0,
-    and sigma (raw's dtype) gets the sign, 0 as +1. The top branch is a bit
-    select on the same-width signed integer view, so one kernel serves every
-    integer width and float values stay exact too."""
-    view = f"i{raw.itemsize}"
-    bits, mask = raw.view(view), sigma.view(view)
-    np.greater_equal(raw, i0, out=mask)
-    np.negative(mask, out=mask)  # all ones where raw >= i0
+    and sigma (raw's signed integer dtype) gets the sign, 0 as +1. The top
+    branch is a bit select, so one kernel serves every integer width."""
+    np.greater_equal(raw, i0, out=sigma)
+    np.negative(sigma, out=sigma)  # all ones where raw >= i0
     floor = np.empty_like(raw)
     floor.fill(-i0)  # numpy clamps against a plane several times faster than a scalar
     np.maximum(raw, floor, out=raw)
-    mask &= bits ^ np.array(top, dtype=raw.dtype).view(view)
-    bits ^= mask
+    sigma &= raw ^ raw.dtype.type(top)
+    raw ^= sigma
     # The sign goes through bool: comparing into bool beats comparing into sigma.
     pos = np.greater_equal(raw, 0).view(np.int8)
     pos += pos
@@ -107,14 +103,14 @@ def _add_coupling(raw, prev, q, periodic):
     the t-1 plane prev; an open chain's last replica adds nothing. One flat
     shifted copy of prev builds the neighbour plane, so no pass is strided,
     and every entry of raw gets the term the two-slice rule gives it."""
-    if q == 0 and raw.dtype.kind == "i":
-        return  # adding 0 changes no integer
+    if q == 0:
+        return  # adding 0 changes nothing
     upper = np.empty(prev.shape, dtype=prev.dtype)  # C order: written through reshape
     upper.reshape(-1)[:-1] = prev.reshape(-1)[1:]  # [i, k] = prev[i, k + 1] but in the last column
     upper[:, -1] = prev[:, 0]
     upper *= q
     if not periodic:
-        upper[:, -1] = -0.0  # adds nothing, also to a float -0.0; 0 in an integer plane
+        upper[:, -1] = 0
     raw += upper
 
 
@@ -122,9 +118,8 @@ def _accumulate(h, jmat, params, sigma, sigma_prev, raw, is_acc, t):
     """Step t's unsaturated sum on spin-major planes, in place: raw (the
     step's noise, already scaled by n_rnd) becomes h + J sigma + raw
     + q sigma_prev[:, k + 1] + is_acc. h is the bias as a plane of the same
-    shape. The sum runs in the order h + J sigma, noise, coupling,
-    accumulator, so float mode rounds the same; an integer sum is exact in
-    any order, because _step_dtype bounds the sum of every |term|."""
+    shape. The sum is exact in any order, because _step_dtype bounds the sum
+    of every |term|."""
     field = jmat @ sigma  # reads the step-t plane only
     field += h
     raw += field
@@ -149,14 +144,14 @@ _NOISE_BLOCK = 4096  # draws per stream in one noise block: 64 words a table ent
 
 
 def _noise_planes(params, rng, n, dtype):
-    """Yield each step's (N, R) noise, n_rnd times +-1 bits in dtype (float
-    mode: times uniforms), as C-order, writable views of blocks of K = max(1,
-    _NOISE_BLOCK // n) steps, one RNG call each; the last holds the rest."""
+    """Yield each step's (N, R) noise, n_rnd times +-1 bits in dtype, as
+    C-order, writable views of blocks of K = max(1, _NOISE_BLOCK // n) steps,
+    one RNG call each; the last holds the rest."""
     per_block = max(1, _NOISE_BLOCK // n)
     for start in range(0, params.steps, per_block):
         k = min(per_block, params.steps - start)
-        block = (2 * rng.next_block(k * n, low_bit=True).astype(dtype) - 1 if params.integer_mode
-                 else rng.next_uniform(k * n)).reshape(k, n, rng.n_streams)
+        bits = rng.next_block(k * n, low_bit=True)
+        block = (2 * bits.astype(dtype) - 1).reshape(k, n, rng.n_streams)
         block *= np.array([n_rnd_at(params, t) for t in range(start, start + k)],
                           dtype=dtype)[:, None, None]
         yield from block
@@ -176,10 +171,9 @@ def _schedule_extremes(params: AnnealParams) -> tuple:
 
 
 def accumulator_bound(model: IsingModel, params: AnnealParams) -> int:
-    """Largest |raw accumulator sum| an integer-mode step can reach: the
-    widest input (noise gain and q at their extremes) plus the saturation
-    bound. Raises AccumulatorWidthError if the bound needs more than 63
-    bits."""
+    """Largest |raw accumulator sum| a step can reach: the widest input
+    (noise gain and q at their extremes) plus the saturation bound. Raises
+    AccumulatorWidthError if the bound needs more than 63 bits."""
     n_rnd_max, q_max, i0_max = _schedule_extremes(params)
     worst = model.max_input_magnitude(n_rnd_max, q_max) + i0_max
     if worst >= 2**62:
@@ -190,13 +184,13 @@ def accumulator_bound(model: IsingModel, params: AnnealParams) -> int:
 
 
 def _step_dtype(model: IsingModel, params: AnnealParams, jmat) -> np.dtype:
-    """The integer-mode step dtype: the narrowest signed integer that holds
-    +-2 * bound, where bound covers every partial sum of a step from widths
-    alone (every h and J at 2^(weight_bits-1), a full row of the widest
-    degree) plus the schedule extremes. It is not sized from
-    accumulator_bound, so a wrong accumulator_bound shows up in run_hw's
-    check instead of wrapping silently. Past int64 the run stays in int64,
-    where accumulator_bound keeps every sum exact."""
+    """The step dtype: the narrowest signed integer that holds +-2 * bound,
+    where bound covers every partial sum of a step from widths alone (every
+    h and J at 2^(weight_bits-1), a full row of the widest degree) plus the
+    schedule extremes. It is not sized from accumulator_bound, so a wrong
+    accumulator_bound shows up in run_hw's check instead of wrapping
+    silently. Past int64 the run stays in int64, where accumulator_bound
+    keeps every sum exact."""
     n_rnd_max, q_max, i0_max = _schedule_extremes(params)
     degree = int(np.diff(jmat.indptr).max())  # jmat: the model's coupling CSR
     bound = ((1 + degree) << (model.weight_bits - 1)) + n_rnd_max + q_max + i0_max
@@ -204,14 +198,14 @@ def _step_dtype(model: IsingModel, params: AnnealParams, jmat) -> np.dtype:
     return np.min_scalar_type(-1 - min(2 * bound, 2**63 - 1))
 
 
-def _finalize(model, params, graph, sigma, trajectory=None, trace=None, spin_mean=None):
+def _finalize(model, params, graph, sigma, trace=None, spin_mean=None):
     """RunResult of a run whose final spin-major (N, R) plane is sigma."""
     if graph is not None:
         finals = replica_cuts(graph, sigma)
         idx, val = select_best_replica(finals)
         objective = "cut"
     else:
-        energies = _replica_energies(model, sigma)
+        energies = replica_energies(model, sigma)
         idx, _ = select_best_replica(-energies)
         finals = energies
         val = energies[idx].item()
@@ -224,50 +218,36 @@ def _finalize(model, params, graph, sigma, trajectory=None, trace=None, spin_mea
         objective=objective,
         steps_executed=params.steps,
         seed=params.seed,
-        trajectory=trajectory,
         trace=trace,
         spin_mean=spin_mean,
     )
 
 
-def _replica_energies(model: IsingModel, sigma) -> np.ndarray:
-    """Energy of each replica of a spin-major (N, R) plane."""
-    sig = np.asarray(sigma, dtype=np.int64)
-    return -(model.h @ sig) - (sig * (model.coupling_matrix() @ sig)).sum(axis=0) // 2
-
-
 def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None = None,
-             record_trajectory: bool = False, record_trace: bool = False) -> RunResult:
+             record_trace: bool = False) -> RunResult:
     """Run the full replica-coupled anneal; deterministic in (model, params, seed)."""
     jmat = model.coupling_matrix()
-    if params.integer_mode:
-        accumulator_bound(model, params)  # a too-wide schedule raises here
-        dtype = _step_dtype(model, params, jmat)
-    else:
-        dtype = np.float64
+    accumulator_bound(model, params)  # a too-wide schedule raises here
+    dtype = _step_dtype(model, params, jmat)
     jmat, h = jmat.astype(dtype), _bias_plane(model, params.replicas, dtype)
     rng = RngStreams(params.seed, params.replicas)
     sigma = initial_state(model, rng, dtype)
     # The t-1 plane starts as a copy of the t plane, so that the first
     # step's replica-coupling term is well defined.
     sigma_prev, is_acc = sigma.copy(), np.zeros_like(sigma)
-    trajectory = [] if record_trajectory else None
     trace = [] if record_trace else None
     for t, raw in enumerate(_noise_planes(params, rng, model.n, dtype)):
         _step_arrays(h, jmat, params, sigma, sigma_prev, raw, is_acc, t)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
-        if record_trajectory:
-            trajectory.append(int(_replica_energies(model, sigma).min()))
         if record_trace:
             trace.append(_trace_entry(sigma, is_acc))
-    return _finalize(model, params, graph, sigma, trajectory, trace)
+    return _finalize(model, params, graph, sigma, trace)
 
 
 def _trace_entry(sigma, is_acc) -> tuple:
-    """Replica-major copies (sigma, Is) of spin-major planes: int64 in
-    integer mode whatever the step dtype, float64 in float mode."""
-    dtype = np.promote_types(sigma.dtype, np.int64)
-    return sigma.T.astype(dtype, order="C"), is_acc.T.astype(dtype, order="C")
+    """Replica-major int64 copies (sigma, Is) of spin-major planes, whatever
+    the step dtype."""
+    return sigma.T.astype(np.int64, order="C"), is_acc.T.astype(np.int64, order="C")
 
 
 def run_ssa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None = None,

@@ -269,7 +269,7 @@ def test_10_psa_tanh_statistics():
     model = IsingModel(len(h), h, ())  # no couplings: spins are independent
     i0 = 0.3
     params = AnnealParams(steps=100_000, replicas=1, seed=42,
-                          i0=LinearSchedule.constant(i0), integer_mode=False)
+                          i0=LinearSchedule.constant(i0))
     result = run_psa(model, params, collect_spin_mean=True)
     empirical = result.spin_mean[0]
     expected = np.tanh(i0 * h)

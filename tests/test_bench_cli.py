@@ -316,6 +316,19 @@ def test_cli_config_error_exits_2_without_traceback(square_path, tmp_path):
         assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 0\n", "parse error: line 1: header declares 0 nodes, need >= 1"),
+    ("2 1\n1 2 9\n", "error: J[0,1]=-9 outside [-8,7] for 4 bits"),
+])
+def test_cli_bad_gset_file_exits_2(text, message, tmp_path, capsys):
+    """A file with no nodes, or with a weight past the 4-bit range, is a
+    configuration error: exit 2 with the message, not a traceback."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert run_cli("run", "--instance", str(path), "--steps", "5") == 2
+    assert capsys.readouterr().err == f"ssqa-bench: {message}\n"
+
+
 def test_tracer_pinned_names_are_bound():
     """perfbench/tracer.py wraps and counts callables through
     owner.__dict__[attr], so a name that a refactor unbinds fails only the

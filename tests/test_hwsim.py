@@ -447,10 +447,8 @@ def test_run_hw_accumulator_check_sees_sums_past_int8(monkeypatch):
     assert int(str(err.value).split()[1]) > 128
 
 
-def test_run_hw_rejects_float_mode():
+def test_run_hw_rejects_unknown_delay_kind():
     model = IsingModel(2, np.zeros(2, dtype=np.int64), ((0, 1, 1),))
-    with pytest.raises(ValueError):
-        run_hw(model, AnnealParams(integer_mode=False))
     with pytest.raises(ValueError):
         run_hw(model, AnnealParams(), delay_kind="tape")
 

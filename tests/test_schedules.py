@@ -77,9 +77,6 @@ def test_integer_mode_quantization():
     assert i0_at(p, 3) == 2       # 1.5 rounds up
     assert n_rnd_at(p, 2) == 1    # 1.0 exact
     assert q_value_at(p, 2) == 1  # 0.5 rounds up
-    float_p = p.with_(integer_mode=False)
-    assert i0_at(float_p, 1) == 0.5
-    assert q_value_at(float_p, 2) == 0.5
 
 
 def test_params_validation_and_with():
@@ -87,6 +84,8 @@ def test_params_validation_and_with():
         AnnealParams(replicas=0)
     with pytest.raises(ValueError):
         AnnealParams(steps=-1)
+    with pytest.raises(TypeError):  # float mode is gone: no silent integer run
+        AnnealParams(integer_mode=False)
     p = AnnealParams()
     q = p.with_(replicas=7)
     assert q.replicas == 7 and p.replicas == 20  # original untouched

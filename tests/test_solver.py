@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ssqa.gset import load_instance
-from ssqa.ising import IsingModel, WeightedGraph, maxcut_to_ising
+from ssqa.ising import IsingModel, WeightedGraph, maxcut_to_ising, replica_energies
 from ssqa.rng import RngStreams
 from ssqa.schedules import AnnealParams, LinearSchedule, QSchedule, i0_at, n_rnd_at, q_value_at
 from ssqa.solver import (
@@ -210,9 +210,6 @@ def test_step_dtype_is_sized_from_widths():
     # Twice the bound crosses 127 between i0 = 15 (bound 63) and i0 = 16 (bound 64).
     assert dtype(g11, i0=LinearSchedule.constant(15)) == np.int8
     assert dtype(g11, i0=LinearSchedule.constant(16)) == np.int16
-    # Float mode keeps its own dtype: no integer width applies.
-    assert run_ssqa(g11, AnnealParams(steps=2, replicas=2, integer_mode=False),
-                    record_trace=True).trace[0][1].dtype == np.float64
 
 
 def test_accumulator_bound_covers_a_large_alpha():
@@ -251,17 +248,13 @@ def test_saturation_and_sign_invariants():
 @given(raw=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
                       elements=st.integers(-40, 40)),
        i0=st.integers(-12, 12), alpha=st.integers(0, 3),
-       dtype=st.sampled_from(["int8", "int16", "int32", "int64", "float64"]))
+       dtype=st.sampled_from(["int8", "int16", "int32", "int64"]))
 # With i0 < 0 or alpha >= 2 the rule is not np.clip(raw, -i0, i0 - alpha).
 @example(raw=np.array([[-5, -3, 0, 3, 5]]), i0=-3, alpha=0, dtype="int64")
 @example(raw=np.array([[-5, -3, 0, 3, 5]]), i0=-3, alpha=0, dtype="int8")
-@example(raw=np.array([[1, 2, 3, 4]]), i0=4, alpha=3, dtype="float64")
 def test_saturate_and_sign_matches_three_branch_rule(raw, i0, alpha, dtype):
     """The branch-free in-place update equals the nested np.where rule bit
-    for bit, at every integer step dtype and in float mode. The elements
-    stay in int8 range."""
-    if dtype == "float64":  # quarter steps, so raw often equals +-i0 exactly
-        raw, i0 = raw / 4, i0 / 4
+    for bit, at every integer step dtype. The elements stay in int8 range."""
     raw = raw.astype(dtype)
     top = i0 - alpha
     expect = np.where(raw >= i0, top, np.where(raw < -i0, -i0, raw)).astype(raw.dtype)
@@ -273,23 +266,16 @@ def test_saturate_and_sign_matches_three_branch_rule(raw, i0, alpha, dtype):
 
 @st.composite
 def coupling_cases(draw):
-    """(raw, prev, q, periodic) of one coupling add; float raw includes -0.0."""
-    dtype = draw(st.sampled_from(["int8", "int16", "int64", "float64"]))
+    """(raw, prev, q, periodic) of one coupling add."""
+    dtype = draw(st.sampled_from(["int8", "int16", "int64"]))
     shape = (draw(st.integers(1, 12)), draw(st.integers(1, 24)))
-    qs = [0, 1, -1, 2] if dtype != "float64" else [0.0, 1.0, -1.0, 2.0, 0.05]
-    values = st.integers(-60, 60)
-    if dtype == "float64":
-        values = st.one_of(values.map(lambda v: v / 4), st.just(-0.0))
-    raw = draw(hnp.arrays(dtype, shape, elements=values))
+    raw = draw(hnp.arrays(dtype, shape, elements=st.integers(-60, 60)))
     prev = draw(hnp.arrays(dtype, shape, elements=st.sampled_from([-1, 1])))
-    return raw, prev, draw(st.sampled_from(qs)), draw(st.booleans())
+    return raw, prev, draw(st.sampled_from([0, 1, -1, 2])), draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=coupling_cases())
-# Float q = 0 still adds +-0.0, which turns a -0.0 accumulator into +0.0.
-@example(case=(np.array([[-0.0, -0.0]]), np.array([[1.0, -1.0]]), 0.0, True))
-@example(case=(np.array([[-0.0, -0.0]]), np.array([[1.0, 1.0]]), -1.0, False))
 def test_add_coupling_matches_two_slice_rule(case):
     """The one-pass neighbour plane adds, byte for byte, what the two slice
     adds over the replica axis add, for open and periodic chains."""
@@ -306,8 +292,8 @@ def test_add_coupling_matches_two_slice_rule(case):
 def test_noise_planes_are_c_order_planes(replicas):
     """Every plane of a step is C-ordered: an elementwise pass that mixes a
     C- and an F-ordered plane is strided."""
-    for integer_mode, dtype in ((True, np.int8), (True, np.int16), (False, np.float64)):
-        params = AnnealParams(steps=7, replicas=replicas, integer_mode=integer_mode)
+    for dtype in (np.int8, np.int16):
+        params = AnnealParams(steps=7, replicas=replicas)
         for noise in _noise_planes(params, RngStreams(1, replicas), 800, dtype):
             assert noise.shape == (800, replicas) and noise.dtype == dtype
             assert noise.flags.c_contiguous
@@ -325,24 +311,21 @@ STEP_COUNTS = (lambda k: 0, lambda k: 1, lambda k: k - 1, lambda k: k, lambda k:
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from([1, 7, 800, _NOISE_BLOCK + 5]), steps=st.sampled_from(STEP_COUNTS),
-       replicas=st.sampled_from([1, 3, 20]), dtype=st.sampled_from([np.int8, np.int16, np.float64]),
+       replicas=st.sampled_from([1, 3, 20]), dtype=st.sampled_from([np.int8, np.int16]),
        seed=st.integers(0, 2**32), n_rnd=st.tuples(st.integers(0, 7), st.integers(0, 7)))
 @example(n=_NOISE_BLOCK + 5, steps=STEP_COUNTS[-1], replicas=20, dtype=np.int16, seed=1,
          n_rnd=(6, 0))
-@example(n=1, steps=STEP_COUNTS[-1], replicas=3, dtype=np.float64, seed=2, n_rnd=(7, 1))
 def test_noise_planes_equal_step_by_step_draws(n, steps, replicas, dtype, seed, n_rnd):
-    """Each plane is n_rnd(t) times the +-1 bits (float mode: the uniforms)
-    of a twin stream drawing one step at a time, in the step dtype; planes
-    are C-ordered, writable and disjoint, and both streams end in one state."""
-    integer_mode = dtype is not np.float64
+    """Each plane is n_rnd(t) times the +-1 bits of a twin stream drawing
+    one step at a time, in the step dtype; planes are C-ordered, writable
+    and disjoint, and both streams end in one state."""
     params = AnnealParams(steps=steps(steps_per_block(n)), replicas=replicas, seed=seed,
-                          n_rnd=LinearSchedule(*n_rnd), integer_mode=integer_mode)
+                          n_rnd=LinearSchedule(*n_rnd))
     blocks, twin = RngStreams(seed, replicas), RngStreams(seed, replicas)
     planes = list(_noise_planes(params, blocks, n, dtype))
     assert len(planes) == params.steps
     for t, plane in enumerate(planes):
-        draw = twin.next_bipolar(n) if integer_mode else twin.next_uniform(n)
-        expect = (n_rnd_at(params, t) * draw).astype(dtype)
+        expect = (n_rnd_at(params, t) * twin.next_bipolar(n)).astype(dtype)
         assert plane.dtype == dtype and plane.shape == (n, replicas)
         assert plane.tobytes() == expect.tobytes()
         assert plane.flags.c_contiguous and plane.flags.writeable
@@ -500,18 +483,19 @@ def test_energy_objective_without_graph():
 
 
 def test_trajectory_recording():
+    """The per-step minimum energy comes from record_trace's planes."""
     model = random_model(np.random.default_rng(5), 6)
-    result = run_ssqa(model, AnnealParams(steps=30, replicas=2, seed=1),
-                      record_trajectory=True)
-    assert len(result.trajectory) == 30
-    assert all(isinstance(v, int) for v in result.trajectory)
+    result = run_ssqa(model, AnnealParams(steps=30, replicas=2, seed=1), record_trace=True)
+    trajectory = [min(replica_energies(model, s.T)).item() for s, _ in result.trace]
+    assert len(trajectory) == 30
+    assert all(isinstance(v, int) for v in trajectory)
 
 
 def test_psa_saturation_and_symmetry():
     # Huge bias: tanh saturates, spin pinned to +1 on every step.
     model = IsingModel(1, np.array([7]), (), weight_bits=4)
     params = AnnealParams(steps=200, replicas=1, seed=3,
-                          i0=LinearSchedule.constant(10.0), integer_mode=False)
+                          i0=LinearSchedule.constant(10.0))
     result = run_psa(model, params, collect_spin_mean=True)
     assert result.spin_mean[0, 0] == 1.0
     # No bias, no couplings: +1 with empirical probability 0.5 +- 0.02.
@@ -525,7 +509,7 @@ def test_psa_solves_square():
     graph = WeightedGraph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)))
     model = maxcut_to_ising(graph)
     params = AnnealParams(steps=200, replicas=8, seed=2,
-                          i0=LinearSchedule(0.2, 4.0), integer_mode=False)
+                          i0=LinearSchedule(0.2, 4.0))
     result = run_psa(model, params, graph)
     assert result.best_value == 4
 
@@ -541,8 +525,7 @@ def test_best_state_is_int8_and_scores_like_int64():
     params = AnnealParams(steps=60, replicas=3, seed=4)
     results = [run_ssqa(model, params, graph), run_ssa(model, params, graph),
                run_hw(model, params, graph=graph)[0],
-               run_psa(model, params.with_(i0=LinearSchedule(0.2, 4.0), integer_mode=False),
-                       graph)]
+               run_psa(model, params.with_(i0=LinearSchedule(0.2, 4.0)), graph)]
     for result in results:
         state = result.best_state
         assert state.dtype == np.int8 and set(np.unique(state)) <= {-1, 1}
