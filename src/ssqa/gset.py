@@ -116,10 +116,21 @@ def bundled_instance_names() -> list:
     return sorted(p.name for p in root.iterdir())
 
 
+def _decode(data: bytes) -> str:
+    """The UTF-8 text of a G-set file; a byte that is not UTF-8 is a parse
+    error that names its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GsetParseError(
+            f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
+
+
 def load_instance(name_or_path: str) -> WeightedGraph:
     """Load by registry name (bundled data) or by filesystem path."""
     bundled = resources.files("ssqa").joinpath(f"data/gset/{name_or_path}")
     if name_or_path in _REGISTRY and bundled.is_file():
-        return parse_gset(bundled.read_text())
-    with open(name_or_path) as fh:
-        return parse_gset(fh.read())
+        return parse_gset(_decode(bundled.read_bytes()))
+    with open(name_or_path, "rb") as fh:
+        return parse_gset(_decode(fh.read()))

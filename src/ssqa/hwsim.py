@@ -20,7 +20,8 @@ to the step's cycles in hardware order:
   address, so reading every t-1 word (a view), then writing every t+1 word
   in place into the receiving plane, the t-1 bank on dual-BRAM, gives the
   words of cycle order. Noise, sum, saturation and sign are the reference
-  engine's, in its dtype (solver._noise_planes, _accumulate, _saturate_and_sign).
+  engine's, in its dtype, from the same per-run tables (solver._step_inputs,
+  _accumulate, _saturate_and_sign).
 
 Cycle counts and trace-file lines come from the same address stream.
 """
@@ -33,12 +34,12 @@ import numpy as np
 
 from .ising import IsingModel, WeightedGraph
 from .rng import RngStreams
-from .schedules import AnnealParams, i0_at
-# perfbench/tracer.py times hwsim.n_rnd_at and hwsim.q_value_at, so the
-# names stay bound here; solver calls its own.
-from .schedules import n_rnd_at, q_value_at  # noqa: F401
+from .schedules import AnnealParams
+# perfbench/tracer.py times hwsim.i0_at, hwsim.n_rnd_at and hwsim.q_value_at,
+# so the names stay bound here; run_hw reads the per-run table.
+from .schedules import i0_at, n_rnd_at, q_value_at  # noqa: F401
 from .solver import (AccumulatorOverflowError, _accumulate, _bias_plane, _finalize,
-                     _noise_planes, _saturate_and_sign, _step_dtype, _trace_entry,
+                     _saturate_and_sign, _step_dtype, _step_inputs, _trace_entry,
                      accumulator_bound, initial_state)
 
 
@@ -247,15 +248,14 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     acc_bound = accumulator_bound(model, params)
 
     n, r_count = model.n, params.replicas
-    jmat = model.coupling_matrix()
     # Delay words, noise, h, J and the accumulators are held in the step
     # dtype, sized from the register widths, not from acc_bound, so that
     # the check below sees every true sum.
-    dtype = _step_dtype(model, params, jmat)
+    dtype = _step_dtype(model, params, model.coupling_matrix())
+    jmat, bias = model.coupling_matrix(dtype), _bias_plane(model, r_count, dtype)
     # Row i's MAC cycles: its stored couplings, or every j != i when the
     # sparse bypass is off (zero weights still cost a cycle).
     degree = np.diff(jmat.indptr) if sparse_bypass else np.full(n, n - 1)
-    jmat, h = jmat.astype(dtype), _bias_plane(model, r_count, dtype)
 
     rng = RngStreams(params.seed, r_count)
     # Delay words and accumulators are spin-major: address i holds the R
@@ -271,22 +271,22 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
         line_mid = [f"{i},-1,{phase}," for i, deg in enumerate(degree.tolist())
                     for phase in ["MAC"] * deg + ["FIN"]]
 
-    # Each step's scaled noise word per replica per spin becomes the sum in
-    # place: the MAC product over the t plane, then the FIN phase's bias,
-    # noise, coupling to replica k+1 of the t-1 plane and accumulator.
-    for t, raw in enumerate(_noise_planes(params, rng, n, dtype)):
+    # Each step's scaled noise word per replica per spin, with the bias
+    # folded in, becomes the sum in place: the MAC product over the t plane,
+    # then the FIN phase's coupling to replica k+1 of the t-1 plane and
+    # accumulator.
+    for t, (raw, q, i0, floor) in enumerate(_step_inputs(params, rng, bias)):
         parity = delay.parity
-        _accumulate(h, jmat, params, delay.read_t(spins), delay.read_tminus1(spins), raw,
-                    is_acc, t)
+        _accumulate(jmat, delay.read_t(spins), delay.read_tminus1(spins), raw, is_acc, q,
+                    params.periodic_replicas)
         # Python ints: on a narrow dtype, -raw.min() could wrap.
         peak = max(int(raw.max()), -int(raw.min()))
         if peak > acc_bound:
             raise AccumulatorOverflowError(f"|accumulator| {peak} exceeds bound {acc_bound}")
         # raw >= I0 becomes I0 - alpha, raw < -I0 becomes -I0, and each t+1
         # word is the sign, in place now that every t-1 word has been read.
-        i0 = i0_at(params, t)
         words = delay.next_plane()
-        _saturate_and_sign(raw, i0, i0 - params.alpha, words)
+        _saturate_and_sign(raw, i0, i0 - params.alpha, floor, words)
         is_acc = raw
         delay.write(spins, words)
         delay.advance_step()

@@ -2,12 +2,14 @@
 
 All arithmetic on models within their declared weight bit-width is exact
 integer arithmetic; nothing here rounds. Edges and couplings are stored as
-tuples; a graph's int64 edge arrays and a model's coupling CSR are built on
-first use and cached on the instance, so construction does no array work.
+tuples; a graph's int64 edge arrays and a model's coupling CSR (in each step
+dtype asked for) are built on first use and cached on the instance, so
+construction does no array work.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -110,10 +112,23 @@ class IsingModel:
             a.setflags(write=False)
         return m
 
-    def coupling_matrix(self) -> sparse.csr_matrix:
-        """Symmetric N x N coupling matrix as CSR (zero diagonal), columns
-        sorted within each row. Built once per model and shared: read-only."""
-        return self._csr
+    @cached_property
+    def _csr_by_dtype(self) -> dict:
+        return {np.dtype(np.int64): self._csr}
+
+    def coupling_matrix(self, dtype=np.int64) -> sparse.csr_matrix:
+        """Symmetric N x N coupling matrix as CSR in dtype (zero diagonal),
+        columns sorted within each row. Built once per model and dtype and
+        shared: read-only. Every dtype shares the int64 matrix's index arrays."""
+        dtype = np.dtype(dtype)
+        m = self._csr_by_dtype.get(dtype)
+        if m is None:
+            csr = self._csr
+            data = csr.data.astype(dtype)
+            data.setflags(write=False)
+            m = sparse.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape, copy=False)
+            self._csr_by_dtype[dtype] = m
+        return m
 
     def adjacency(self) -> list:
         """Per-spin list of (neighbor, weight); iteration cost is the degree."""
@@ -123,11 +138,15 @@ class IsingModel:
             adj[j].append((i, w))
         return adj
 
+    @cached_property
+    def _max_local_input(self) -> int:
+        """max_i |h_i| + sum_j |J_ij|."""
+        row_sum = abs(self._csr) @ np.ones(self.n, dtype=np.int64)
+        return int((np.abs(self.h) + row_sum).max())
+
     def max_input_magnitude(self, n_rnd_max: int, q_max: int) -> int:
         """Worst-case |I| of one spin update; sizes the accumulator."""
-        row_sum = abs(self._csr) @ np.ones(self.n, dtype=np.int64)
-        local = np.abs(self.h) + row_sum
-        return int(local.max()) + abs(n_rnd_max) + abs(q_max)
+        return self._max_local_input + abs(n_rnd_max) + abs(q_max)
 
 
 def energy(model: IsingModel, state) -> int:
@@ -154,7 +173,8 @@ def cut_value(graph: WeightedGraph, state) -> int:
 def replica_cuts(graph: WeightedGraph, plane) -> np.ndarray:
     """(R,) int64 cuts of the R replicas of a spin-major (N, R) plane, from
     one gather of each edge endpoint. The (E, R) planes are held in the
-    narrowest integer that holds every weight (int8 on the G-set)."""
+    narrowest integer that holds every weight (int8 on the G-set), and the
+    sum is buffered, so no (E, R) int64 plane is formed."""
     s = np.asarray(plane)
     if s.shape[0] != graph.n_nodes:
         raise DimensionError(f"state has {s.shape[0]} spins, expected {graph.n_nodes}")
@@ -162,8 +182,8 @@ def replica_cuts(graph: WeightedGraph, plane) -> np.ndarray:
     u, v, _ = graph._edge_arrays
     w = graph._narrow_weights
     side = (s < 0).astype(w.dtype)
-    crossed = side[u]
-    crossed ^= side[v]  # 1 where the edge crosses the cut
+    crossed = np.take(side, u, axis=0)  # several times faster than side[u]
+    crossed ^= np.take(side, v, axis=0)  # 1 where the edge crosses the cut
     crossed *= w[:, None]
     return np.add.reduce(crossed, axis=0, dtype=np.int64)
 
@@ -196,4 +216,6 @@ def pseudo_quantum_energy(model: IsingModel, replica_spins, q, periodic: bool = 
     inter = (sig * nbr).sum(axis=1)
     if not periodic:
         inter = inter[:-1]
-    return total - q * int(inter.sum()) if isinstance(q, int) else total - q * float(inter.sum())
+    if isinstance(q, numbers.Integral):  # a numpy integer too
+        return total - int(q) * int(inter.sum())
+    return total - q * float(inter.sum())

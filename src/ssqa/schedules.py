@@ -3,7 +3,9 @@ i0(t), and noise magnitude n_rnd(t).
 
 q(t) is a non-decreasing staircase: it starts at q_min, gains `beta` every
 `tau` steps, and clamps at q_max. i0 and n_rnd interpolate linearly between
-their endpoints. The engines read all three rounded half up to integers.
+their endpoints. The engines read all three rounded half up to integers,
+from one table per run (schedule_table); i0_at, n_rnd_at and q_value_at give
+single steps of it.
 
 Default values were chosen by a grid sweep on the G11 benchmark (see the
 project README); they are tuned constants, not quantities with any external
@@ -17,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -39,11 +43,12 @@ class QSchedule:
             raise ValueError("beta must be >= 0")
 
 
-def q_at(schedule: QSchedule, t: int):
-    """Staircase value at step t: min(q_min + floor(t/tau)*beta, q_max)."""
-    if t < 0:
+def q_at(schedule: QSchedule, t):
+    """Staircase value at step t, an int or an array of steps:
+    min(q_min + floor(t/tau)*beta, q_max), as a numpy scalar or array."""
+    if np.any(np.asarray(t) < 0):
         raise ValueError("t must be >= 0")
-    return min(schedule.q_min + (t // schedule.tau) * schedule.beta, schedule.q_max)
+    return np.minimum(schedule.q_min + (t // schedule.tau) * schedule.beta, schedule.q_max)
 
 
 @dataclass(frozen=True)
@@ -65,9 +70,11 @@ class LinearSchedule:
     def constant(cls, value) -> "LinearSchedule":
         return cls(value, value)
 
-    def at(self, t: int, steps: int) -> float:
+    def at(self, t, steps: int):
+        """Value at step t, an int or an array of steps; the start, in t's
+        shape, when there are no steps."""
         if steps <= 0:
-            return float(self.start)
+            return self.start + 0.0 * t
         return self.start + (self.end - self.start) * t / steps
 
 
@@ -98,17 +105,32 @@ class AnnealParams:
         return replace(self, **kw)
 
 
-def _quantize(x: float) -> int:
+def _quantize(x):
+    """Round half up: an int for a scalar, int64 for an array."""
+    if isinstance(x, np.ndarray):
+        return np.floor(x + 0.5).astype(np.int64)
     return int(math.floor(x + 0.5))
 
 
+# The scalar functions evaluate one step of schedule_table's float64
+# arithmetic (a float t), so a step reads the same value from either.
+
 def i0_at(params: AnnealParams, t: int) -> int:
-    return _quantize(params.i0.at(t, params.steps))
+    return _quantize(params.i0.at(float(t), params.steps))
 
 
 def n_rnd_at(params: AnnealParams, t: int) -> int:
-    return _quantize(params.n_rnd.at(t, params.steps))
+    return _quantize(params.n_rnd.at(float(t), params.steps))
 
 
 def q_value_at(params: AnnealParams, t: int) -> int:
-    return _quantize(q_at(params.q, t))
+    return _quantize(q_at(params.q, float(t)))
+
+
+def schedule_table(params: AnnealParams) -> tuple:
+    """(i0, n_rnd, q) as int64 arrays over steps 0..steps-1, rounded half up:
+    i0_at, n_rnd_at and q_value_at at every step. The steps are float64, so
+    no int product can wrap."""
+    t = np.arange(params.steps, dtype=np.float64)
+    return (_quantize(params.i0.at(t, params.steps)), _quantize(params.n_rnd.at(t, params.steps)),
+            _quantize(q_at(params.q, t)))

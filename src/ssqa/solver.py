@@ -18,16 +18,25 @@ buffer becomes the accumulator in place. run_ssqa and hwsim.run_hw hold the
 planes, the noise, h, J and the accumulators in one step dtype per run: a
 signed integer sized, like the hardware registers, from the weight width,
 the row degree and the schedule endpoints (int8 on G11, int16 on G14; see
-_step_dtype). Every pass of a step runs over whole contiguous planes: h is
-held as a plane, the saturation clamps against a plane, and the replica
-coupling is one pass over a neighbour plane built by a flat shifted copy
-(_add_coupling). run_hw forms its sums through the same _accumulate. Only
-traces and results are replica-major (R, N) and int64, and only those
-boundaries transpose and widen.
+_step_dtype). The model caches its CSR in each step dtype. Every pass of a
+step runs over whole contiguous planes: the replica coupling is one pass
+over a neighbour plane built by a flat shifted copy (_add_coupling), and
+run_hw forms its sums through the same _accumulate. Only traces and results
+are replica-major (R, N) and int64, and only those boundaries transpose and
+widen.
+
+Per-run tables: as the paper's controller hands each step its q, I0 and
+n_rnd, _step_inputs computes the three schedules once per run
+(schedules.schedule_table) and gives each step its values as Python ints.
+The saturation clamps against one -i0 plane held for the run and refilled
+only when i0 changes (never at a constant i0). A step then spends its
+passes on the field product, the replica coupling, the accumulator sum and
+the saturation.
 
 Noise: the replica streams run free of the spins, as the p-bit RNGs do in
 hardware, so both engines step over _noise_planes, which draws several
-steps' noise per RNG call; draw i of a stream is the same in any block size.
+steps' noise per RNG call and maps, scales and biases (adds h to) each
+block once; draw i of a stream is the same in any block size.
 """
 
 from __future__ import annotations
@@ -41,7 +50,10 @@ from .ising import IsingModel, WeightedGraph, replica_cuts, replica_energies
 # _finalize scores every replica at once through replica_cuts.
 from .ising import cut_value  # noqa: F401
 from .rng import RngStreams
-from .schedules import AnnealParams, QSchedule, i0_at, n_rnd_at, q_value_at
+from .schedules import AnnealParams, QSchedule, i0_at, n_rnd_at, schedule_table
+# perfbench/tracer.py times solver.q_value_at, so the name stays bound here;
+# the engines read q from the per-run table.
+from .schedules import q_value_at  # noqa: F401
 
 
 class AccumulatorOverflowError(ArithmeticError):
@@ -75,27 +87,34 @@ def select_best_replica(finals) -> tuple:
     return idx, finals[idx].item()
 
 
+def _bipolar(bits, scale, dtype) -> np.ndarray:
+    """(2 bits - 1) * scale in dtype for a uint8 bit array: one multiply of
+    the bits' int8 view by 2 scale, then one subtract of scale."""
+    out = np.multiply(bits.view(np.int8), scale + scale, dtype=dtype)
+    out -= scale
+    return out
+
+
 def initial_state(model: IsingModel, rng: RngStreams, dtype) -> np.ndarray:
     """Random +-1 spins, one noise bit per spin per replica, as a C-order
     (N, R) plane in dtype."""
-    return rng.next_bipolar(model.n).astype(dtype, order="C")
+    return _bipolar(rng.next_block(model.n, low_bit=True), 1, dtype)
 
 
-def _saturate_and_sign(raw, i0, top, sigma):
+def _saturate_and_sign(raw, i0, top, floor, sigma):
     """In place: raw >= i0 becomes top (i0 - alpha), raw < -i0 becomes -i0,
-    and sigma (raw's signed integer dtype) gets the sign, 0 as +1. The top
-    branch is a bit select, so one kernel serves every integer width."""
+    and sigma (raw's signed integer dtype) gets the sign, 0 as +1. floor is
+    a plane of raw's shape holding -i0: numpy clamps against a plane several
+    times faster than against a scalar. The top branch is a bit select, so
+    one kernel serves every integer width."""
     np.greater_equal(raw, i0, out=sigma)
     np.negative(sigma, out=sigma)  # all ones where raw >= i0
-    floor = np.empty_like(raw)
-    floor.fill(-i0)  # numpy clamps against a plane several times faster than a scalar
     np.maximum(raw, floor, out=raw)
     sigma &= raw ^ raw.dtype.type(top)
     raw ^= sigma
-    # The sign goes through bool: comparing into bool beats comparing into sigma.
-    pos = np.greater_equal(raw, 0).view(np.int8)
-    pos += pos
-    np.subtract(pos, 1, out=sigma)
+    # The sign bit spread over the word: -1 where raw < 0, else 0; | 1 gives +-1.
+    np.right_shift(raw, 8 * raw.dtype.itemsize - 1, out=sigma)
+    sigma |= 1
 
 
 def _add_coupling(raw, prev, q, periodic):
@@ -114,47 +133,60 @@ def _add_coupling(raw, prev, q, periodic):
     raw += upper
 
 
-def _accumulate(h, jmat, params, sigma, sigma_prev, raw, is_acc, t):
-    """Step t's unsaturated sum on spin-major planes, in place: raw (the
-    step's noise, already scaled by n_rnd) becomes h + J sigma + raw
-    + q sigma_prev[:, k + 1] + is_acc. h is the bias as a plane of the same
-    shape. The sum is exact in any order, because _step_dtype bounds the sum
-    of every |term|."""
-    field = jmat @ sigma  # reads the step-t plane only
-    field += h
-    raw += field
-    _add_coupling(raw, sigma_prev, q_value_at(params, t), params.periodic_replicas)
+def _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, periodic):
+    """A step's unsaturated sum on spin-major planes, in place: raw (the
+    step's noise, already scaled by n_rnd and biased by h) becomes
+    raw + J sigma + q sigma_prev[:, k + 1] + is_acc. The sum is exact in any
+    order, because _step_dtype bounds the sum of every |term|."""
+    raw += jmat @ sigma  # reads the step-t plane only
+    _add_coupling(raw, sigma_prev, q, periodic)
     raw += is_acc
 
 
-def _step_arrays(h, jmat, params, sigma, sigma_prev, raw, is_acc, t):
-    """Step t in place: raw becomes the accumulator and sigma_prev the new
-    spins."""
-    _accumulate(h, jmat, params, sigma, sigma_prev, raw, is_acc, t)
-    i0 = i0_at(params, t)
-    _saturate_and_sign(raw, i0, i0 - params.alpha, sigma_prev)
+def _step_arrays(jmat, params, sigma, sigma_prev, raw, is_acc, q, i0, floor):
+    """One step in place, with the step's q, i0 and -i0 plane floor: raw
+    becomes the accumulator and sigma_prev the new spins."""
+    _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, params.periodic_replicas)
+    _saturate_and_sign(raw, i0, i0 - params.alpha, floor, sigma_prev)
 
 
 def _bias_plane(model: IsingModel, replicas: int, dtype) -> np.ndarray:
-    """h as a C-order (N, R) plane in dtype: adding it needs no broadcast."""
+    """h as a C-order (N, R) plane in dtype, added to each noise block."""
     return np.repeat(model.h.astype(dtype)[:, None], replicas, axis=1)
 
 
 _NOISE_BLOCK = 4096  # draws per stream in one noise block: 64 words a table entry
 
 
-def _noise_planes(params, rng, n, dtype):
-    """Yield each step's (N, R) noise, n_rnd times +-1 bits in dtype, as
-    C-order, writable views of blocks of K = max(1, _NOISE_BLOCK // n) steps,
-    one RNG call each; the last holds the rest."""
+def _noise_planes(rng, n_rnd, bias):
+    """Yield each step's (N, R) noise, n_rnd[t] times +-1 bits plus the
+    (N, R) bias plane, in the bias plane's dtype, as C-order, writable views
+    of blocks of K = max(1, _NOISE_BLOCK // N) steps, one RNG call each; the
+    last holds the rest. n_rnd is the run's table, one entry per step."""
+    n, dtype = bias.shape[0], bias.dtype
     per_block = max(1, _NOISE_BLOCK // n)
-    for start in range(0, params.steps, per_block):
-        k = min(per_block, params.steps - start)
-        bits = rng.next_block(k * n, low_bit=True)
-        block = (2 * bits.astype(dtype) - 1).reshape(k, n, rng.n_streams)
-        block *= np.array([n_rnd_at(params, t) for t in range(start, start + k)],
-                          dtype=dtype)[:, None, None]
-        yield from block
+    for start in range(0, len(n_rnd), per_block):
+        scale = np.asarray(n_rnd[start:start + per_block]).astype(dtype)[:, None]
+        k = len(scale)
+        bits = rng.next_block(k * n, low_bit=True).reshape(k, -1)  # one row per step
+        block = _bipolar(bits, scale, dtype)
+        block += bias.reshape(-1)
+        yield from block.reshape(k, n, rng.n_streams)
+
+
+def _step_inputs(params, rng, bias):
+    """Yield (noise, q, i0, floor) of each step: the noise plane of
+    _noise_planes, q and i0 as Python ints from the run's schedule table (a
+    numpy integer would widen an int8 plane under NEP 50), and floor, a -i0
+    plane shaped like bias. One floor plane serves the run: it is refilled
+    only when i0 changes, so an i0 ramp of any length costs one plane."""
+    i0s, n_rnd, qs = schedule_table(params)
+    floor, held = np.empty_like(bias), None
+    for raw, q, i0 in zip(_noise_planes(rng, n_rnd, bias), qs.tolist(), i0s.tolist()):
+        if i0 != held:
+            floor.fill(-i0)
+            held = i0
+        yield raw, q, i0, floor
 
 
 def _schedule_extremes(params: AnnealParams) -> tuple:
@@ -226,18 +258,17 @@ def _finalize(model, params, graph, sigma, trace=None, spin_mean=None):
 def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None = None,
              record_trace: bool = False) -> RunResult:
     """Run the full replica-coupled anneal; deterministic in (model, params, seed)."""
-    jmat = model.coupling_matrix()
     accumulator_bound(model, params)  # a too-wide schedule raises here
-    dtype = _step_dtype(model, params, jmat)
-    jmat, h = jmat.astype(dtype), _bias_plane(model, params.replicas, dtype)
+    dtype = _step_dtype(model, params, model.coupling_matrix())
+    jmat, bias = model.coupling_matrix(dtype), _bias_plane(model, params.replicas, dtype)
     rng = RngStreams(params.seed, params.replicas)
     sigma = initial_state(model, rng, dtype)
     # The t-1 plane starts as a copy of the t plane, so that the first
     # step's replica-coupling term is well defined.
     sigma_prev, is_acc = sigma.copy(), np.zeros_like(sigma)
     trace = [] if record_trace else None
-    for t, raw in enumerate(_noise_planes(params, rng, model.n, dtype)):
-        _step_arrays(h, jmat, params, sigma, sigma_prev, raw, is_acc, t)
+    for raw, q, i0, floor in _step_inputs(params, rng, bias):
+        _step_arrays(jmat, params, sigma, sigma_prev, raw, is_acc, q, i0, floor)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
         if record_trace:
             trace.append(_trace_entry(sigma, is_acc))
@@ -268,8 +299,7 @@ def run_psa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None
     rng = RngStreams(params.seed, params.replicas)
     sigma = initial_state(model, rng, np.float64)
     spin_sum = np.zeros_like(sigma) if collect_spin_mean else None
-    for t in range(params.steps):
-        i0 = params.i0.at(t, params.steps)
+    for i0 in params.i0.at(np.arange(params.steps, dtype=np.float64), params.steps).tolist():
         inp = i0 * (h + jmat @ sigma)
         r = rng.next_uniform(model.n)
         sigma = np.where(r + np.tanh(inp) >= 0, 1.0, -1.0)

@@ -267,6 +267,17 @@ def test_pseudo_quantum_energy_minimal_wrap():
     assert pseudo_quantum_energy(model, sig, 0) == 0  # coupling term vanishes
 
 
+def test_pseudo_quantum_energy_numpy_integer_q():
+    """A numpy integer q takes the integer branch, as a Python int does."""
+    model = maxcut_to_ising(square_graph())
+    sig = np.array([[1, -1, 1, -1], [1, 1, -1, -1], [-1, 1, 1, 1]])
+    for q in (2, 0, -3):
+        want = pseudo_quantum_energy(model, sig, q)
+        for numpy_q in (np.int64(q), np.int8(q)):
+            got = pseudo_quantum_energy(model, sig, numpy_q)
+            assert type(got) is int and got == want
+
+
 def test_pseudo_quantum_energy_vs_triple_loop():
     """Random N=3, R=3 instance against an independent triple-loop evaluator."""
     rng = np.random.default_rng(9)

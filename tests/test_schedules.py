@@ -1,7 +1,8 @@
 """Tests for the q(t) staircase and the linear control ramps."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ssqa.schedules import (
     AnnealParams,
@@ -11,6 +12,7 @@ from ssqa.schedules import (
     n_rnd_at,
     q_at,
     q_value_at,
+    schedule_table,
 )
 
 
@@ -89,3 +91,47 @@ def test_params_validation_and_with():
     p = AnnealParams()
     q = p.with_(replicas=7)
     assert q.replicas == 7 and p.replicas == 20  # original untouched
+
+
+# Ints past 2^53 too: a float64 product of two such ints rounds.
+HUGE = st.integers(-2**58, 2**58)
+RAMP_END = st.integers(-60, 60) | st.floats(-60, 60, allow_nan=False) | HUGE
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.sampled_from([0, 1]) | st.integers(0, 400), i0=st.tuples(RAMP_END, RAMP_END),
+       n_rnd=st.tuples(RAMP_END, RAMP_END), q_min=st.integers(-4, 4) | st.floats(-4, 4) | HUGE,
+       q_span=st.integers(0, 8) | st.floats(0, 100) | st.integers(0, 2**58),
+       tau=st.integers(1, 500),
+       beta=st.sampled_from([0, 0.05, 0.7, 1 / 3]) | st.floats(0, 3) | st.integers(0, 2**55))
+@example(steps=0, i0=(5, 5), n_rnd=(6, 0), q_min=0, q_span=2, tau=10, beta=0.05)
+@example(steps=1, i0=(9, 3), n_rnd=(-3, 4), q_min=-2.5, q_span=1, tau=7, beta=1 / 3)
+@example(steps=100, i0=(3.0, 9.0), n_rnd=(-6, -1), q_min=0, q_span=100, tau=1, beta=0.7)
+def test_schedule_table_equals_scalar_functions(steps, i0, n_rnd, q_min, q_span, tau, beta):
+    """Each column of the per-run table is i0_at, n_rnd_at and q_value_at
+    at every step, over reversed and negative ramps, tau past the run,
+    q_min < 0, 0 or 1 steps and int endpoints past 2^53."""
+    params = AnnealParams(steps=steps, i0=LinearSchedule(*i0), n_rnd=LinearSchedule(*n_rnd),
+                          q=QSchedule(q_min, q_min + q_span, tau, beta))
+    table = schedule_table(params)
+    for column, scalar in zip(table, (i0_at, n_rnd_at, q_value_at)):
+        assert column.dtype == np.int64 and column.shape == (steps,)
+        assert column.tolist() == [scalar(params, t) for t in range(steps)]
+
+
+def test_schedule_table_keeps_the_half_up_staircase_value():
+    """45 x 0.7 is 31.499999999999996 in floats, so step 45 quantizes to 31
+    in the table as in q_value_at (exact schedules are a separate change)."""
+    params = AnnealParams(steps=100, q=QSchedule(0, 100, 1, 0.7))
+    assert q_at(params.q, 45) == 31.499999999999996
+    assert q_value_at(params, 45) == schedule_table(params)[2][45] == 31
+
+
+def test_scalar_schedule_values_are_python_ints():
+    """A numpy integer would widen an int8 plane under NEP 50."""
+    params = AnnealParams(steps=10)
+    for scalar in (i0_at, n_rnd_at, q_value_at):
+        assert type(scalar(params, 3)) is int
+    assert q_at(params.q, np.arange(3)).tolist() == [q_at(params.q, t) for t in range(3)]
+    with pytest.raises(ValueError):
+        q_at(params.q, np.array([0, -1]))

@@ -8,7 +8,8 @@ from hypothesis.extra import numpy as hnp
 from ssqa.gset import load_instance
 from ssqa.ising import IsingModel, WeightedGraph, maxcut_to_ising, replica_energies
 from ssqa.rng import RngStreams
-from ssqa.schedules import AnnealParams, LinearSchedule, QSchedule, i0_at, n_rnd_at, q_value_at
+from ssqa.schedules import (AnnealParams, LinearSchedule, QSchedule, i0_at, n_rnd_at, q_value_at,
+                            schedule_table)
 from ssqa.solver import (
     _NOISE_BLOCK,
     _add_coupling,
@@ -17,6 +18,7 @@ from ssqa.solver import (
     _saturate_and_sign,
     _step_arrays,
     _step_dtype,
+    _step_inputs,
     accumulator_bound,
     initial_state,
     run_psa,
@@ -54,16 +56,16 @@ def random_model(rng, n, p=0.4, weight_bits=4):
 def hand_steps(model, params, rng, sigma, is_acc):
     """Step the engines' kernel, _step_arrays, in the run's step dtype from
     hand-set replica-major (R, N) planes, with the t-1 plane a copy of the
-    t plane as at the start of a run. Yields replica-major (sigma, Is)
-    after each of params.steps steps."""
-    jmat = model.coupling_matrix()
-    dtype = _step_dtype(model, params, jmat)
-    jmat, h = jmat.astype(dtype), _bias_plane(model, params.replicas, dtype)
+    t plane as at the start of a run, over the engines' per-step inputs (h
+    rides with the noise). Yields replica-major (sigma, Is) after each of
+    params.steps steps."""
+    dtype = _step_dtype(model, params, model.coupling_matrix())
+    jmat, bias = model.coupling_matrix(dtype), _bias_plane(model, params.replicas, dtype)
     sigma = np.array(np.transpose(sigma), dtype=dtype, order="C")
     is_acc = np.array(np.transpose(is_acc), dtype=dtype, order="C")
     sigma_prev = sigma.copy()
-    for t, raw in enumerate(_noise_planes(params, rng, model.n, dtype)):
-        _step_arrays(h, jmat, params, sigma, sigma_prev, raw, is_acc, t)
+    for raw, q, i0, floor in _step_inputs(params, rng, bias):
+        _step_arrays(jmat, params, sigma, sigma_prev, raw, is_acc, q, i0, floor)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
         yield sigma.T.copy(), is_acc.T.copy()
 
@@ -170,6 +172,61 @@ def test_engine_matches_naive_oracle(seed, periodic):
         assert np.array_equal(is_a, is_b)
 
 
+# h != 0 (random_model draws a bias per spin) with the i0 ramp "3:9": the
+# bias rides in the noise blocks, and the -i0 plane is refilled as i0 rises.
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+def test_engines_match_naive_oracle_with_bias_and_i0_ramp(alpha):
+    from ssqa.bench import parse_ramp
+    from ssqa.hwsim import run_hw
+
+    model = random_model(np.random.default_rng(20 + alpha), 7, p=0.5)
+    assert model.h.any()
+    params = AnnealParams(steps=40, replicas=3, seed=alpha + 1, alpha=alpha,
+                          q=QSchedule(0, 3, 4, 0.7), i0=parse_ramp("3:9"),
+                          n_rnd=LinearSchedule(3, 0))
+    assert sorted(set(schedule_table(params)[0].tolist())) == list(range(3, 10))
+    expected = naive_trace(model, params)
+    runs = [run_ssqa(model, params, record_trace=True).trace]
+    runs += [run_hw(model, params, kind, record_trace=True)[0].trace
+             for kind in ("dual_bram", "shift_register")]
+    for trace in runs:
+        assert len(trace) == len(expected) == 40
+        for (sig_a, is_a), (sig_b, is_b) in zip(trace, expected):
+            assert np.array_equal(sig_a, sig_b) and np.array_equal(is_a, is_b)
+
+
+@pytest.mark.parametrize("engine", ["run_ssqa", "run_ssa", "dual_bram", "shift_register"])
+def test_schedule_calls_do_not_grow_with_steps(engine, monkeypatch):
+    """Steps read the per-run schedule table: a run makes as many scalar
+    schedule calls at 500 steps as at 10."""
+    from ssqa import hwsim, solver
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for owner in (solver, hwsim):
+        for name in ("i0_at", "n_rnd_at", "q_value_at"):
+            monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+    model = random_model(np.random.default_rng(8), 8)
+    counts = []
+    for steps in (10, 500):
+        params = AnnealParams(steps=steps, replicas=3, seed=2, i0=LinearSchedule(3, 9))
+        calls.clear()
+        if engine == "run_ssqa":
+            run_ssqa(model, params)
+        elif engine == "run_ssa":
+            run_ssa(model, params)
+        else:
+            hwsim.run_hw(model, params, engine)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 # Each weight width with an i0 ramp on its scale lands on its own step dtype.
 @pytest.mark.parametrize("weight_bits,i0,n_rnd,dtype", [
     (4, LinearSchedule(4, 8), 2, np.int8),
@@ -259,7 +316,7 @@ def test_saturate_and_sign_matches_three_branch_rule(raw, i0, alpha, dtype):
     top = i0 - alpha
     expect = np.where(raw >= i0, top, np.where(raw < -i0, -i0, raw)).astype(raw.dtype)
     got, sigma = raw.copy(), np.empty_like(raw)
-    _saturate_and_sign(got, i0, top, sigma)
+    _saturate_and_sign(got, i0, top, np.full_like(raw, -i0), sigma)
     assert got.tobytes() == expect.tobytes()
     assert np.array_equal(sigma, np.where(expect >= 0, 1, -1))
 
@@ -293,8 +350,9 @@ def test_noise_planes_are_c_order_planes(replicas):
     """Every plane of a step is C-ordered: an elementwise pass that mixes a
     C- and an F-ordered plane is strided."""
     for dtype in (np.int8, np.int16):
-        params = AnnealParams(steps=7, replicas=replicas)
-        for noise in _noise_planes(params, RngStreams(1, replicas), 800, dtype):
+        n_rnd = schedule_table(AnnealParams(steps=7, replicas=replicas))[1]
+        bias = np.zeros((800, replicas), dtype)
+        for noise in _noise_planes(RngStreams(1, replicas), n_rnd, bias):
             assert noise.shape == (800, replicas) and noise.dtype == dtype
             assert noise.flags.c_contiguous
 
@@ -312,20 +370,27 @@ STEP_COUNTS = (lambda k: 0, lambda k: 1, lambda k: k - 1, lambda k: k, lambda k:
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from([1, 7, 800, _NOISE_BLOCK + 5]), steps=st.sampled_from(STEP_COUNTS),
        replicas=st.sampled_from([1, 3, 20]), dtype=st.sampled_from([np.int8, np.int16]),
-       seed=st.integers(0, 2**32), n_rnd=st.tuples(st.integers(0, 7), st.integers(0, 7)))
+       seed=st.integers(0, 2**32), n_rnd=st.tuples(st.integers(-7, 7), st.integers(-7, 7)),
+       biased=st.booleans())
 @example(n=_NOISE_BLOCK + 5, steps=STEP_COUNTS[-1], replicas=20, dtype=np.int16, seed=1,
-         n_rnd=(6, 0))
-def test_noise_planes_equal_step_by_step_draws(n, steps, replicas, dtype, seed, n_rnd):
+         n_rnd=(6, 0), biased=False)
+@example(n=7, steps=STEP_COUNTS[-1], replicas=3, dtype=np.int8, seed=1, n_rnd=(6, 0),
+         biased=True)
+def test_noise_planes_equal_step_by_step_draws(n, steps, replicas, dtype, seed, n_rnd, biased):
     """Each plane is n_rnd(t) times the +-1 bits of a twin stream drawing
-    one step at a time, in the step dtype; planes are C-ordered, writable
-    and disjoint, and both streams end in one state."""
+    one step at a time, plus the bias plane when there is one, in the step
+    dtype; planes are C-ordered, writable and disjoint, and both streams end
+    in one state."""
     params = AnnealParams(steps=steps(steps_per_block(n)), replicas=replicas, seed=seed,
                           n_rnd=LinearSchedule(*n_rnd))
+    bias = np.zeros((n, replicas), dtype)
+    if biased:
+        bias[:] = np.random.default_rng(seed).integers(-8, 8, size=bias.shape)
     blocks, twin = RngStreams(seed, replicas), RngStreams(seed, replicas)
-    planes = list(_noise_planes(params, blocks, n, dtype))
+    planes = list(_noise_planes(blocks, schedule_table(params)[1], bias))
     assert len(planes) == params.steps
     for t, plane in enumerate(planes):
-        expect = (n_rnd_at(params, t) * twin.next_bipolar(n)).astype(dtype)
+        expect = (n_rnd_at(params, t) * twin.next_bipolar(n) + bias).astype(dtype)
         assert plane.dtype == dtype and plane.shape == (n, replicas)
         assert plane.tobytes() == expect.tobytes()
         assert plane.flags.c_contiguous and plane.flags.writeable
