@@ -1,0 +1,120 @@
+"""Golden digests of engine results: one sha256 per named case.
+
+Each case runs an engine (or scores a state) and hashes what it returns:
+best state, best value and replica, per-replica finals, every int64 plane
+of a recorded trace, and the CycleReport fields of a run_hw run. A change
+that leaves every digest unchanged leaves those results unchanged bit for
+bit. tests/test_digests.py checks the digests in tests/data/digests.json.
+
+Regenerate the file (only when results are meant to change) with
+
+    PYTHONPATH=src python tests/make_digests.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import itertools
+import json
+from pathlib import Path
+
+import numpy as np
+
+from ssqa.gset import load_instance
+from ssqa.hwsim import run_hw
+from ssqa.ising import IsingModel, WeightedGraph, energy, maxcut_to_ising, replica_cuts
+from ssqa.schedules import AnnealParams, LinearSchedule, QSchedule
+from ssqa.solver import run_ssa, run_ssqa
+
+DIGESTS = Path(__file__).resolve().parent / "data" / "digests.json"
+
+
+def _feed(h, value):
+    """Hash an array with its dtype and shape, or anything else by repr."""
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype.str}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    else:
+        h.update(repr(value).encode())
+
+
+def _digest(result, report=None) -> str:
+    h = hashlib.sha256()
+    for value in (result.best_state, result.best_value, result.best_replica,
+                  result.per_replica_final, result.objective, result.steps_executed):
+        _feed(h, value)
+    for sigma, is_acc in result.trace or ():
+        _feed(h, sigma)
+        _feed(h, is_acc)
+    if report is not None:
+        _feed(h, dataclasses.astuple(report))
+    return h.hexdigest()
+
+
+def _small_models():
+    """(name, model, graph, params, delay kind, sparse bypass) of 12 random
+    models with h != 0: weight bits 4/8/12, open and periodic replica
+    chains, sparse and dense rows. graph carries the couplings as weights."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for k, (bits, periodic, density) in enumerate(
+            itertools.product((4, 8, 12), (True, False), (0.25, 1.0))):
+        n = int(rng.integers(6, 24))
+        lim = 1 << (bits - 1)
+        couplings = tuple((i, j, int(rng.integers(-lim, lim)))
+                          for i, j in itertools.combinations(range(n), 2)
+                          if rng.random() < density)
+        model = IsingModel(n, rng.integers(-lim, lim, size=n), couplings, bits)
+        graph = WeightedGraph(n, couplings)
+        i0 = lim * n // 4
+        params = AnnealParams(steps=25, replicas=int(rng.integers(1, 6)), seed=k + 1,
+                              q=QSchedule(0, 3, 4, 0.5),
+                              i0=LinearSchedule(i0 // 2 + 1, i0 + 1),
+                              n_rnd=LinearSchedule(lim, 0), periodic_replicas=periodic)
+        name = f"b{bits}-{'periodic' if periodic else 'open'}-{'dense' if density == 1 else 'sparse'}"
+        cases.append((name, model, graph, params, ("dual_bram", "shift_register")[k % 2],
+                      k % 3 != 0))
+    return cases
+
+
+def _cases():
+    """Yield (name, thunk) of every case; a thunk returns the case's digest."""
+    graphs = {name: load_instance(name) for name in ("G11", "G14")}
+    models = {name: maxcut_to_ising(g) for name, g in graphs.items()}
+    for name, seed in itertools.product(graphs, (1, 2, 3)):
+        yield (f"ssqa-{name}-s{seed}",
+               lambda name=name, seed=seed: _digest(
+                   run_ssqa(models[name], AnnealParams(seed=seed), graphs[name])))
+    yield ("ssa-G11-5000steps",
+           lambda: _digest(run_ssa(models["G11"], AnnealParams(steps=5000, seed=1), graphs["G11"])))
+    ramp = AnnealParams(steps=30, replicas=4, seed=5, i0=LinearSchedule(3, 9))
+    for kind in ("dual_bram", "shift_register"):
+        yield (f"hw-G11-i0ramp-{kind}",
+               lambda kind=kind: _digest(*run_hw(models["G11"], ramp, kind, graph=graphs["G11"],
+                                                 record_trace=True)))
+    for name, model, graph, params, kind, bypass in _small_models():
+        def hw(model=model, graph=graph, params=params, kind=kind, bypass=bypass):
+            return _digest(*run_hw(model, params, kind, graph=graph, sparse_bypass=bypass,
+                                   record_trace=True))
+
+        def scores(model=model, graph=graph, params=params):
+            plane = np.random.default_rng(params.seed).choice([-1, 1], size=(model.n, 7))
+            h = hashlib.sha256()
+            _feed(h, replica_cuts(graph, plane))
+            _feed(h, [energy(model, plane[:, k]) for k in range(plane.shape[1])])
+            return h.hexdigest()
+
+        yield f"hw-{name}", hw
+        yield f"score-{name}", scores
+
+
+def compute() -> dict:
+    """Digest of every case, by name."""
+    return {name: thunk() for name, thunk in _cases()}
+
+
+if __name__ == "__main__":
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}")
