@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, asdict
 from importlib import resources
 
-from .ising import WeightedGraph
+from .ising import WeightedGraph, EdgeError, _edge_array
 
 
 class GsetParseError(ValueError):
@@ -61,52 +61,46 @@ def registry_as_json() -> str:
 
 
 def parse_gset(text: str) -> WeightedGraph:
-    lines = text.splitlines()
-    header = None
-    edges = []
-    seen = set()
-    n = m = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("c"):
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise GsetParseError(f"line {lineno}: expected 'N M' header")
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GsetParseError(f"line {lineno}: non-integer header") from None
-            if n < 1:
-                raise GsetParseError(f"line {lineno}: header declares {n} nodes, need >= 1")
-            header = (n, m)
-            continue
+    lines = ((lineno, raw.split()) for lineno, raw in enumerate(text.splitlines(), start=1))
+    lines = ((lineno, parts) for lineno, parts in lines if parts and parts[0][0] not in "#c")
+    lineno, parts = next(lines, (0, None))
+    if parts is None:
+        raise GsetParseError("empty file: no 'N M' header")
+    if len(parts) != 2:
+        raise GsetParseError(f"line {lineno}: expected 'N M' header")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GsetParseError(f"line {lineno}: non-integer header") from None
+    if n < 1:
+        raise GsetParseError(f"line {lineno}: header declares {n} nodes, need >= 1")
+    rows, linenos, error = [], [], None
+    for lineno, parts in lines:
         if len(parts) != 3:
-            raise GsetParseError(f"line {lineno}: expected 'u v w'")
+            error = f"line {lineno}: expected 'u v w'"
+            break
         try:
             u, v, w = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
-            raise GsetParseError(f"line {lineno}: non-integer edge") from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise GsetParseError(f"line {lineno}: node index out of range 1..{n}")
-        if u == v:
-            raise GsetParseError(f"line {lineno}: self-loop at node {u}")
-        a, b = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-        if (a, b) in seen:
-            raise GsetParseError(f"line {lineno}: duplicate edge ({a + 1},{b + 1})")
-        seen.add((a, b))
-        edges.append((a, b, w))
-    if header is None:
-        raise GsetParseError("empty file: no 'N M' header")
+            error = f"line {lineno}: non-integer edge"
+            break
+        rows.append((u - 1, v - 1, w) if u < v else (v - 1, u - 1, w))
+        linenos.append(lineno)
+    try:  # an edge on a line before a malformed one fails first
+        edges = _edge_array(n, rows, base=1)
+    except EdgeError as exc:
+        raise GsetParseError(f"line {linenos[exc.row]}: {exc}") from None
+    if error:
+        raise GsetParseError(error)
     if len(edges) != m:
         raise GsetParseError(f"edge count mismatch: header says {m}, found {len(edges)}")
-    return WeightedGraph(n_nodes=n, edges=tuple(edges))
+    return WeightedGraph(n_nodes=n, edges=edges)
 
 
 def serialize_gset(graph: WeightedGraph) -> str:
+    u, v, w = (graph.edges + (1, 1, 0)).T.tolist()  # 1-based; three lists, none per edge
     out = [f"{graph.n_nodes} {len(graph.edges)}"]
-    out.extend(f"{u + 1} {v + 1} {w}" for u, v, w in graph.edges)
+    out.extend(map("{} {} {}".format, u, v, w))
     return "\n".join(out) + "\n"
 
 

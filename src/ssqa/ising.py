@@ -1,16 +1,17 @@
 """Ising model data types, energy / cut evaluation, and the MAX-CUT mapping.
 
 All arithmetic on models within their declared weight bit-width is exact
-integer arithmetic; nothing here rounds. Edges and couplings are stored as
-tuples; a graph's int64 edge arrays and a model's coupling CSR (in each step
-dtype asked for) are built on first use and cached on the instance, so
-construction does no array work.
+integer arithmetic; nothing here rounds. Edges and couplings are stored once,
+as read-only (E, 3) int64 arrays, and one vectorized validator owns their
+rules (_edge_array, which the G-set parser shares). A model's coupling CSR
+(in each step dtype asked for) is built on first use and cached on the
+instance. Graphs and models compare by value and are not hashable.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -30,55 +31,96 @@ def _check_spins(s: np.ndarray) -> None:
         raise ValueError("spins must be -1 or +1")
 
 
-def _columns(triples) -> tuple:
-    """(a, b, w) int64 read-only arrays of a tuple of (a, b, w) triples."""
-    cols = np.array(triples, dtype=np.int64).reshape(-1, 3).T.copy()
-    cols.setflags(write=False)
-    return tuple(cols)
+_INT64 = np.iinfo(np.int64)
+# Typed entry by entry, only when the rows are not an integer array.
+_is_int64 = np.frompyfunc(
+    lambda x: isinstance(x, numbers.Integral) and _INT64.min <= x <= _INT64.max, 1, 1)
 
 
-@dataclass(frozen=True)
+class EdgeError(ValueError):
+    """A row breaks an edge rule; row is its index."""
+    row = -1
+
+
+def _edge_array(n: int, rows, noun="edge", pair="u<v", base=0) -> np.ndarray:
+    """(a, b, w) rows as a new read-only (E, 3) int64 array. EdgeError names
+    the first row that breaks a rule and the first rule it breaks, in this
+    order: integer entries in int64 (a float is never truncated), a != b,
+    a < b, 0 <= a and b < n, no pair twice (a sort of the keys a n + b).
+    Messages number the rows and nodes from base."""
+    if int(n) ** 2 > _INT64.max:
+        raise ValueError(f"{n} nodes: a pair key a*n + b would not fit int64")
+    edges = np.asarray(rows)
+    if not np.can_cast(edges.dtype, np.int64):  # keep each entry's own type
+        edges = np.array(rows, dtype=object)
+    if edges.size == 0:
+        edges = edges.reshape(0, 3)
+    elif edges.ndim != 2 or edges.shape[1] != 3:
+        raise ValueError(f"expected (a, b, w) rows, got an array of shape {edges.shape}")
+    bad = np.zeros(len(edges), dtype=bool)
+    if edges.dtype == object:
+        bad = ~_is_int64(edges).astype(bool).all(axis=1)
+        edges = np.where(bad[:, None], 0, edges)
+    edges = edges.astype(np.int64)
+    a, b = edges[:, 0], edges[:, 1]
+    key = a * n + b  # wraps only on rows that break the range rule
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros_like(bad)
+    repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    broken = np.stack([bad, a == b, a > b, (a < 0) | (b >= n), repeat])
+    hit = np.flatnonzero(broken.any(axis=0))
+    if len(hit):
+        row = int(hit[0])
+        a, b = edges[row, 0] + base, edges[row, 1] + base
+        error = EdgeError((f"{noun} {row + base} holds a value that is not an integer in int64",
+                           f"self-loop at node {a}", f"{noun} ({a},{b}) not {pair}",
+                           f"{noun} ({a},{b}) out of range {base}..{n - 1 + base}",
+                           f"duplicate {noun} ({a},{b})")[int(broken[:, row].argmax())])
+        error.row = row
+        raise error
+    edges.setflags(write=False)
+    return edges
+
+
+def _equal_fields(self, other) -> bool:
+    """Value equality over the dataclass fields, arrays by np.array_equal."""
+    return type(other) is type(self) and all(
+        np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Undirected weighted graph; edges normalized to u < v, 0-based."""
 
     n_nodes: int
-    edges: tuple  # of (u, v, w)
+    edges: np.ndarray  # (E, 3) int64 rows (u, v, w), u < v; read-only
+    __eq__ = _equal_fields  # by value; a class with __eq__ is not hashable
 
     def __post_init__(self):
-        seen = set()
-        for u, v, w in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < v < self.n_nodes):
-                raise ValueError(f"edge ({u},{v}) out of range or not u<v")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
+        if self.n_nodes < 1:
+            raise ValueError("n_nodes must be >= 1")
+        object.__setattr__(self, "edges", _edge_array(self.n_nodes, self.edges))
 
     @property
     def total_weight(self) -> int:
-        return sum(w for _, _, w in self.edges)
-
-    @cached_property
-    def _edge_arrays(self) -> tuple:
-        """(u, v, w) int64 arrays of the edge list."""
-        return _columns(self.edges)
+        return sum(self.edges[:, 2].tolist())  # a Python int: no int64 sum can wrap
 
     @cached_property
     def _narrow_weights(self) -> np.ndarray:
         """The edge weights in the narrowest signed integer that holds them."""
-        w = self._edge_arrays[2]
+        w = self.edges[:, 2]
         return w.astype(np.min_scalar_type(-1 - int(np.abs(w).max(initial=0))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsingModel:
     """Ising instance: biases h, couplings J (i < j, symmetric), bit-width."""
 
     n: int
     h: np.ndarray
-    couplings: tuple  # of (i, j, J_ij), i < j
+    couplings: np.ndarray  # (E, 3) int64 rows (i, j, J_ij), i < j; read-only
     weight_bits: int = 4
+    __eq__ = _equal_fields
 
     def __post_init__(self):
         if self.n < 1:
@@ -90,21 +132,17 @@ class IsingModel:
         lo, hi = -(1 << (self.weight_bits - 1)), (1 << (self.weight_bits - 1)) - 1
         if (h < lo).any() or (h > hi).any():
             raise WeightRangeError(f"h outside [{lo},{hi}] for {self.weight_bits} bits")
-        seen = set()
-        for i, j, w in self.couplings:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"coupling ({i},{j}) out of range or not i<j")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate coupling ({i},{j})")
-            if not (lo <= w <= hi):
-                raise WeightRangeError(
-                    f"J[{i},{j}]={w} outside [{lo},{hi}] for {self.weight_bits} bits"
-                )
-            seen.add((i, j))
+        couplings = _edge_array(self.n, self.couplings, "coupling", "i<j")
+        object.__setattr__(self, "couplings", couplings)
+        out = (couplings[:, 2] < lo) | (couplings[:, 2] > hi)
+        if out.any():
+            i, j, w = couplings[out.argmax()].tolist()
+            raise WeightRangeError(
+                f"J[{i},{j}]={w} outside [{lo},{hi}] for {self.weight_bits} bits")
 
     @cached_property
     def _csr(self) -> sparse.csr_matrix:
-        i, j, w = _columns(self.couplings)
+        i, j, w = self.couplings.T
         m = sparse.csr_matrix((np.concatenate([w, w]),
                                (np.concatenate([i, j]), np.concatenate([j, i]))),
                               shape=(self.n, self.n), dtype=np.int64)
@@ -133,7 +171,7 @@ class IsingModel:
     def adjacency(self) -> list:
         """Per-spin list of (neighbor, weight); iteration cost is the degree."""
         adj = [[] for _ in range(self.n)]
-        for i, j, w in self.couplings:
+        for i, j, w in self.couplings.tolist():
             adj[i].append((j, w))
             adj[j].append((i, w))
         return adj
@@ -179,7 +217,7 @@ def replica_cuts(graph: WeightedGraph, plane) -> np.ndarray:
     if s.shape[0] != graph.n_nodes:
         raise DimensionError(f"state has {s.shape[0]} spins, expected {graph.n_nodes}")
     _check_spins(s)
-    u, v, _ = graph._edge_arrays
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
     w = graph._narrow_weights
     side = (s < 0).astype(w.dtype)
     crossed = np.take(side, u, axis=0)  # several times faster than side[u]
@@ -193,11 +231,10 @@ def maxcut_to_ising(graph: WeightedGraph, weight_bits: int = 4) -> IsingModel:
 
     Then H(s) = W_total - 2*cut(s): minimizing energy maximizes the cut.
     """
-    couplings = tuple((u, v, -w) for u, v, w in graph.edges)
     return IsingModel(
         n=graph.n_nodes,
         h=np.zeros(graph.n_nodes, dtype=np.int64),
-        couplings=couplings,
+        couplings=graph.edges * (1, 1, -1),
         weight_bits=weight_bits,
     )
 

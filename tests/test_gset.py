@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ssqa import gset
 from ssqa.gset import GsetParseError, UnknownInstanceError
@@ -13,17 +14,17 @@ SAMPLE = "3 2\n1 2 1\n2 3 -1\n"
 def test_parse_basic():
     g = gset.parse_gset(SAMPLE)
     assert g.n_nodes == 3
-    assert g.edges == ((0, 1, 1), (1, 2, -1))
+    assert g.edges.tolist() == [[0, 1, 1], [1, 2, -1]]
 
 
 def test_parse_normalizes_edge_order():
     g = gset.parse_gset("3 1\n3 1 5\n")
-    assert g.edges == ((0, 2, 5),)
+    assert g.edges.tolist() == [[0, 2, 5]]
 
 
 def test_parse_tolerates_comments_and_blank_lines():
     text = "# header comment\nc solver comment\n\n3 1\n\n1 2 1\n"
-    assert gset.parse_gset(text).edges == ((0, 1, 1),)
+    assert gset.parse_gset(text).edges.tolist() == [[0, 1, 1]]
 
 
 def test_roundtrip():
@@ -95,3 +96,66 @@ def test_load_instance_from_path(tmp_path):
     assert gset.load_instance(str(p)).n_nodes == 3
     with pytest.raises(FileNotFoundError):
         gset.load_instance(str(tmp_path / "absent.txt"))
+
+
+@pytest.mark.parametrize("text,match", [
+    ("3 2\n1 4 1\n1 2\n", "line 2: edge \\(1,4\\) out of range 1..3"),
+    ("3 2\n1 2 1\n2 1 3\n1 2 x\n", "line 3: duplicate edge \\(1,2\\)"),
+    ("3 2\n1 2 1\n2 3 99999999999999999999\n", "line 3: edge 2 holds a value that is not an integer in int64"),
+    ("3 2\n# c\n1 0 1\n", "line 3: edge \\(0,1\\) out of range 1..3"),
+])
+def test_edge_rule_errors_name_the_first_bad_line(text, match):
+    """An edge that breaks a rule is reported before a later malformed line,
+    with 1-based nodes, and a weight past int64 is an error."""
+    with pytest.raises(GsetParseError, match=match):
+        gset.parse_gset(text)
+
+
+def loop_parse_error_line(text):
+    """Line of the first error a line-by-line reading finds, or None (the
+    texts below always carry a good header)."""
+    n, seen, header = 0, set(), False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0][0] in "#c":
+            continue
+        if not header:
+            n, header = int(parts[0]), True
+            continue
+        if len(parts) != 3:
+            return lineno
+        try:
+            u, v, w = (int(p) for p in parts)
+        except ValueError:
+            return lineno
+        pair = (min(u, v), max(u, v))
+        if not (1 <= u <= n and 1 <= v <= n) or u == v or pair in seen or abs(w) >= 2**63:
+            return lineno
+        seen.add(pair)
+    return None
+
+
+@st.composite
+def gset_texts(draw):
+    """A G-set text with a good header, comment and blank lines, and edge
+    lines that are good or carry one fault each."""
+    n = draw(st.integers(1, 6))
+    good = st.tuples(st.integers(1, n), st.integers(1, n), st.integers(-3, 3)).map(
+        lambda e: f"{e[0]} {e[1]} {e[2]}")
+    bad = st.sampled_from([f"1 {n + 1} 1", "0 1 1", "2 2", "1 2 x", "1 2 3 4", "1 2 1.5",
+                           f"1 {n} {2**63}", "# note", "c note", ""])
+    lines = draw(st.lists(st.one_of(good, good, good, bad), max_size=10))
+    edges = sum(1 for line in lines if line and line.split()[0][0] not in "#c")
+    return "\n".join([f"{n} {edges}", *lines]) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(gset_texts())
+def test_parse_names_the_line_a_line_by_line_reading_names(text):
+    line = loop_parse_error_line(text)
+    if line is None:
+        graph = gset.parse_gset(text)
+        assert gset.parse_gset(gset.serialize_gset(graph)) == graph
+    else:
+        with pytest.raises(GsetParseError, match=f"^line {line}: "):
+            gset.parse_gset(text)

@@ -1,13 +1,15 @@
 """Unit and property tests for model types, energy, cut, and the mapping."""
 
 import itertools
+import numbers
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ssqa.ising import (
     DimensionError,
+    EdgeError,
     IsingModel,
     WeightedGraph,
     WeightRangeError,
@@ -72,6 +74,152 @@ def test_model_rejects_bad_h_and_weights():
         IsingModel(3, np.zeros(3, dtype=np.int64), ((0, 1, -9),))
     # Boundary values of the 4-bit range are accepted.
     IsingModel(3, np.array([-8, 7, 0]), ((0, 1, -8), (1, 2, 7)))
+
+
+def test_non_integer_and_wide_entries_are_rejected():
+    """A weight is never truncated: 1.5 and 2**70 are errors, not 1 and an
+    OverflowError at the first cut."""
+    for bad in (1.5, 2**70, -(2**63) - 1, np.float64(2.0)):
+        with pytest.raises(ValueError, match="edge 0 holds a value that is not an integer"):
+            WeightedGraph(3, ((0, 1, bad),))
+        with pytest.raises(ValueError, match="coupling 1 holds a value that is not an integer"):
+            IsingModel(3, [0, 0, 0], ((0, 2, 1), (0, 1, bad)))
+    with pytest.raises(ValueError, match="not an integer"):
+        WeightedGraph(3, ((0.5, 1, 1),))
+    with pytest.raises(ValueError, match="not an integer"):
+        WeightedGraph(3, np.array([[0, 1, 2**63]], dtype=np.uint64))
+    g = WeightedGraph(3, np.array([[0, 1, 2**63 - 1]], dtype=np.uint64))
+    assert g.total_weight == 2**63 - 1 and type(g.total_weight) is int
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_graph_needs_a_node(n):
+    with pytest.raises(ValueError, match="n_nodes must be >= 1"):
+        WeightedGraph(n, ())
+
+
+def test_pair_keys_must_fit_int64():
+    """Repeated pairs are found by sorting keys a n + b, so n^2 must fit int64."""
+    with pytest.raises(ValueError, match="would not fit int64"):
+        WeightedGraph(2**32, ((0, 1, 1),))
+    assert len(WeightedGraph(3_037_000_499, ((0, 3_037_000_498, 1),)).edges) == 1
+
+
+def test_edges_and_couplings_are_read_only_int64_copies():
+    rows = np.array([[0, 1, 2], [1, 2, -1]], dtype=np.int32)
+    g = WeightedGraph(3, rows)
+    model = maxcut_to_ising(g)
+    for arr in (g.edges, model.couplings):
+        assert arr.dtype == np.int64 and arr.shape == (2, 3)
+        with pytest.raises(ValueError):
+            arr[0, 2] = 5
+    assert rows.flags.writeable  # the caller's array is copied, not frozen
+    assert model.couplings[:, 2].tolist() == [-2, 1] and g.edges[:, 2].tolist() == [2, -1]
+    assert WeightedGraph(3, ()).edges.shape == (0, 3)
+    with pytest.raises(ValueError, match="expected \\(a, b, w\\) rows"):
+        WeightedGraph(3, ((0, 1), (1, 2)))
+
+
+def test_graphs_and_models_compare_by_value():
+    g = square_graph()
+    assert maxcut_to_ising(g) == maxcut_to_ising(g)
+    assert WeightedGraph(4, np.array(g.edges)) == g
+    assert maxcut_to_ising(g) != maxcut_to_ising(g, weight_bits=5)
+    other = WeightedGraph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 2)))
+    assert g != other and maxcut_to_ising(g) != maxcut_to_ising(other)
+    biased = IsingModel(4, [1, 0, 0, 0], maxcut_to_ising(g).couplings)
+    assert biased != maxcut_to_ising(g)
+    assert g != WeightedGraph(5, g.edges) and g != g.edges
+    for value in (g, biased):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def loop_first_bad_edge(n, rows, noun, pair):
+    """Per-edge loop definition of the edge rules: (row, message) of the
+    first row that breaks one, or None."""
+    seen = set()
+    for k, row in enumerate(rows):
+        if not all(isinstance(x, numbers.Integral) and -(2**63) <= x < 2**63 for x in row):
+            return k, f"{noun} {k} holds a value that is not an integer in int64"
+        a, b, _ = row
+        if a == b:
+            return k, f"self-loop at node {a}"
+        if a > b:
+            return k, f"{noun} ({a},{b}) not {pair}"
+        if a < 0 or b >= n:
+            return k, f"{noun} ({a},{b}) out of range 0..{n - 1}"
+        if (a, b) in seen:
+            return k, f"duplicate {noun} ({a},{b})"
+        seen.add((a, b))
+    return None
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, rows): good rows (distinct a < b in range), then up to two faults,
+    each a self-loop, a reversed pair, an out-of-range node, a repeated pair
+    or a non-integer or wide entry."""
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    rows = [(a, b, draw(st.integers(-8, 7))) for a, b in
+            (draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else [])]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        k = draw(st.integers(0, len(rows)))
+        a, b, w = rows[k] if k < len(rows) else (0, n - 1, 1)
+        fault = draw(st.sampled_from(["loop", "reverse", "range", "repeat", "odd"]))
+        if fault == "loop":
+            a = b
+        elif fault == "reverse":
+            a, b = b, a
+        elif fault == "range":
+            a, b = draw(st.sampled_from([(-1, b), (a, n), (n, n + 1), (-2, -1)]))
+        elif fault == "odd":
+            col = draw(st.integers(0, 2))
+            a, b, w = (draw(st.sampled_from([0.5, 1.5, -2.0, 2**63, -(2**63) - 1, 2**70]))
+                       if c == col else x for c, x in enumerate((a, b, w)))
+        rows.insert(draw(st.integers(0, len(rows))), (a, b, w))  # "repeat": row k again
+    return n, rows
+
+
+def dense_j(n, rows):
+    """J built edge by edge."""
+    j = np.zeros((n, n), dtype=np.int64)
+    for a, b, w in rows:
+        j[a, b] = j[b, a] = w
+    return j
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+@example((3, [(0, 1, 1), (2, 1, 1), (0, 1, 1.5)]))
+@example((3, [(0, 1, 1), (0, 1, 2**70)]))
+@example((2, [(0, 1, 2), (1, 0, 1)]))
+def test_array_validator_matches_edge_loop(case):
+    """Graphs and models accept exactly the rows a per-edge loop accepts,
+    and reject its first bad row with its message, from tuples or from an
+    array; an accepted model's J is the one built edge by edge."""
+    n, rows = case
+    inputs = [tuple(rows)]
+    if all(isinstance(x, int) and abs(x) < 2**62 for row in rows for x in row):
+        inputs.append(np.array(rows, dtype=np.int64).reshape(-1, 3))
+    for noun, pair, build in (("edge", "u<v", lambda r: WeightedGraph(n, r)),
+                              ("coupling", "i<j", lambda r: IsingModel(n, np.zeros(n), r))):
+        bad = loop_first_bad_edge(n, rows, noun, pair)
+        for given_rows in inputs:
+            if bad is None:
+                built = build(given_rows)
+                stored = built.edges if noun == "edge" else built.couplings
+                assert stored.tolist() == [list(r) for r in rows]
+                continue
+            with pytest.raises(EdgeError) as info:
+                build(given_rows)
+            assert (info.value.row, str(info.value)) == bad
+    if loop_first_bad_edge(n, rows, "edge", "u<v") is None:
+        model = maxcut_to_ising(WeightedGraph(n, rows), weight_bits=5)
+        expect = -dense_j(n, rows)
+        assert np.array_equal(model.coupling_matrix().toarray(), expect)
+        assert np.array_equal(model.coupling_matrix(np.int8).toarray(), expect)
 
 
 def test_energy_rejects_bad_state():
