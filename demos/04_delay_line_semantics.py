@@ -6,7 +6,9 @@ shift-register design keeps three full planes. The two-bank design keeps
 only two: the bank holding the t-1 plane is recycled in place as the
 destination for t+1 writes. That is safe because the spin-serial schedule
 reads each t-1 address exactly once — in the same cycle that overwrites it
-— and reads happen before writes commit.
+— and reads happen before writes commit. The last section runs one
+finalize phase over the whole plane, as run_hw does: on dual-BRAM the plane
+that receives the t+1 words is the t-1 bank itself.
 """
 
 import numpy as np
@@ -41,3 +43,16 @@ for name, d in (("dual_bram", bram), ("shift_register", shift)):
     d.advance_step()
     print(f"  {name:15s} t plane: {[int(d.read_t(a)[0]) for a in range(3)]} "
           f"t-1 plane: {[int(d.read_tminus1(a)[0]) for a in range(3)]}")
+
+print("\none whole-plane FIN phase, as run_hw runs it (address ... is every word):")
+for name, cls in (("dual_bram", DualBramDelay), ("shift_register", ShiftRegDelay)):
+    d = cls(plane_t, plane_tm1)
+    old = d.read_tminus1(...)  # a read-only view of every t-1 word, read first
+    print(f"  {name:15s} t-1 words read: {old[:, 0].tolist()}")
+    words = d.next_plane()
+    print(f"  {'':15s} next_plane() shares the t-1 bank: {np.shares_memory(words, old)}")
+    words[...] = [[+1], [-1], [+1]]  # the t+1 words, written in place
+    d.write(..., words)              # commits them: nothing is queued or copied
+    print(f"  {'':15s} the t-1 view after the writes: {old[:, 0].tolist()}")
+    d.advance_step()
+    print(f"  {'':15s} t plane after advance_step: {d.read_t(...)[:, 0].tolist()}")

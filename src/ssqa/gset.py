@@ -94,7 +94,10 @@ def parse_gset(text: str) -> WeightedGraph:
         raise GsetParseError(error)
     if len(edges) != m:
         raise GsetParseError(f"edge count mismatch: header says {m}, found {len(edges)}")
-    return WeightedGraph(n_nodes=n, edges=edges)
+    try:  # rows that pass every edge rule can still sum past int64
+        return WeightedGraph(n_nodes=n, edges=edges)
+    except ValueError as exc:
+        raise GsetParseError(str(exc)) from None
 
 
 def serialize_gset(graph: WeightedGraph) -> str:

@@ -8,26 +8,26 @@ saturating accumulator and the sign, giving N*(k+1) cycles per annealing
 step on a regular-degree graph. All R replica gates advance in lockstep and
 share each (J_ij, j) fetch; the per-replica noise word is consumed in FIN.
 
-run_hw binds its FIN address stream, 0..N-1 in spin order, to a DelayLine
-once per run: binding checks that it is a permutation and freezes it, so
-no step checks it again. Each step is two transactions over it, each equal
-to the step's cycles in hardware order:
+A delay-line address is a word index i in [0, N) or ... for every word in
+spin order. run_hw makes two transactions per step with ..., each equal to
+the step's cycles in hardware order:
 
 * MAC phase: one read of the whole t plane (a read-only view of the bank)
   and one product J @ plane. No cycle of a step writes the t plane, and a
   zero weight adds nothing, so the product also serves the dense schedule.
 * FIN phase: cycle i reads t-1 word i and writes t+1 word i, once per
-  address, so reading every t-1 word (a view), then writing every t+1 word
-  in place into the receiving plane, the t-1 bank on dual-BRAM, gives the
-  words of cycle order. Noise, sum, saturation and sign are the reference
+  spin, so reading every t-1 word (a view), then writing every t+1 word
+  in place into next_plane(), the t-1 bank on dual-BRAM, gives the words
+  of cycle order. Noise, sum, saturation and sign are the reference
   engine's, in its dtype, from the same per-run tables (solver._step_inputs,
   _accumulate, _saturate_and_sign).
 
-Cycle counts and trace-file lines come from the same address stream.
+Cycle counts and trace-file lines come from the same row degrees.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,22 +44,15 @@ from .solver import (AccumulatorOverflowError, _accumulate, _bias_plane, _finali
 
 
 class DelayAddressError(IndexError):
-    """Delay-line access outside [0, N), or a FIN stream not over 0..N-1 once each."""
+    """A delay-line address that is neither ... nor a word index in [0, N)."""
 
 
 def _check_addr(n: int, addr):
-    """Raise DelayAddressError unless addr (an int or a 1-D int array) is in
-    [0, n). Checked explicitly: numpy would wrap a negative array index."""
-    a = np.asarray(addr)
-    if a.size and not (a.min() >= 0 and a.max() < n):
-        raise DelayAddressError(f"address {addr} outside [0,{n})")
-
-
-def _check_write(n: int, addr):
-    """A write goes to one address, or (a step's FIN phase) to each one once."""
-    _check_addr(n, addr)
-    if np.ndim(addr) and not (len(addr) == n and np.bincount(addr, minlength=n).all()):
-        raise DelayAddressError(f"FIN addresses are not a permutation of 0..{n - 1}")
+    """Raise DelayAddressError unless addr is ... or an integer in [0, n):
+    a bool, a float or an array is not an address."""
+    if addr is not ... and not (isinstance(addr, numbers.Integral)
+                                and not isinstance(addr, bool) and 0 <= addr < n):
+        raise DelayAddressError(f"address {addr!r} is neither ... nor a word index in [0,{n})")
 
 
 def count_total_cycles(model: IsingModel, steps: int, sparse_bypass: bool = True) -> int:
@@ -137,12 +130,12 @@ class DelayLine:
     * shift_register: three planes, parity 0. t+1 words go to a third
       plane; advance_step copies it into the t-1 plane, which becomes t.
 
-    Scalar and array accesses are checked on each call, and their writes
-    commit at the end of the cycle, so a same-cycle read returns the old
-    word. The bound stream's reads are read-only views, and its t+1 words,
-    written in place into next_plane(), commit as they land (read every t-1
-    word first). FIN cycle i reads t-1 word i before its own write and no
-    other cycle reads it, so both kinds give run_hw the same values.
+    An address is a word index i in [0, N) or ... for the whole plane in
+    spin order, checked on every access. Reads return read-only views.
+    Writes commit at end_cycle, so a same-cycle read returns the old word;
+    write(..., next_plane()) commits t+1 words already written in place
+    (read every t-1 word first). FIN cycle i reads t-1 word i before its
+    own write and no other cycle reads it, so both kinds agree in run_hw.
     """
 
     kind: str  # set by each subclass
@@ -152,44 +145,33 @@ class DelayLine:
         self.parity = 0
         self._t, self._tm1 = plane_t.copy(), plane_tm1.copy()
         self._next = self._tm1 if self.kind == "dual_bram" else plane_t.copy()
-        self._pending, self._stream = [], None  # the bound FIN address stream
-
-    def bind(self, stream) -> np.ndarray:
-        """Check a FIN address stream (0..N-1 in spin order) once; return it frozen."""
-        stream = np.array(stream)
-        _check_write(self.n, stream)
-        if np.any(stream[1:] < stream[:-1]):  # a sorted permutation is 0..N-1
-            raise DelayAddressError("a bound FIN stream runs in spin order")
-        stream.flags.writeable = False
-        self._stream = stream
-        return stream
+        self._pending = []
 
     def _read(self, plane, addr):
-        if addr is not self._stream:
-            _check_addr(self.n, addr)
-            return plane[addr]
-        view = plane.view()
+        _check_addr(self.n, addr)
+        view = plane[addr]
         view.flags.writeable = False
         return view
 
     def read_t(self, addr):
-        """Word at addr of the t plane, or one word per address."""
+        """The t plane's word at addr, or the whole plane at ...; read-only."""
         return self._read(self._t, addr)
 
     def read_tminus1(self, addr):
-        """Word at addr of the t-1 plane, or one word per address."""
+        """The t-1 plane's word at addr, or the whole plane at ...; read-only."""
         return self._read(self._tm1, addr)
 
     def next_plane(self) -> np.ndarray:
-        """The plane that receives this step's t+1 words, for a bound write."""
+        """The plane that receives this step's t+1 words, for an in-place write."""
         return self._next
 
     def write(self, addr, word):
-        """Queue t+1 word(s) for the end of the cycle, at addr or a permutation;
-        the bound stream's words, already in next_plane(), are committed."""
-        if addr is not self._stream or word is not self._next:
-            _check_write(self.n, addr)
-            self._pending.append((addr, np.array(word)))
+        """Queue a t+1 word at addr, or a plane at ..., for the end of the cycle
+        (one that does not fit raises here); write(..., next_plane()) commits
+        the words already written there."""
+        _check_addr(self.n, addr)
+        if addr is not ... or word is not self._next:
+            self._pending.append((addr, np.broadcast_to(word, self._next[addr].shape).copy()))
 
     def end_cycle(self):
         for addr, word in self._pending:
@@ -262,8 +244,6 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     # replica states of spin i. The t-1 plane starts as a copy of the t plane.
     plane = initial_state(model, rng, dtype)
     delay = _DELAY_LINES[delay_kind](plane, plane)
-    # The FIN address stream, one cycle per spin: checked once, read as views.
-    spins = delay.bind(np.arange(n))
     is_acc = np.zeros_like(plane)
     trace = [] if record_trace else None
     if trace_file is not None:
@@ -277,7 +257,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     # accumulator.
     for t, (raw, q, i0, floor) in enumerate(_step_inputs(params, rng, bias)):
         parity = delay.parity
-        _accumulate(jmat, delay.read_t(spins), delay.read_tminus1(spins), raw, is_acc, q,
+        _accumulate(jmat, delay.read_t(...), delay.read_tminus1(...), raw, is_acc, q,
                     params.periodic_replicas)
         # Python ints: on a narrow dtype, -raw.min() could wrap.
         peak = max(int(raw.max()), -int(raw.min()))
@@ -288,7 +268,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
         words = delay.next_plane()
         _saturate_and_sign(raw, i0, i0 - params.alpha, floor, words)
         is_acc = raw
-        delay.write(spins, words)
+        delay.write(..., words)
         delay.advance_step()
         if trace_file is not None:
             trace_file.write("".join(f"{c},{t},{mid}{parity}\n" for c, mid in

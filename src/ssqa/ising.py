@@ -37,6 +37,17 @@ _is_int64 = np.frompyfunc(
     lambda x: isinstance(x, numbers.Integral) and _INT64.min <= x <= _INT64.max, 1, 1)
 
 
+def _int64_entries(values):
+    """values as a new int64 array, and the mask of its entries that are not
+    integers in int64 (stored as 0): a float or a string is never converted."""
+    a = np.asarray(values)
+    if np.can_cast(a.dtype, np.int64):
+        return a.astype(np.int64), np.zeros(a.shape, dtype=bool)
+    a = np.array(values, dtype=object)  # keep each entry's own type
+    bad = ~_is_int64(a).astype(bool)
+    return np.where(bad, 0, a).astype(np.int64), bad
+
+
 class EdgeError(ValueError):
     """A row breaks an edge rule; row is its index."""
     row = -1
@@ -50,18 +61,12 @@ def _edge_array(n: int, rows, noun="edge", pair="u<v", base=0) -> np.ndarray:
     Messages number the rows and nodes from base."""
     if int(n) ** 2 > _INT64.max:
         raise ValueError(f"{n} nodes: a pair key a*n + b would not fit int64")
-    edges = np.asarray(rows)
-    if not np.can_cast(edges.dtype, np.int64):  # keep each entry's own type
-        edges = np.array(rows, dtype=object)
+    edges, bad = _int64_entries(rows)
     if edges.size == 0:
-        edges = edges.reshape(0, 3)
+        edges, bad = edges.reshape(0, 3), bad.reshape(0, 3)
     elif edges.ndim != 2 or edges.shape[1] != 3:
         raise ValueError(f"expected (a, b, w) rows, got an array of shape {edges.shape}")
-    bad = np.zeros(len(edges), dtype=bool)
-    if edges.dtype == object:
-        bad = ~_is_int64(edges).astype(bool).all(axis=1)
-        edges = np.where(bad[:, None], 0, edges)
-    edges = edges.astype(np.int64)
+    bad = bad.any(axis=1)
     a, b = edges[:, 0], edges[:, 1]
     key = a * n + b  # wraps only on rows that break the range rule
     order = np.argsort(key, kind="stable")
@@ -99,7 +104,13 @@ class WeightedGraph:
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
-        object.__setattr__(self, "edges", _edge_array(self.n_nodes, self.edges))
+        edges = _edge_array(self.n_nodes, self.edges)
+        w = edges[:, 2]
+        peak = max(int(w.max(initial=0)), -int(w.min(initial=0)))  # Python ints: exact
+        # Sum |w| <= peak * E, so only a graph past that bound needs the exact sum.
+        if peak * len(w) > _INT64.max and sum(map(abs, w.tolist())) > _INT64.max:
+            raise ValueError("the sum of |weight| exceeds int64, so a cut could wrap")
+        object.__setattr__(self, "edges", edges)
 
     @property
     def total_weight(self) -> int:
@@ -117,7 +128,7 @@ class IsingModel:
     """Ising instance: biases h, couplings J (i < j, symmetric), bit-width."""
 
     n: int
-    h: np.ndarray
+    h: np.ndarray  # (n,) int64 biases; read-only
     couplings: np.ndarray  # (E, 3) int64 rows (i, j, J_ij), i < j; read-only
     weight_bits: int = 4
     __eq__ = _equal_fields
@@ -125,9 +136,12 @@ class IsingModel:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        h = np.asarray(self.h, dtype=np.int64)
+        h, bad = _int64_entries(self.h)
         if h.shape != (self.n,):
             raise DimensionError(f"h has shape {h.shape}, expected ({self.n},)")
+        if bad.any():
+            raise ValueError(f"h[{bad.argmax()}] holds a value that is not an integer in int64")
+        h.setflags(write=False)
         object.__setattr__(self, "h", h)
         lo, hi = -(1 << (self.weight_bits - 1)), (1 << (self.weight_bits - 1)) - 1
         if (h < lo).any() or (h > hi).any():

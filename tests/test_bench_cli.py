@@ -320,11 +320,14 @@ def test_cli_config_error_exits_2_without_traceback(square_path, tmp_path):
     ("0 0\n", "parse error: line 1: header declares 0 nodes, need >= 1"),
     ("2 1\n1 2 9\n", "error: J[0,1]=-9 outside [-8,7] for 4 bits"),
     ("2 1\n1 2 \xff\n", "parse error: line 2: byte 0xff is not UTF-8 text"),
+    ("3 2\n1 2 4611686018427387904\n2 3 4611686018427387904\n",
+     "parse error: the sum of |weight| exceeds int64, so a cut could wrap"),
 ])
 def test_cli_bad_gset_file_exits_2(text, message, tmp_path, capsys):
-    """A file with no nodes, with a weight past the 4-bit range, or that is
-    not UTF-8 text is a configuration error: exit 2 with the message, not a
-    traceback. Each character of text is written as one byte."""
+    """A file with no nodes, with a weight past the 4-bit range, with weights
+    whose sum of |w| passes int64, or that is not UTF-8 text is a
+    configuration error: exit 2 with the message, not a traceback. Each
+    character of text is written as one byte."""
     path = tmp_path / "bad.txt"
     path.write_bytes(text.encode("latin-1"))
     assert run_cli("run", "--instance", str(path), "--steps", "5") == 2

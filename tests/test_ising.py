@@ -92,6 +92,37 @@ def test_non_integer_and_wide_entries_are_rejected():
     assert g.total_weight == 2**63 - 1 and type(g.total_weight) is int
 
 
+def test_non_integer_biases_are_rejected():
+    """h entries follow the couplings' rule: 0.5 is an error, not 0, and the
+    error names the first bad index. The stored h is a read-only copy."""
+    for h, row in (([0.5, 1.7], 0), (["1", 0], 0), ([0, 1.0], 1), (np.zeros(2), 0),
+                   ([0, 2**70], 1), ([1, np.float64(-2.0)], 1)):
+        with pytest.raises(ValueError, match=rf"h\[{row}\] holds a value that is not an integer"):
+            IsingModel(2, h, ())
+    for h in ([3, -4], np.array([3, 4], dtype=np.uint8), [np.int32(3), -4]):
+        model = IsingModel(2, h, ())
+        assert model.h.dtype == np.int64 and model.h.tolist() == np.asarray(h).tolist()
+    with pytest.raises(DimensionError):
+        IsingModel(3, [0.5, 0], ())
+    given = np.array([3, -4])
+    model = IsingModel(2, given, ())
+    with pytest.raises(ValueError):
+        model.h[0] = 7  # h is read-only, as the couplings are
+    given[0] = 7  # the caller's array was copied
+    assert model.h.tolist() == [3, -4]
+
+
+def test_total_weight_must_fit_int64():
+    """Sum |w| bounds every cut and every partial sum, so a graph past int64
+    is an error, not a wrapped cut."""
+    for n, rows in ((2, ((0, 1, -2**63),)), (3, ((0, 1, 2**62), (1, 2, 2**62)))):
+        with pytest.raises(ValueError, match="sum of \\|weight\\| exceeds int64"):
+            WeightedGraph(n, rows)
+    g = WeightedGraph(3, ((0, 1, -2**62), (1, 2, 2**62 - 1)))
+    assert cut_value(g, [1, -1, 1]) == -1 and cut_value(g, [1, 1, -1]) == 2**62 - 1
+    assert WeightedGraph(2, ((0, 1, -2**63 + 1),)).total_weight == -2**63 + 1
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_graph_needs_a_node(n):
     with pytest.raises(ValueError, match="n_nodes must be >= 1"):
@@ -204,7 +235,7 @@ def test_array_validator_matches_edge_loop(case):
     if all(isinstance(x, int) and abs(x) < 2**62 for row in rows for x in row):
         inputs.append(np.array(rows, dtype=np.int64).reshape(-1, 3))
     for noun, pair, build in (("edge", "u<v", lambda r: WeightedGraph(n, r)),
-                              ("coupling", "i<j", lambda r: IsingModel(n, np.zeros(n), r))):
+                              ("coupling", "i<j", lambda r: IsingModel(n, np.zeros(n, dtype=np.int64), r))):
         bad = loop_first_bad_edge(n, rows, noun, pair)
         for given_rows in inputs:
             if bad is None:
