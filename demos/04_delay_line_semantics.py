@@ -22,18 +22,20 @@ bram = DualBramDelay(plane_t, plane_tm1)
 shift = ShiftRegDelay(plane_t, plane_tm1)
 
 print("same-cycle collision: write sigma(t+1) to address 0, then read it")
-bram.write(0, [-1])
+bram.write(0, [+1])
 print(f"  read_t(0)       -> {bram.read_t(0)[0]:+d}   (pre-write word, plane t)")
 print(f"  read_tminus1(0) -> {bram.read_tminus1(0)[0]:+d}   (pre-write word, plane t-1)")
 bram.end_cycle()
 print("after end_cycle the write is committed:")
 print(f"  read_tminus1(0) -> {bram.read_tminus1(0)[0]:+d}   (t-1 word at 0 is gone)")
+assert bram.read_tminus1(0)[0] != plane_tm1[0, 0], "dual-BRAM t-1 word 0 was not overwritten"
 print(f"  read_tminus1(1) -> {bram.read_tminus1(1)[0]:+d}   (unwritten address survives)")
 
 print("\nthe shift register keeps the full t-1 plane instead:")
-shift.write(0, [-1])
+shift.write(0, [+1])
 shift.end_cycle()
 print(f"  read_tminus1(0) -> {shift.read_tminus1(0)[0]:+d}   (three planes, nothing lost)")
+assert shift.read_tminus1(0)[0] == plane_tm1[0, 0], "shift-register t-1 word 0 changed"
 
 print("\nafter advance_step both designs expose the same planes again:")
 for name, d in (("dual_bram", bram), ("shift_register", shift)):

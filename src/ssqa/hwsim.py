@@ -215,15 +215,13 @@ DELAY_KINDS = tuple(_DELAY_LINES)
 
 def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram",
            graph: WeightedGraph | None = None, sparse_bypass: bool = True,
-           record_trace: bool = False, trace_file=None,
+           record_trace: bool = False,
            f_clk: float = DEFAULT_F_CLK, power_w: float = DEFAULT_POWER_W,
            utilization: float = DEFAULT_UTILIZATION):
     """Spin-serial execution of the schedule, cycle-accounted.
 
     Returns (RunResult, CycleReport); the RunResult is bit-exact equal to
-    run_ssqa with the same inputs. trace_file, when given, receives one line
-    per cycle: "cycle,step,spin,replica,phase,parity" with replica -1
-    meaning all gates in lockstep.
+    run_ssqa with the same inputs.
     """
     if delay_kind not in _DELAY_LINES:
         raise ValueError(f"unknown delay kind {delay_kind!r}")
@@ -246,17 +244,12 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     delay = _DELAY_LINES[delay_kind](plane, plane)
     is_acc = np.zeros_like(plane)
     trace = [] if record_trace else None
-    if trace_file is not None:
-        # "spin,-1,phase," of each cycle of a step: row i's MAC cycles, then its FIN.
-        line_mid = [f"{i},-1,{phase}," for i, deg in enumerate(degree.tolist())
-                    for phase in ["MAC"] * deg + ["FIN"]]
 
     # Each step's scaled noise word per replica per spin, with the bias
     # folded in, becomes the sum in place: the MAC product over the t plane,
     # then the FIN phase's coupling to replica k+1 of the t-1 plane and
     # accumulator.
-    for t, (raw, q, i0, floor) in enumerate(_step_inputs(params, rng, bias)):
-        parity = delay.parity
+    for raw, q, i0, floor in _step_inputs(params, rng, bias):
         _accumulate(jmat, delay.read_t(...), delay.read_tminus1(...), raw, is_acc, q,
                     params.periodic_replicas)
         # Python ints: on a narrow dtype, -raw.min() could wrap.
@@ -270,9 +263,6 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
         is_acc = raw
         delay.write(..., words)
         delay.advance_step()
-        if trace_file is not None:
-            trace_file.write("".join(f"{c},{t},{mid}{parity}\n" for c, mid in
-                                     enumerate(line_mid, t * len(line_mid))))
         if record_trace:
             trace.append(_trace_entry(delay.plane_t(), is_acc))
 

@@ -11,29 +11,23 @@ the word into [-1, 1). Both engines (reference and hardware model) consume
 one output word per spin update from the owning replica's stream, in spin
 index order, so their streams stay aligned.
 
-Blocks are generated by jumping ahead. The xorshift step is linear over
-GF(2), so k draws map a state s to T^k s for a fixed 64x64 bit matrix T,
-and any power of T is built from T by repeated squaring (H. Haramoto,
-M. Matsumoto, T. Nishimura, F. Panneton, P. L'Ecuyer, "Efficient jump ahead
-for F2-linear random number generators", INFORMS J. Comput. 20(3), 2008).
+Every table is built one way. The xorshift step is linear over GF(2), so
+any map of the state made of draws (T^k for k draws, or the noise bits of n
+draws with the state after them) is fixed by the images of the 64 basis
+states e_0..e_63, and those images are drawn with the generator itself. The
+map is held as a 4-bit lookup table: entry [j, v] is the image of v << 4j,
+the XOR of the images of its set bits, so a state's image is the XOR of the
+16 entries its nibbles pick.
+
 next_block(n) cuts the n draws of every stream into C = isqrt(n) lanes of
-L = ceil(n / C) consecutive draws. Lane c starts from T^(cL) s, and all
-C * R lanes advance L times in lockstep as one numpy array, so Python loops
-about sqrt(n) times per block instead of n times. The words come out in
-stream order, equal to n scalar steps of each stream.
-
-A bit matrix M is held as a 4-bit lookup table: entry [j, v] is M applied
-to the word v << 4j. M x is then the XOR of the 16 entries picked by the
-nibbles of x, and the table of a product A B is A applied to every entry of
-the table of B.
-
-Noise bits need no full words. Bit 0 of draw i is linear in the state,
-so the bits of draws 0..n-1 and the state after them are one GF(2)-linear
-map of the state, held as a nibble table like the jump tables: entry
-[j, v] packs the n low bits drawn from the state v << 4j into ceil(n / 64)
-words, followed by T^n (v << 4j). next_block(n, low_bit=True) is then one
-table gather per block, whose last word is the new state. next_bipolar
-draws through it, so a wrapper on next_block sees every word.
+L = ceil(n / C) consecutive draws. Lane c starts from T^(cL) s, read from
+the table of T^L applied c times, and all C * R lanes advance L times in
+lockstep as one numpy array, so Python loops about sqrt(n) times per block
+instead of n times. The words come out in stream order, equal to n scalar
+steps of each stream. next_block(n, low_bit=True) is one gather from the
+table of the n noise bits, packed 64 draws a word, whose last word is the
+new state. next_bipolar draws through it, so a wrapper on next_block sees
+every word.
 """
 
 from __future__ import annotations
@@ -94,12 +88,11 @@ def stream_seeds(seed: int, n_streams: int) -> np.ndarray:
 
 
 _S13, _S7, _S17 = np.uint64(13), np.uint64(7), np.uint64(17)
-_NIBBLE = np.arange(16, dtype=np.uint64)
-_NIBBLE_SHIFT = (np.uint64(4) * _NIBBLE)[:, None]
+_NIBBLE_SHIFT = np.arange(0, 64, 4, dtype=np.uint64)[:, None]
 # Row j of a table flattened to 256 entries starts at entry 16 j.
 _NIBBLE_BASE = 16 * np.arange(16)[:, None]
-# Lookup table of the identity matrix: entry [j, v] is v << 4j.
-_IDENTITY = _NIBBLE << _NIBBLE_SHIFT
+# The basis states e_0..e_63: e_j has bit j set.
+_BASIS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 def _advance(x: np.ndarray) -> None:
@@ -123,32 +116,43 @@ def _apply(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(np.take(flat, idx, axis=1), axis=1)
 
 
-def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Table of the product a b of two matrix tables."""
-    return _apply(a[None], b.ravel()).reshape(16, 16)
+def _table(images: np.ndarray) -> np.ndarray:
+    """Read-only (16, 16, ...) nibble table of the linear map whose images of
+    e_0..e_63 are images[0..63]: entry [j, v] is the XOR of the images of the
+    bits set in v << 4j."""
+    table = np.zeros((16, 16, *images.shape[1:]), dtype=np.uint64)
+    for k in range(4):  # entries v < 2^(k+1) from entries v < 2^k and nibble bit k
+        table[:, 1 << k:2 << k] = table[:, :1 << k] ^ images[k::4, None]
+    table.flags.writeable = False
+    return table
 
 
-def _jump_table(k: int) -> np.ndarray:
-    """Table of T^k, the state map of k xorshift draws."""
-    power = _IDENTITY.copy()
-    _advance(power)
-    result = _IDENTITY
-    while k:
-        if k & 1:
-            result = _compose(power, result)
-        power = _compose(power, power)
-        k >>= 1
-    return result
+def _draws(states: np.ndarray, n: int) -> np.ndarray:
+    """(n, R) array of the next n words of the R states, which advance n
+    draws in place: entry [i, k] is draw i from states[k]."""
+    if n == 0:
+        return np.empty((0, states.shape[0]), dtype=np.uint64)
+    c = math.isqrt(n)
+    length = -(-n // c)
+    lanes = _apply(_lane_tables(c, length), states)
+    out = np.empty((c, length, states.shape[0]), dtype=np.uint64)
+    for j in range(length):
+        _advance(lanes)
+        out[:, j] = lanes
+    out = out.reshape(c * length, -1)[:n]
+    states[:] = out[-1]
+    return out
 
 
 @functools.lru_cache(maxsize=8)
 def _lane_tables(lanes: int, length: int) -> np.ndarray:
     """Read-only (lanes, 16, 16) tables of T^(c * length), c = 0..lanes-1."""
-    stride = _jump_table(length)
-    tables = [_IDENTITY]
-    for _ in range(1, lanes):
-        tables.append(_compose(stride, tables[-1]))
-    tables = np.stack(tables)
+    images = [_BASIS]
+    if lanes > 1:  # length < n of the block that asks, so the recursion ends
+        stride = _table(_draws(_BASIS.copy(), length)[-1])
+        for _ in range(1, lanes):
+            images.append(_apply(stride[None], images[-1])[0])
+    tables = np.moveaxis(_table(np.stack(images, axis=1)), 2, 0).copy()
     tables.flags.writeable = False
     return tables
 
@@ -156,31 +160,18 @@ def _lane_tables(lanes: int, length: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _low_bit_table(n: int) -> np.ndarray:
     """Read-only (16, 16, ceil(n / 64) + 1) nibble table of the n noise bits
-    and the state after them, built from the 64 basis rows one nibble bit at
-    a time. Bit j of masks[i] is draw i's bit from the basis state e_j, so
-    masks[i] is row 0 of T^(i+1): U^(i+1) e_0 for the transpose U of T (right
-    by 17, left by 7, right by 13), and masks[i + L] is U^L masks[i]."""
-    power = _IDENTITY ^ (_IDENTITY >> _S17)  # the table of U, then of U^step
-    power ^= power << _S7
-    power ^= power >> _S13
-    masks = power[0, 1:2]
-    while len(masks) < n:  # the masks double up to 256 words, then grow 256 a pass
-        step = min(len(masks), 256)
-        masks = np.concatenate((masks, _apply(power[None], masks[-step:][:n - len(masks)])[0]))
-        if step < 256:
-            power = _compose(power, power)
-    # Row b of rows holds byte b of each mask; a basis row packs 64 draws a word.
-    words, rows = -(-n // 64), masks[:n].astype("<u8").view(np.uint8).reshape(n, 8).T.copy()
-    basis = np.zeros((64, words + 1), dtype="<u8")
-    for b, packed in enumerate(basis.view(np.uint8)[:, :(n + 7) // 8].reshape(8, 8, -1)):
-        packed[:] = np.packbits(np.unpackbits(rows[b:b + 1], axis=0, bitorder="little"),
-                                axis=1, bitorder="little")  # basis rows 8b..8b+7
-    basis[:, -1] = _apply(_jump_table(n)[None], np.uint64(1) << np.arange(64, dtype=np.uint64))[0]
-    table = np.zeros((16, 16, words + 1), dtype=np.uint64)
-    for k in range(4):  # entries v < 2^(k+1) from entries v < 2^k and nibble bit k
-        table[:, 1 << k:2 << k] = table[:, :1 << k] ^ basis[k::4, None]
-    table.flags.writeable = False
-    return table
+    and the state after them. The image of e_j packs bit 0 of the n draws
+    from e_j, 64 draws a word, and ends with the state they leave."""
+    states = _BASIS.copy()
+    images = np.zeros((64, -(-n // 64) + 1), dtype="<u8")
+    # Byte b of word w packs draws 64 w + 8 b .. 64 w + 8 b + 7, LSB first.
+    packed = images.view(np.uint8)
+    for start in range(0, n, 128):
+        bits = _draws(states, min(128, n - start)).T & np.uint64(1)
+        packed[:, start // 8:(start + bits.shape[1] + 7) // 8] = np.packbits(
+            bits, axis=1, bitorder="little")
+    images[:, -1] = states
+    return _table(images)
 
 
 class RngStreams:
@@ -196,26 +187,14 @@ class RngStreams:
         self.n_streams = n_streams
 
     def next_block(self, n: int, low_bit: bool = False) -> np.ndarray:
-        states = self.states
-        r = states.shape[0]
         if low_bit:
+            states = self.states
             out = _apply(_low_bit_table(n)[None], states)[0]  # (R, words + 1)
             states[:] = out[:, -1]
             # Byte b of word w packs draws 64 w + 8 b .. 64 w + 8 b + 7.
             packed = out[:, :-1].astype("<u8", copy=False).view(np.uint8).T
             return np.unpackbits(packed, axis=0, count=n, bitorder="little")
-        if n == 0:
-            return np.empty((0, r), dtype=np.uint64)
-        c = math.isqrt(n)
-        length = -(-n // c)
-        lanes = _apply(_lane_tables(c, length), states)
-        out = np.empty((c, length, r), dtype=np.uint64)
-        for j in range(length):
-            _advance(lanes)
-            out[:, j] = lanes
-        out = out.reshape(c * length, r)[:n]
-        states[:] = out[-1]
-        return out
+        return _draws(self.states, n)
 
     def next_bipolar(self, n: int) -> np.ndarray:
         """(n, R) int64 array of +-1 noise bits (low bit of each word)."""

@@ -1,6 +1,5 @@
 """Tests for the cycle-accurate datapath model and delay-line semantics."""
 
-import io
 from collections import Counter
 
 import numpy as np
@@ -327,22 +326,6 @@ def test_run_hw_hands_the_delay_line_only_ellipsis(delay_kind, monkeypatch):
     model = IsingModel(3, np.zeros(3, dtype=np.int64), ((0, 1, 1), (1, 2, -1)))
     run_hw(model, AnnealParams(steps=7, replicas=2, seed=1), delay_kind)
     assert len(addrs) == 3 * 7 and all(addr is ... for addr in addrs)
-
-
-def test_run_hw_trace_file_format():
-    model = IsingModel(3, np.zeros(3, dtype=np.int64), ((0, 1, 1), (1, 2, -1)))
-    params = AnnealParams(steps=2, replicas=2, seed=1)
-    # Degrees (1, 2, 1): each step is MAC FIN, MAC MAC FIN, MAC FIN. The
-    # last column is the dual-BRAM bank parity, 0 throughout for registers.
-    step = [(0, "MAC"), (0, "FIN"), (1, "MAC"), (1, "MAC"), (1, "FIN"), (2, "MAC"), (2, "FIN")]
-    for kind, parities in (("dual_bram", (0, 1)), ("shift_register", (0, 0))):
-        buf = io.StringIO()
-        _, report = run_hw(model, params, kind, trace_file=buf)
-        want = [f"{7 * t + c},{t},{spin},-1,{phase},{parities[t]}"
-                for t in range(2) for c, (spin, phase) in enumerate(step)]
-        assert buf.getvalue() == "".join(line + "\n" for line in want), kind
-        assert report.total_cycles == len(want)
-    assert want[:3] == ["0,0,0,-1,MAC,0", "1,0,0,-1,FIN,0", "2,0,1,-1,MAC,0"]
 
 
 def test_run_hw_reports_mac_fin_split():

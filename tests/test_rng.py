@@ -10,7 +10,7 @@ from ssqa.rng import (
     RngStreams,
     XorShift64,
     _apply,
-    _jump_table,
+    _lane_tables,
     _low_bit_table,
     splitmix64,
     stream_seeds,
@@ -165,14 +165,19 @@ def test_blocks_match_scalar_streams(seed, r, sizes):
     assert got.tolist() == expect
 
 
-@pytest.mark.parametrize("k", [0, 1, 63, 64, 1000, 2**20 + 3])
-def test_jump_table_equals_scalar_steps(k):
-    """T^k applied to a state is the state after k scalar draws."""
+@pytest.mark.parametrize("lanes,length", [(1, 5), (2, 1), (2, 64), (17, 18), (28, 29),
+                                          (63, 64)])
+def test_lane_tables_equal_scalar_steps(lanes, length):
+    """Lane table c applied to a state is the state after c * length scalar draws."""
+    tables = _lane_tables(lanes, length)
+    assert tables.shape == (lanes, 16, 16) and tables.flags.c_contiguous
+    assert not tables.flags.writeable
     gen = XorShift64(0x123456789ABCDEF)
-    jumped = _apply(_jump_table(k)[None], np.array([gen.state], dtype=np.uint64))
-    for _ in range(k):
-        gen.next_word()
-    assert int(jumped[0, 0]) == gen.state
+    jumped = _apply(tables, np.array([gen.state], dtype=np.uint64))[:, 0]
+    for c in range(lanes):
+        assert int(jumped[c]) == gen.state, c
+        for _ in range(length):
+            gen.next_word()
 
 
 DRAWS = ("block", "low_bit", "bipolar", "uniform")
@@ -218,7 +223,21 @@ def test_low_bit_tables_are_cached_and_read_only():
         assert _low_bit_table(n).shape == (16, 16, words + 1)
     with pytest.raises(ValueError):
         table[0, 0, 0] = 0
-    # The last word of every entry is that entry's state mapped by T^800.
-    states = stream_seeds(3, 24)
-    assert np.array_equal(_apply(table[..., -1][None], states),
-                          _apply(_jump_table(800)[None], states))
+    # The last word maps a state to the state after 800 scalar draws.
+    gen = XorShift64(0x123456789ABCDEF)
+    last = _apply(table[..., -1][None], np.array([gen.state], dtype=np.uint64))
+    for _ in range(800):
+        gen.next_word()
+    assert int(last[0, 0]) == gen.state
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+def test_low_bit_table_entries_are_scalar_draws(n):
+    """Entry [j, v] packs bit 0 of the n scalar draws from v << 4j, LSB first,
+    64 draws a word, then holds the state after them."""
+    table = _low_bit_table(n)
+    for j, v in ((0, 1), (0, 15), (3, 6), (8, 9), (15, 1), (15, 15)):
+        gen = XorShift64(v << 4 * j)
+        bits = [gen.next_word() & 1 for _ in range(n)]
+        words = [sum(b << i for i, b in enumerate(bits[w:w + 64])) for w in range(0, n, 64)]
+        assert table[j, v].tolist() == words + [gen.state], (j, v)
