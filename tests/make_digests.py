@@ -23,7 +23,8 @@ import numpy as np
 
 from ssqa.gset import load_instance
 from ssqa.hwsim import run_hw
-from ssqa.ising import IsingModel, WeightedGraph, energy, maxcut_to_ising, replica_cuts
+from ssqa.ising import (IsingModel, WeightedGraph, energy, maxcut_to_ising,
+                        pseudo_quantum_energy, replica_cuts)
 from ssqa.schedules import AnnealParams, LinearSchedule, QSchedule
 from ssqa.solver import run_ssa, run_ssqa
 
@@ -93,6 +94,21 @@ def _cases():
         yield (f"hw-G11-i0ramp-{kind}",
                lambda kind=kind: _digest(*run_hw(models["G11"], ramp, kind, graph=graphs["G11"],
                                                  record_trace=True)))
+    # i0 = 2^40 needs the int64 step dtype.
+    wide = AnnealParams(steps=12, replicas=3, seed=4, i0=LinearSchedule.constant(2**40))
+    yield ("ssqa-G11-i0-2^40",
+           lambda: _digest(run_ssqa(models["G11"], wide, graphs["G11"], record_trace=True)))
+    yield ("hw-G11-i0-2^40",
+           lambda: _digest(*run_hw(models["G11"], wide, graph=graphs["G11"], record_trace=True)))
+    # G11 has N = 800, so a noise block holds 5 steps: 6 steps cross a block boundary.
+    for steps in (0, 1, 6):
+        short = AnnealParams(steps=steps, seed=7)
+        yield (f"ssqa-G11-{steps}steps",
+               lambda short=short: _digest(run_ssqa(models["G11"], short, graphs["G11"],
+                                                    record_trace=True)))
+        yield (f"hw-G11-{steps}steps",
+               lambda short=short: _digest(*run_hw(models["G11"], short, graph=graphs["G11"],
+                                                   record_trace=True)))
     for name, model, graph, params, kind, bypass in _small_models():
         def hw(model=model, graph=graph, params=params, kind=kind, bypass=bypass):
             return _digest(*run_hw(model, params, kind, graph=graph, sparse_bypass=bypass,
@@ -105,8 +121,15 @@ def _cases():
             _feed(h, [energy(model, plane[:, k]) for k in range(plane.shape[1])])
             return h.hexdigest()
 
+        def pqe(model=model, params=params):
+            spins = np.random.default_rng(params.seed).choice([-1, 1], size=(5, model.n))
+            return hashlib.sha256(repr([pseudo_quantum_energy(model, spins, q, periodic)
+                                        for q in (0, 3, 1.5) for periodic in (True, False)])
+                                  .encode()).hexdigest()
+
         yield f"hw-{name}", hw
         yield f"score-{name}", scores
+        yield f"pqe-{name}", pqe
 
 
 def compute() -> dict:
