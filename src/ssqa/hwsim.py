@@ -22,7 +22,7 @@ the step's cycles in hardware order:
   engine's, in its dtype, from the same per-run tables (solver._step_inputs,
   _accumulate, _saturate_and_sign).
 
-Cycle counts and trace-file lines come from the same row degrees.
+Cycle counts and the MAC / FIN split come from the same row degrees.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from .schedules import AnnealParams
 # perfbench/tracer.py times hwsim.i0_at, hwsim.n_rnd_at and hwsim.q_value_at,
 # so the names stay bound here; run_hw reads the per-run table.
 from .schedules import i0_at, n_rnd_at, q_value_at  # noqa: F401
-from .solver import (AccumulatorOverflowError, _accumulate, _bias_plane, _finalize,
-                     _saturate_and_sign, _step_dtype, _step_inputs, _trace_entry,
-                     accumulator_bound, initial_state)
+from .solver import (AccumulatorOverflowError, _accumulate, _finalize, _saturate_and_sign,
+                     _step_dtype, _step_inputs, _trace_entry, accumulator_bound,
+                     initial_state)
 
 
 class DelayAddressError(IndexError):
@@ -87,8 +87,10 @@ DEFAULT_UTILIZATION = 0.199
 
 def estimate_report(total_cycles: int, f_clk: float = DEFAULT_F_CLK,
                     power_w: float = DEFAULT_POWER_W,
-                    utilization: float = DEFAULT_UTILIZATION,
-                    cycles_per_step: int = 0) -> CycleReport:
+                    utilization: float = DEFAULT_UTILIZATION) -> CycleReport:
+    """Latency, energy and ADP of total_cycles; run_hw adds cycles_per_step and the split."""
+    if not total_cycles >= 0:
+        raise ValueError(f"cycle count must be >= 0, got {total_cycles}")
     if not 0 < f_clk < float("inf"):
         raise ValueError(f"clock frequency must be positive and finite, got {f_clk}")
     if not 0 <= power_w < float("inf"):
@@ -96,10 +98,9 @@ def estimate_report(total_cycles: int, f_clk: float = DEFAULT_F_CLK,
     if not 0 <= utilization <= 1:
         raise ValueError("utilization must be in [0, 1]")
     latency = total_cycles / f_clk
-    return CycleReport(total_cycles=total_cycles, cycles_per_step=cycles_per_step,
-                       f_clk=f_clk, latency_s=latency, power_w=power_w,
-                       energy_j=power_w * latency, utilization=utilization,
-                       adp_s=utilization * latency)
+    return CycleReport(total_cycles=total_cycles, cycles_per_step=0, f_clk=f_clk,
+                       latency_s=latency, power_w=power_w, energy_j=power_w * latency,
+                       utilization=utilization, adp_s=utilization * latency)
 
 
 def resource_scaling_model(n: int, delay_kind: str, weight_bits: int = 4) -> dict:
@@ -126,9 +127,9 @@ class DelayLine:
     picks where t+1 words land and how advance_step rotates the planes:
 
     * dual_bram: two banks. t+1 words overwrite the t-1 bank in place;
-      advance_step swaps the bank roles and flips parity.
-    * shift_register: three planes, parity 0. t+1 words go to a third
-      plane; advance_step copies it into the t-1 plane, which becomes t.
+      advance_step swaps the bank roles.
+    * shift_register: three planes. t+1 words go to a third plane;
+      advance_step copies it into the t-1 plane, which becomes t.
 
     An address is a word index i in [0, N) or ... for the whole plane in
     spin order, checked on every access. Reads return read-only views.
@@ -142,7 +143,6 @@ class DelayLine:
 
     def __init__(self, plane_t: np.ndarray, plane_tm1: np.ndarray):
         self.n = plane_t.shape[0]
-        self.parity = 0
         self._t, self._tm1 = plane_t.copy(), plane_tm1.copy()
         self._next = self._tm1 if self.kind == "dual_bram" else plane_t.copy()
         self._pending = []
@@ -183,7 +183,6 @@ class DelayLine:
         if self.kind == "dual_bram":
             self._t, self._tm1 = self._next, self._t
             self._next = self._tm1
-            self.parity ^= 1
         else:
             np.copyto(self._tm1, self._next)
             self._t, self._tm1 = self._tm1, self._t
@@ -231,8 +230,8 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     # Delay words, noise, h, J and the accumulators are held in the step
     # dtype, sized from the register widths, not from acc_bound, so that
     # the check below sees every true sum.
-    dtype = _step_dtype(model, params, model.coupling_matrix())
-    jmat, bias = model.coupling_matrix(dtype), _bias_plane(model, r_count, dtype)
+    dtype = _step_dtype(model, params)
+    jmat = model.coupling_matrix(dtype)
     # Row i's MAC cycles: its stored couplings, or every j != i when the
     # sparse bypass is off (zero weights still cost a cycle).
     degree = np.diff(jmat.indptr) if sparse_bypass else np.full(n, n - 1)
@@ -249,7 +248,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     # folded in, becomes the sum in place: the MAC product over the t plane,
     # then the FIN phase's coupling to replica k+1 of the t-1 plane and
     # accumulator.
-    for raw, q, i0, floor in _step_inputs(params, rng, bias):
+    for raw, q, i0, floor in _step_inputs(params, rng, model.h, dtype):
         _accumulate(jmat, delay.read_t(...), delay.read_tminus1(...), raw, is_acc, q,
                     params.periodic_replicas)
         # Python ints: on a narrow dtype, -raw.min() could wrap.
@@ -271,5 +270,6 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     cycle = mac_cycles + fin_cycles
     per_step = count_total_cycles(model, 1, sparse_bypass)
     assert cycle == params.steps * per_step, f"cycle accounting drift: {cycle} != {per_step}/step"
-    report = estimate_report(cycle, f_clk, power_w, utilization, cycles_per_step=per_step)
-    return result, replace(report, mac_cycles=mac_cycles, fin_cycles=fin_cycles)
+    report = estimate_report(cycle, f_clk, power_w, utilization)
+    return result, replace(report, cycles_per_step=per_step, mac_cycles=mac_cycles,
+                           fin_cycles=fin_cycles)

@@ -18,9 +18,18 @@ the default 500 steps x 20 replicas.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+
+def _check_ints(config, *names):
+    """Raise TypeError for the first named field of config that is a bool or a non-integer."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise TypeError(f"{name} must be int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +40,7 @@ class QSchedule:
     beta: float = 0.05
 
     def __post_init__(self):
+        _check_ints(self, "tau")
         # Written so that NaN fails every check.
         if not all(map(math.isfinite, (self.q_min, self.q_max, self.beta))):
             raise ValueError(f"q_min, q_max and beta must be finite, got "
@@ -96,6 +106,7 @@ class AnnealParams:
     periodic_replicas: bool = True
 
     def __post_init__(self):
+        _check_ints(self, "steps", "replicas", "alpha", "seed")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.replicas < 1:

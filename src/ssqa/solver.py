@@ -25,18 +25,15 @@ run_hw forms its sums through the same _accumulate. Only traces and results
 are replica-major (R, N) and int64, and only those boundaries transpose and
 widen.
 
-Per-run tables: as the paper's controller hands each step its q, I0 and
-n_rnd, _step_inputs computes the three schedules once per run
-(schedules.schedule_table) and gives each step its values as Python ints.
-The saturation clamps against one -i0 plane held for the run and refilled
-only when i0 changes (never at a constant i0). A step then spends its
-passes on the field product, the replica coupling, the accumulator sum and
-the saturation.
-
-Noise: the replica streams run free of the spins, as the p-bit RNGs do in
-hardware, so both engines step over _noise_planes, which draws several
-steps' noise per RNG call and maps, scales and biases (adds h to) each
-block once; draw i of a stream is the same in any block size.
+Per-step inputs: the paper's controller hands each step its q, I0 and
+n_rnd, and the p-bit RNGs run free of the spins. So one generator,
+_step_inputs, computes the three schedules once per run
+(schedules.schedule_table) and draws several steps' noise per RNG call,
+mapping, scaling and biasing (adding h to) each block once; draw i of a
+stream is the same in any block size. The saturation clamps against one -i0
+plane held for the run and refilled only when i0 changes. A step then
+spends its passes on the field product, the replica coupling, the
+accumulator sum and the saturation.
 """
 
 from __future__ import annotations
@@ -143,50 +140,32 @@ def _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, periodic):
     raw += is_acc
 
 
-def _step_arrays(jmat, params, sigma, sigma_prev, raw, is_acc, q, i0, floor):
-    """One step in place, with the step's q, i0 and -i0 plane floor: raw
-    becomes the accumulator and sigma_prev the new spins."""
-    _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, params.periodic_replicas)
-    _saturate_and_sign(raw, i0, i0 - params.alpha, floor, sigma_prev)
-
-
-def _bias_plane(model: IsingModel, replicas: int, dtype) -> np.ndarray:
-    """h as a C-order (N, R) plane in dtype, added to each noise block."""
-    return np.repeat(model.h.astype(dtype)[:, None], replicas, axis=1)
-
-
 _NOISE_BLOCK = 4096  # draws per stream in one noise block: 64 words a table entry
 
 
-def _noise_planes(rng, n_rnd, bias):
-    """Yield each step's (N, R) noise, n_rnd[t] times +-1 bits plus the
-    (N, R) bias plane, in the bias plane's dtype, as C-order, writable views
-    of blocks of K = max(1, _NOISE_BLOCK // N) steps, one RNG call each; the
-    last holds the rest. n_rnd is the run's table, one entry per step."""
-    n, dtype = bias.shape[0], bias.dtype
+def _step_inputs(params, rng, h, dtype):
+    """Yield (noise, q, i0, floor) of each step from the run's schedule
+    table. noise, n_rnd[t] times +-1 bits plus h, is a C-order, writable
+    (N, R) plane in dtype, from blocks of K = max(1, _NOISE_BLOCK // N)
+    steps (the last holds the rest) of one RNG call and one map, scale and
+    bias each. q and i0 are Python ints (a numpy integer would widen an int8
+    plane under NEP 50). floor is the -i0 plane; one serves the run,
+    refilled only when i0 changes."""
+    n, replicas = len(h), rng.n_streams
+    bias = np.repeat(h.astype(dtype), replicas)  # the flat spin-major (N, R) plane of h
+    i0s, n_rnd, qs = (column.tolist() for column in schedule_table(params))
     per_block = max(1, _NOISE_BLOCK // n)
-    for start in range(0, len(n_rnd), per_block):
-        scale = np.asarray(n_rnd[start:start + per_block]).astype(dtype)[:, None]
-        k = len(scale)
-        bits = rng.next_block(k * n, low_bit=True).reshape(k, -1)  # one row per step
-        block = _bipolar(bits, scale, dtype)
-        block += bias.reshape(-1)
-        yield from block.reshape(k, n, rng.n_streams)
-
-
-def _step_inputs(params, rng, bias):
-    """Yield (noise, q, i0, floor) of each step: the noise plane of
-    _noise_planes, q and i0 as Python ints from the run's schedule table (a
-    numpy integer would widen an int8 plane under NEP 50), and floor, a -i0
-    plane shaped like bias. One floor plane serves the run: it is refilled
-    only when i0 changes, so an i0 ramp of any length costs one plane."""
-    i0s, n_rnd, qs = schedule_table(params)
-    floor, held = np.empty_like(bias), None
-    for raw, q, i0 in zip(_noise_planes(rng, n_rnd, bias), qs.tolist(), i0s.tolist()):
-        if i0 != held:
-            floor.fill(-i0)
-            held = i0
-        yield raw, q, i0, floor
+    floor, held = np.empty((n, replicas), dtype), None
+    for start in range(0, params.steps, per_block):
+        scale = np.array(n_rnd[start:start + per_block], dtype)[:, None]  # one row per step
+        bits = rng.next_block(len(scale) * n, low_bit=True)
+        block = _bipolar(bits.reshape(len(scale), -1), scale, dtype)
+        block += bias
+        for t, noise in enumerate(block.reshape(-1, n, replicas), start):
+            if i0s[t] != held:
+                held = i0s[t]
+                floor.fill(-held)
+            yield noise, qs[t], held, floor
 
 
 def _schedule_extremes(params: AnnealParams) -> tuple:
@@ -215,7 +194,7 @@ def accumulator_bound(model: IsingModel, params: AnnealParams) -> int:
     return worst
 
 
-def _step_dtype(model: IsingModel, params: AnnealParams, jmat) -> np.dtype:
+def _step_dtype(model: IsingModel, params: AnnealParams) -> np.dtype:
     """The step dtype: the narrowest signed integer that holds +-2 * bound,
     where bound covers every partial sum of a step from widths alone (every
     h and J at 2^(weight_bits-1), a full row of the widest degree) plus the
@@ -224,7 +203,7 @@ def _step_dtype(model: IsingModel, params: AnnealParams, jmat) -> np.dtype:
     silently. Past int64 the run stays in int64, where accumulator_bound
     keeps every sum exact."""
     n_rnd_max, q_max, i0_max = _schedule_extremes(params)
-    degree = int(np.diff(jmat.indptr).max())  # jmat: the model's coupling CSR
+    degree = int(np.diff(model.coupling_matrix().indptr).max())
     bound = ((1 + degree) << (model.weight_bits - 1)) + n_rnd_max + q_max + i0_max
     # A signed type that holds -(2 bound + 1) also holds +2 bound.
     return np.min_scalar_type(-1 - min(2 * bound, 2**63 - 1))
@@ -259,16 +238,18 @@ def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | Non
              record_trace: bool = False) -> RunResult:
     """Run the full replica-coupled anneal; deterministic in (model, params, seed)."""
     accumulator_bound(model, params)  # a too-wide schedule raises here
-    dtype = _step_dtype(model, params, model.coupling_matrix())
-    jmat, bias = model.coupling_matrix(dtype), _bias_plane(model, params.replicas, dtype)
+    dtype = _step_dtype(model, params)
+    jmat = model.coupling_matrix(dtype)
     rng = RngStreams(params.seed, params.replicas)
     sigma = initial_state(model, rng, dtype)
     # The t-1 plane starts as a copy of the t plane, so that the first
     # step's replica-coupling term is well defined.
     sigma_prev, is_acc = sigma.copy(), np.zeros_like(sigma)
     trace = [] if record_trace else None
-    for raw, q, i0, floor in _step_inputs(params, rng, bias):
-        _step_arrays(jmat, params, sigma, sigma_prev, raw, is_acc, q, i0, floor)
+    for raw, q, i0, floor in _step_inputs(params, rng, model.h, dtype):
+        # raw becomes the accumulator and sigma_prev the new spins.
+        _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, params.periodic_replicas)
+        _saturate_and_sign(raw, i0, i0 - params.alpha, floor, sigma_prev)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
         if record_trace:
             trace.append(_trace_entry(sigma, is_acc))

@@ -93,6 +93,17 @@ def test_params_validation_and_with():
     assert q.replicas == 7 and p.replicas == 20  # original untouched
 
 
+# steps=2.5 ran 3 steps, alpha=1.5 ran as alpha=2, and tau=2.5 was accepted.
+@pytest.mark.parametrize("config,field", [
+    (AnnealParams, "steps"), (AnnealParams, "replicas"), (AnnealParams, "alpha"),
+    (AnnealParams, "seed"), (QSchedule, "tau")])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+def test_integer_fields_reject_non_integers(config, field, value):
+    with pytest.raises(TypeError, match=f"^{field} must be int"):
+        config(**{field: value})
+    assert getattr(config(**{field: np.int64(2)}), field) == 2
+
+
 # Ints past 2^53 too: a float64 product of two such ints rounds.
 HUGE = st.integers(-2**58, 2**58)
 RAMP_END = st.integers(-60, 60) | st.floats(-60, 60, allow_nan=False) | HUGE

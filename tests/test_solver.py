@@ -12,11 +12,9 @@ from ssqa.schedules import (AnnealParams, LinearSchedule, QSchedule, i0_at, n_rn
                             schedule_table)
 from ssqa.solver import (
     _NOISE_BLOCK,
+    _accumulate,
     _add_coupling,
-    _bias_plane,
-    _noise_planes,
     _saturate_and_sign,
-    _step_arrays,
     _step_dtype,
     _step_inputs,
     accumulator_bound,
@@ -54,18 +52,19 @@ def random_model(rng, n, p=0.4, weight_bits=4):
 # ------------------------------------------------------- hand-computed trace
 
 def hand_steps(model, params, rng, sigma, is_acc):
-    """Step the engines' kernel, _step_arrays, in the run's step dtype from
-    hand-set replica-major (R, N) planes, with the t-1 plane a copy of the
-    t plane as at the start of a run, over the engines' per-step inputs (h
-    rides with the noise). Yields replica-major (sigma, Is) after each of
-    params.steps steps."""
-    dtype = _step_dtype(model, params, model.coupling_matrix())
-    jmat, bias = model.coupling_matrix(dtype), _bias_plane(model, params.replicas, dtype)
+    """Step the engines' kernels, _accumulate and _saturate_and_sign, in the
+    run's step dtype from hand-set replica-major (R, N) planes, with the t-1
+    plane a copy of the t plane as at the start of a run, over the engines'
+    per-step inputs (h rides with the noise). Yields replica-major (sigma,
+    Is) after each of params.steps steps."""
+    dtype = _step_dtype(model, params)
+    jmat = model.coupling_matrix(dtype)
     sigma = np.array(np.transpose(sigma), dtype=dtype, order="C")
     is_acc = np.array(np.transpose(is_acc), dtype=dtype, order="C")
     sigma_prev = sigma.copy()
-    for raw, q, i0, floor in _step_inputs(params, rng, bias):
-        _step_arrays(jmat, params, sigma, sigma_prev, raw, is_acc, q, i0, floor)
+    for raw, q, i0, floor in _step_inputs(params, rng, model.h, dtype):
+        _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, params.periodic_replicas)
+        _saturate_and_sign(raw, i0, i0 - params.alpha, floor, sigma_prev)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
         yield sigma.T.copy(), is_acc.T.copy()
 
@@ -242,7 +241,7 @@ def test_engines_match_naive_oracle_at_each_step_dtype(weight_bits, i0, n_rnd, d
         params = AnnealParams(steps=40, replicas=3, seed=weight_bits, q=QSchedule(0, 4, 5, 1.0),
                               i0=i0, n_rnd=LinearSchedule.constant(n_rnd),
                               periodic_replicas=periodic)
-        assert _step_dtype(model, params, model.coupling_matrix()) == dtype
+        assert _step_dtype(model, params) == dtype
         expected = naive_trace(model, params)
         runs = [run_ssqa(model, params, record_trace=True).trace]
         runs += [run_hw(model, params, kind, record_trace=True)[0].trace
@@ -259,7 +258,7 @@ def test_step_dtype_is_sized_from_widths():
     g14 = maxcut_to_ising(load_instance("G14"))
 
     def dtype(model, **kw):
-        return _step_dtype(model, AnnealParams(**kw), model.coupling_matrix())
+        return _step_dtype(model, AnnealParams(**kw))
 
     assert dtype(g11) == np.int8  # 2 * (5 * 8 + 6 + 2 + 5) = 106
     assert dtype(g14) == np.int16  # 2 * (133 * 8 + 6 + 2 + 5) = 2154
@@ -346,15 +345,16 @@ def test_add_coupling_matches_two_slice_rule(case):
 
 
 @pytest.mark.parametrize("replicas", [1, 20])
-def test_noise_planes_are_c_order_planes(replicas):
+def test_step_inputs_are_c_order_planes(replicas):
     """Every plane of a step is C-ordered: an elementwise pass that mixes a
     C- and an F-ordered plane is strided."""
     for dtype in (np.int8, np.int16):
-        n_rnd = schedule_table(AnnealParams(steps=7, replicas=replicas))[1]
-        bias = np.zeros((800, replicas), dtype)
-        for noise in _noise_planes(RngStreams(1, replicas), n_rnd, bias):
-            assert noise.shape == (800, replicas) and noise.dtype == dtype
-            assert noise.flags.c_contiguous
+        params = AnnealParams(steps=7, replicas=replicas)
+        h = np.zeros(800, np.int64)
+        for noise, _, _, floor in _step_inputs(params, RngStreams(1, replicas), h, dtype):
+            for plane in (noise, floor):
+                assert plane.shape == (800, replicas) and plane.dtype == dtype
+                assert plane.flags.c_contiguous
 
 
 def steps_per_block(n):
@@ -376,21 +376,26 @@ STEP_COUNTS = (lambda k: 0, lambda k: 1, lambda k: k - 1, lambda k: k, lambda k:
          n_rnd=(6, 0), biased=False)
 @example(n=7, steps=STEP_COUNTS[-1], replicas=3, dtype=np.int8, seed=1, n_rnd=(6, 0),
          biased=True)
-def test_noise_planes_equal_step_by_step_draws(n, steps, replicas, dtype, seed, n_rnd, biased):
-    """Each plane is n_rnd(t) times the +-1 bits of a twin stream drawing
-    one step at a time, plus the bias plane when there is one, in the step
-    dtype; planes are C-ordered, writable and disjoint, and both streams end
-    in one state."""
+def test_step_inputs_equal_step_by_step_draws(n, steps, replicas, dtype, seed, n_rnd, biased):
+    """Each noise plane is n_rnd(t) times the +-1 bits of a twin stream
+    drawing one step at a time, plus h when there is one, in the step dtype;
+    planes are C-ordered, writable and disjoint, and both streams end in one
+    state. q, i0 and the -i0 floor are the schedule's at each step."""
     params = AnnealParams(steps=steps(steps_per_block(n)), replicas=replicas, seed=seed,
-                          n_rnd=LinearSchedule(*n_rnd))
-    bias = np.zeros((n, replicas), dtype)
+                          n_rnd=LinearSchedule(*n_rnd), i0=LinearSchedule(3, 9))
+    h = np.zeros(n, np.int64)
     if biased:
-        bias[:] = np.random.default_rng(seed).integers(-8, 8, size=bias.shape)
+        h[:] = np.random.default_rng(seed).integers(-8, 8, size=n)
     blocks, twin = RngStreams(seed, replicas), RngStreams(seed, replicas)
-    planes = list(_noise_planes(blocks, schedule_table(params)[1], bias))
+    planes = []
+    for t, (plane, q, i0, floor) in enumerate(_step_inputs(params, blocks, h, dtype)):
+        assert (q, i0) == (q_value_at(params, t), i0_at(params, t))
+        assert type(q) is type(i0) is int
+        assert floor.dtype == dtype and np.all(floor == -i0)
+        planes.append(plane)
     assert len(planes) == params.steps
     for t, plane in enumerate(planes):
-        expect = (n_rnd_at(params, t) * twin.next_bipolar(n) + bias).astype(dtype)
+        expect = (n_rnd_at(params, t) * twin.next_bipolar(n) + h[:, None]).astype(dtype)
         assert plane.dtype == dtype and plane.shape == (n, replicas)
         assert plane.tobytes() == expect.tobytes()
         assert plane.flags.c_contiguous and plane.flags.writeable
