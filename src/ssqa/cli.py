@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import bench, gset, hwsim
@@ -100,6 +101,16 @@ def _build_config(args, suffix="") -> RunConfig:
         raise _CliError(EXIT_CONFIG, str(exc))
 
 
+def _check_out_dir(args):
+    """With --out: fail before the first trial, as writing would after the
+    last one, when the prefix's directory cannot take the output files."""
+    if args.out:
+        directory = os.path.dirname(args.out) or os.curdir
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
+            raise _CliError(EXIT_IO, f"cannot write output: {directory!r} is not a "
+                                     f"writable directory")
+
+
 def _write_outputs(args, payload: str, summaries, extra_cols=(),
                    oneliner: str | None = None):
     """With --out: write <out>.json / <out>.csv (extra_cols lead each CSV
@@ -119,6 +130,7 @@ def _write_outputs(args, payload: str, summaries, extra_cols=(),
 
 def cmd_run(args):
     config = _build_config(args)
+    _check_out_dir(args)
     summary = bench.run_trials(config)
     s = summary.summary_dict()
     norm = f", normalized {s['normalized_mean']:.4f}" if "normalized_mean" in s else ""
@@ -130,6 +142,7 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     config = _build_config(args)
+    _check_out_dir(args)
     field = args.sweep_field
     results = bench.sweep(config, field, args.values)
     payload = json.dumps({
@@ -144,6 +157,7 @@ def cmd_sweep(args):
 def cmd_compare(args):
     config_a = _build_config(args)
     config_b = _build_config(args, suffix="_b")
+    _check_out_dir(args)
     report, sa, sb = bench.compare(config_a, config_b)
     payload = json.dumps({"instance": config_a.instance, "compare": report}, indent=2)
     _write_outputs(args, payload, [(("a",), sa), (("b",), sb)], extra_cols=("side",))

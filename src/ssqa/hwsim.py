@@ -13,8 +13,11 @@ spin order. run_hw makes two transactions per step with ..., each equal to
 the step's cycles in hardware order:
 
 * MAC phase: one read of the whole t plane (a read-only view of the bank)
-  and one product J @ plane. No cycle of a step writes the t plane, and a
-  zero weight adds nothing, so the product also serves the dense schedule.
+  and one CSR kernel call that adds J times it straight into the step's
+  sums, as all R replica gates share each (J_ij, j) fetch (csr_matvec at
+  R = 1, csr_matvecs above; solver._accumulate). No cycle of a step writes
+  the t plane, and a zero weight adds nothing, so the product also serves
+  the dense schedule.
 * FIN phase: cycle i reads t-1 word i and writes t+1 word i, once per
   spin, so reading every t-1 word (a view), then writing every t+1 word
   in place into next_plane(), the t-1 bank on dual-BRAM, gives the words

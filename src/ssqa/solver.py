@@ -13,17 +13,19 @@ next plane. The replica-coupling term reads the plane from two steps back
 
 Layout: the engines keep spin-major (N, R) planes, the word layout of the
 hardware delay lines: row i holds spin i of every replica. A step's noise
-block arrives in that shape, J @ sigma needs no transpose, and the noise
-buffer becomes the accumulator in place. run_ssqa and hwsim.run_hw hold the
-planes, the noise, h, J and the accumulators in one step dtype per run: a
-signed integer sized, like the hardware registers, from the weight width,
-the row degree and the schedule endpoints (int8 on G11, int16 on G14; see
-_step_dtype). The model caches its CSR in each step dtype. Every pass of a
-step runs over whole contiguous planes: the replica coupling is one pass
-over a neighbour plane built by a flat shifted copy (_add_coupling), and
-run_hw forms its sums through the same _accumulate. Only traces and results
-are replica-major (R, N) and int64, and only those boundaries transpose and
-widen.
+block arrives in that shape and the noise buffer becomes the accumulator in
+place. The field J sigma needs no transpose: scipy's compiled CSR kernel
+(csr_matvec at R = 1, csr_matvecs above) adds it straight into the
+accumulator, with no product plane (_accumulate). run_ssqa and
+hwsim.run_hw hold the planes, the noise, h, J and the accumulators in one
+step dtype per run: a signed integer sized, like the hardware registers,
+from the weight width, the row degree and the schedule endpoints (int8 on
+G11, int16 on G14; see _step_dtype), which the kernel sums in. The model
+caches its CSR in each step dtype. Every pass of a step runs over whole
+contiguous planes: the replica coupling is one pass over a neighbour plane
+built by a flat shifted copy (_add_coupling), and run_hw forms its sums
+through the same _accumulate. Only traces and results are replica-major
+(R, N) and int64, and only those boundaries transpose and widen.
 
 Per-step inputs: the paper's controller hands each step its q, I0 and
 n_rnd, and the p-bit RNGs run free of the spins. So one generator,
@@ -41,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .ising import IsingModel, WeightedGraph, replica_cuts, replica_energies
 # perfbench/tracer.py times solver.cut_value, so the name stays bound here;
@@ -134,8 +137,28 @@ def _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, periodic):
     """A step's unsaturated sum on spin-major planes, in place: raw (the
     step's noise, already scaled by n_rnd and biased by h) becomes
     raw + J sigma + q sigma_prev[:, k + 1] + is_acc. The sum is exact in any
-    order, because _step_dtype bounds the sum of every |term|."""
-    raw += jmat @ sigma  # reads the step-t plane only
+    order, because _step_dtype bounds the sum of every |term|.
+
+    scipy's compiled CSR kernel adds J sigma straight into raw, with no
+    result plane to allocate and add; it takes the single-column kernel at
+    R = 1, as scipy's own product does. The kernel sums in the operands'
+    dtype and writes through raw's flat view, so raw must be C-ordered and
+    share J's dtype; sigma (read-only in run_hw) is only read."""
+    n, replicas = raw.shape
+    # The kernel checks no length: a plane of another shape would be read
+    # or written out of bounds.
+    if (not raw.flags.c_contiguous or raw.dtype != jmat.dtype or sigma.dtype != jmat.dtype
+            or sigma.shape != raw.shape or len(jmat.indptr) != n + 1):
+        raise ValueError(
+            f"the field product needs a C-ordered (N, R) accumulator and a sigma plane of its "
+            f"shape, both in J's dtype; got J {jmat.dtype} {jmat.shape}, raw {raw.dtype} "
+            f"{raw.shape} (C-ordered: {raw.flags.c_contiguous}), sigma {sigma.dtype} "
+            f"{sigma.shape}")
+    csr = (jmat.indptr, jmat.indices, jmat.data, sigma.reshape(-1), raw.reshape(-1))
+    if replicas == 1:
+        _sparsetools.csr_matvec(n, n, *csr)  # reads the step-t plane only
+    else:
+        _sparsetools.csr_matvecs(n, n, replicas, *csr)
     _add_coupling(raw, sigma_prev, q, periodic)
     raw += is_acc
 
@@ -274,17 +297,24 @@ def run_psa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None
     """Floating-point baseline: sigma' = sgn(r + tanh(i0 * (h + J sigma))).
 
     Replicas evolve independently (no coupling term); r is uniform on [-1, 1).
+    The uniforms of K = max(1, _NOISE_BLOCK // N) steps come from one RNG
+    call, as _step_inputs draws its noise; draw i of a stream is the same in
+    any block size.
     """
     jmat = model.coupling_matrix()
     h = model.h.astype(np.float64)[:, None]
     rng = RngStreams(params.seed, params.replicas)
     sigma = initial_state(model, rng, np.float64)
     spin_sum = np.zeros_like(sigma) if collect_spin_mean else None
-    for i0 in params.i0.at(np.arange(params.steps, dtype=np.float64), params.steps).tolist():
-        inp = i0 * (h + jmat @ sigma)
-        r = rng.next_uniform(model.n)
-        sigma = np.where(r + np.tanh(inp) >= 0, 1.0, -1.0)
-        if collect_spin_mean:
-            spin_sum += sigma
+    i0s = params.i0.at(np.arange(params.steps, dtype=np.float64), params.steps).tolist()
+    per_block = max(1, _NOISE_BLOCK // model.n)
+    for start in range(0, params.steps, per_block):
+        block_i0 = i0s[start:start + per_block]
+        uniforms = rng.next_uniform(len(block_i0) * model.n)
+        for i0, r in zip(block_i0, uniforms.reshape(len(block_i0), model.n, -1)):
+            inp = i0 * (h + jmat @ sigma)
+            sigma = np.where(r + np.tanh(inp) >= 0, 1.0, -1.0)
+            if collect_spin_mean:
+                spin_sum += sigma
     mean = (spin_sum / max(params.steps, 1)).T if collect_spin_mean else None
     return _finalize(model, params, graph, sigma, spin_mean=mean)

@@ -300,6 +300,22 @@ def test_cli_exit_codes(square_path, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep-steps", "--steps-list", "5,10"],
+                                     ["compare", "--steps-b", "10"]])
+def test_cli_unwritable_out_exits_3_before_any_trial(command, square_path, tmp_path, capsys,
+                                                     monkeypatch):
+    """--out in a missing directory, or under a file, is an I/O error (3)
+    raised before the first trial, not after the last."""
+    trials = []
+    monkeypatch.setattr(bench, "run_one_trial", lambda *a: trials.append(a))
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "missing" / "res", tmp_path / "file" / "res"):
+        code = run_cli(*command, "--instance", square_path, "--steps", "5", "--trials", "2",
+                       "--out", str(out))
+        assert code == 3 and trials == []
+        assert "ssqa-bench: error: cannot write output:" in capsys.readouterr().err
+
+
 def test_cli_config_error_exits_2_without_traceback(square_path, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(ssqa.__file__).parents[1]))
     nan_config, wide_config = tmp_path / "nan.json", tmp_path / "wide.json"

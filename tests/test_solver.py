@@ -344,6 +344,43 @@ def test_add_coupling_matches_two_slice_rule(case):
     assert raw.dtype == expect.dtype and raw.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+@pytest.mark.parametrize("replicas", [1, 5])
+def test_accumulate_matches_edge_loop_at_every_step_dtype(dtype, replicas):
+    """_accumulate adds J sigma through scipy's compiled CSR kernel, a
+    private module: the single-column kernel at R = 1, the multi-column one
+    above. At every step dtype, from a read-only sigma as run_hw's delay
+    views are, with raw near a quarter of the dtype's range, the sum equals
+    the edge loop's and the @ product's, so a scipy release that moves or
+    changes the kernel fails here. A non-contiguous accumulator, which the
+    kernel would write through a copy, and planes in another dtype, which it
+    would sum in a narrower one, raise."""
+    rng = np.random.default_rng(replicas)
+    model = random_model(rng, 9, p=0.5)
+    jmat = model.coupling_matrix(dtype)
+    shape, big = (model.n, replicas), int(np.iinfo(dtype).max) // 4
+    sigma = rng.choice(np.array([-1, 1], dtype), size=shape)
+    sigma.flags.writeable = False
+    prev = rng.choice(np.array([-1, 1], dtype), size=shape)
+    raw = rng.integers(-big, big, size=shape, endpoint=True).astype(dtype)
+    is_acc = rng.integers(-20, 20, size=shape, endpoint=True).astype(dtype)
+    expect = raw.astype(np.int64) + is_acc + 2 * np.roll(prev, -1, axis=1)
+    field = np.zeros(shape, np.int64)
+    for i, j, w in model.couplings.tolist():
+        field[i] += w * sigma[j].astype(np.int64)
+        field[j] += w * sigma[i].astype(np.int64)
+    assert np.array_equal(field, model.coupling_matrix() @ sigma.astype(np.int64))
+    expect += field
+    _accumulate(jmat, sigma, prev, raw, is_acc, 2, True)
+    assert raw.dtype == dtype and raw.tobytes() == expect.astype(dtype).tobytes()
+    strided = np.zeros((model.n, 2 * replicas), dtype)[:, ::2]
+    other = np.int32 if dtype == np.int64 else np.int64
+    for bad_raw, bad_sigma in ((strided, sigma), (raw.astype(other), sigma),
+                               (raw, sigma.astype(other)), (raw[1:], sigma[1:])):
+        with pytest.raises(ValueError, match="C-ordered"):
+            _accumulate(jmat, bad_sigma, prev, bad_raw, is_acc, 2, True)
+
+
 @pytest.mark.parametrize("replicas", [1, 20])
 def test_step_inputs_are_c_order_planes(replicas):
     """Every plane of a step is C-ordered: an elementwise pass that mixes a
@@ -582,6 +619,37 @@ def test_psa_solves_square():
                           i0=LinearSchedule(0.2, 4.0))
     result = run_psa(model, params, graph)
     assert result.best_value == 4
+
+
+def naive_psa(model, params):
+    """run_psa's update with one next_uniform call per step (test oracle of
+    its blocked draws): the final spin-major plane and the spin sum."""
+    jmat = model.coupling_matrix()
+    h = model.h.astype(np.float64)[:, None]
+    rng = RngStreams(params.seed, params.replicas)
+    sigma = initial_state(model, rng, np.float64)
+    spin_sum = np.zeros_like(sigma)
+    for t in range(params.steps):
+        inp = params.i0.at(float(t), params.steps) * (h + jmat @ sigma)
+        sigma = np.where(rng.next_uniform(model.n) + np.tanh(inp) >= 0, 1.0, -1.0)
+        spin_sum += sigma
+    return sigma, spin_sum
+
+
+@pytest.mark.parametrize("n", [1, 7, 15])
+@pytest.mark.parametrize("steps", STEP_COUNTS, ids=["0", "1", "K-1", "K", "K+1", "2K+3"])
+def test_psa_blocks_equal_step_by_step_draws(n, steps):
+    """run_psa draws K = max(1, _NOISE_BLOCK // N) steps of uniforms per RNG
+    call and evolves bit for bit as with one call per step, for step counts
+    around K."""
+    model = random_model(np.random.default_rng(n), n, p=0.6)
+    params = AnnealParams(steps=steps(steps_per_block(n)), replicas=3, seed=n,
+                          i0=LinearSchedule(0.2, 3.0))
+    result = run_psa(model, params, collect_spin_mean=True)
+    sigma, spin_sum = naive_psa(model, params)
+    assert result.spin_mean.tobytes() == (spin_sum / max(params.steps, 1)).T.tobytes()
+    assert np.array_equal(result.per_replica_final, replica_energies(model, sigma))
+    assert np.array_equal(result.best_state, sigma[:, result.best_replica])
 
 
 def test_best_state_is_int8_and_scores_like_int64():
