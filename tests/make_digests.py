@@ -6,17 +6,22 @@ of a recorded trace, and the CycleReport fields of a run_hw run. A change
 that leaves every digest unchanged leaves those results unchanged bit for
 bit. tests/test_digests.py checks the digests in tests/data/digests.json.
 
-Regenerate the file (only when results are meant to change) with
+    PYTHONPATH=src python tests/make_digests.py [--rewrite]
 
-    PYTHONPATH=src python tests/make_digests.py
+records the digest of every case the file lacks. It exits 1, naming each
+recorded case whose digest now differs or that is no longer generated, and
+writes nothing then; --rewrite records every case as it now computes (only
+when results are meant to change).
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +30,7 @@ from ssqa.gset import load_instance
 from ssqa.hwsim import run_hw
 from ssqa.ising import (IsingModel, WeightedGraph, energy, maxcut_to_ising,
                         pseudo_quantum_energy, replica_cuts)
+from ssqa.rng import RngStreams
 from ssqa.schedules import AnnealParams, LinearSchedule, QSchedule
 from ssqa.solver import run_ssa, run_ssqa
 
@@ -53,14 +59,28 @@ def _digest(result, report=None) -> str:
     return h.hexdigest()
 
 
+def _low_bits(n, replicas) -> str:
+    """Digest of two consecutive low-bit blocks of n draws and the states
+    they leave."""
+    streams = RngStreams(3, replicas)
+    h = hashlib.sha256()
+    for _ in range(2):
+        _feed(h, streams.next_block(n, low_bit=True))
+    _feed(h, streams.states)
+    return h.hexdigest()
+
+
 def _small_models():
-    """(name, model, graph, params, delay kind, sparse bypass) of 12 random
-    models with h != 0: weight bits 4/8/12, open and periodic replica
-    chains, sparse and dense rows. graph carries the couplings as weights."""
+    """(name, model, graph, params, delay kind, sparse bypass) of 48 random
+    models with h != 0, four rounds of weight bits 4/8/12, open and periodic
+    replica chains, sparse and dense rows. graph carries the couplings as
+    weights. Rounds after the first add -2, -3, -4 to the name and shift the
+    delay kind and bypass pattern, so each configuration meets both kinds."""
     rng = np.random.default_rng(2024)
     cases = []
-    for k, (bits, periodic, density) in enumerate(
-            itertools.product((4, 8, 12), (True, False), (0.25, 1.0))):
+    configs = itertools.product((4, 8, 12), (True, False), (0.25, 1.0))
+    for k, (bits, periodic, density) in enumerate(list(configs) * 4):
+        turn = k // 12
         n = int(rng.integers(6, 24))
         lim = 1 << (bits - 1)
         couplings = tuple((i, j, int(rng.integers(-lim, lim)))
@@ -74,8 +94,10 @@ def _small_models():
                               i0=LinearSchedule(i0 // 2 + 1, i0 + 1),
                               n_rnd=LinearSchedule(lim, 0), periodic_replicas=periodic)
         name = f"b{bits}-{'periodic' if periodic else 'open'}-{'dense' if density == 1 else 'sparse'}"
-        cases.append((name, model, graph, params, ("dual_bram", "shift_register")[k % 2],
-                      k % 3 != 0))
+        if turn:
+            name += f"-{turn + 1}"
+        cases.append((name, model, graph, params, ("dual_bram", "shift_register")[(k + turn) % 2],
+                      (k + turn) % 3 != 0))
     return cases
 
 
@@ -109,6 +131,17 @@ def _cases():
         yield (f"hw-G11-{steps}steps",
                lambda short=short: _digest(*run_hw(models["G11"], short, graph=graphs["G11"],
                                                    record_trace=True)))
+    # Wide planes: R = 80 and 480 over 6 steps, which cross a 5-step noise block.
+    for replicas in (80, 480):
+        wide_plane = AnnealParams(steps=6, replicas=replicas, seed=8)
+        yield (f"ssqa-G11-R{replicas}-6steps",
+               lambda wide_plane=wide_plane: _digest(
+                   run_ssqa(models["G11"], wide_plane, graphs["G11"], record_trace=True)))
+    yield ("hw-G11-R80-6steps",
+           lambda: _digest(*run_hw(models["G11"], AnnealParams(steps=6, replicas=80, seed=8),
+                                   graph=graphs["G11"], record_trace=True)))
+    for n, replicas in itertools.product((4000, 4095), (1, 20, 480)):
+        yield f"lowbits-n{n}-R{replicas}", lambda n=n, replicas=replicas: _low_bits(n, replicas)
     for name, model, graph, params, kind, bypass in _small_models():
         def hw(model=model, graph=graph, params=params, kind=kind, bypass=bypass):
             return _digest(*run_hw(model, params, kind, graph=graph, sparse_bypass=bypass,
@@ -137,7 +170,31 @@ def compute() -> dict:
     return {name: thunk() for name, thunk in _cases()}
 
 
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Record the golden result digests.")
+    parser.add_argument("--rewrite", action="store_true",
+                        help="record every case as computed now, changed digests included")
+    args = parser.parse_args(argv)
+    recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    computed = compute()
+    changed = sorted(name for name in recorded.keys() & computed.keys()
+                     if recorded[name] != computed[name])
+    gone = sorted(recorded.keys() - computed.keys())
+    if (changed or gone) and not args.rewrite:
+        for name in changed:
+            print(f"digest changed: {name}", file=sys.stderr)
+        for name in gone:
+            print(f"recorded case no longer generated: {name}", file=sys.stderr)
+        print(f"{DIGESTS} left as it was; pass --rewrite to record these results",
+              file=sys.stderr)
+        return 1
+    added = sorted(computed.keys() - recorded.keys())
+    if args.rewrite or added:
+        DIGESTS.parent.mkdir(exist_ok=True)
+        DIGESTS.write_text(json.dumps(computed, indent=1, sort_keys=True) + "\n")
+    print(f"{DIGESTS}: {len(added)} added, {len(changed)} rewritten, {len(gone)} removed")
+    return 0
+
+
 if __name__ == "__main__":
-    DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {DIGESTS}")
+    sys.exit(main())
