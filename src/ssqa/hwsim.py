@@ -244,7 +244,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     # replica states of spin i. The t-1 plane starts as a copy of the t plane.
     plane = initial_state(model, rng, dtype)
     delay = _DELAY_LINES[delay_kind](plane, plane)
-    is_acc = np.zeros_like(plane)
+    is_acc, scratch = np.zeros_like(plane), np.empty_like(plane)
     trace = [] if record_trace else None
 
     # Each step's scaled noise word per replica per spin, with the bias
@@ -253,7 +253,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     # accumulator.
     for raw, q, i0, floor in _step_inputs(params, rng, model.h, dtype):
         _accumulate(jmat, delay.read_t(...), delay.read_tminus1(...), raw, is_acc, q,
-                    params.periodic_replicas)
+                    params.periodic_replicas, scratch)
         # Python ints: on a narrow dtype, -raw.min() could wrap.
         peak = max(int(raw.max()), -int(raw.min()))
         if peak > acc_bound:
@@ -261,7 +261,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
         # raw >= I0 becomes I0 - alpha, raw < -I0 becomes -I0, and each t+1
         # word is the sign, in place now that every t-1 word has been read.
         words = delay.next_plane()
-        _saturate_and_sign(raw, i0, i0 - params.alpha, floor, words)
+        _saturate_and_sign(raw, i0, i0 - params.alpha, floor, words, scratch)
         is_acc = raw
         delay.write(..., words)
         delay.advance_step()

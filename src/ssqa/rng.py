@@ -25,9 +25,14 @@ the table of T^L applied c times, and all C * R lanes advance L times in
 lockstep as one numpy array, so Python loops about sqrt(n) times per block
 instead of n times. The words come out in stream order, equal to n scalar
 steps of each stream. next_block(n, low_bit=True) is one gather from the
-table of the n noise bits, packed 64 draws a word, whose last word is the
-new state. next_bipolar draws through it, so a wrapper on next_block sees
-every word.
+table of the n noise bits, whose last word is the new state. The bits are
+packed by bit plane: with B = ceil(n / 8), draw i is bit i // B of byte
+i % B, so bit plane p holds draws pB .. pB + B - 1 in order. After one
+small (R, B) -> (B, R) byte transpose, shifting the byte plane right by
+p = 0..7 and masking bit 0 writes plane p as rows pB .. pB + B - 1 of a
+C-ordered (n, R) block: two contiguous broadcast passes give the bits
+spin-major, draw i of every stream in row i, with no transposed unpack.
+next_bipolar draws through it, so a wrapper on next_block sees every word.
 """
 
 from __future__ import annotations
@@ -161,17 +166,40 @@ def _lane_tables(lanes: int, length: int) -> np.ndarray:
 def _low_bit_table(n: int) -> np.ndarray:
     """Read-only (16, 16, ceil(n / 64) + 1) nibble table of the n noise bits
     and the state after them. The image of e_j packs bit 0 of the n draws
-    from e_j, 64 draws a word, and ends with the state they leave."""
+    from e_j by bit plane, draw i in bit i // B of byte i % B with
+    B = ceil(n / 8), and ends with the state they leave."""
+    width = -(-n // 8)
     states = _BASIS.copy()
     images = np.zeros((64, -(-n // 64) + 1), dtype="<u8")
-    # Byte b of word w packs draws 64 w + 8 b .. 64 w + 8 b + 7, LSB first.
     packed = images.view(np.uint8)
     for start in range(0, n, 128):
-        bits = _draws(states, min(128, n - start)).T & np.uint64(1)
-        packed[:, start // 8:(start + bits.shape[1] + 7) // 8] = np.packbits(
-            bits, axis=1, bitorder="little")
+        bits = _draws(states, min(128, n - start)).astype(np.uint8)  # (draws, 64): the low bytes
+        bits &= 1
+        stop = start + len(bits)
+        # Each bit plane the chunk reaches ORs its draws into their bytes.
+        for plane in range(start // width, (stop - 1) // width + 1):
+            base = plane * width
+            lo, hi = max(start, base), min(stop, base + width)
+            packed[:, lo - base:hi - base] |= bits[lo - start:hi - start].T << plane
     images[:, -1] = states
     return _table(images)
+
+
+_PLANES = np.arange(8, dtype=np.uint8)[:, None]
+
+
+def _unpack_planes(words: np.ndarray, n: int) -> np.ndarray:
+    """C-ordered (n, R) uint8 bits of the R C-ordered rows of packed words a
+    low-bit table gives: row i is draw i, bit i // B of byte i % B."""
+    width = -(-n // 8)
+    # The flat (B, R) bytes, transposed once (a view at R = 1); plane p then
+    # fills rows pB .. pB + B - 1. The passes run over flat (8, B R) arrays,
+    # so that the inner loop is B R bytes long even at R = 1.
+    packed = words.astype("<u8", copy=False).view(np.uint8)[:, :width].T.reshape(-1)
+    bits = np.empty((8, packed.size), dtype=np.uint8)
+    np.right_shift(packed, _PLANES, out=bits)
+    bits &= 1
+    return bits.reshape(8 * width, len(words))[:n]
 
 
 class RngStreams:
@@ -179,7 +207,8 @@ class RngStreams:
 
     next_block(n) returns the next n output words of every stream as an
     (n, R) array: entry [i, k] is draw i of stream k. With low_bit=True it
-    returns bit 0 of each of those words as uint8, without forming the words.
+    returns bit 0 of each of those words as a C-ordered uint8 array, without
+    forming the words.
     """
 
     def __init__(self, seed: int, n_streams: int):
@@ -191,9 +220,7 @@ class RngStreams:
             states = self.states
             out = _apply(_low_bit_table(n)[None], states)[0]  # (R, words + 1)
             states[:] = out[:, -1]
-            # Byte b of word w packs draws 64 w + 8 b .. 64 w + 8 b + 7.
-            packed = out[:, :-1].astype("<u8", copy=False).view(np.uint8).T
-            return np.unpackbits(packed, axis=0, count=n, bitorder="little")
+            return _unpack_planes(out, n)
         return _draws(self.states, n)
 
     def next_bipolar(self, n: int) -> np.ndarray:

@@ -32,10 +32,18 @@ n_rnd, and the p-bit RNGs run free of the spins. So one generator,
 _step_inputs, computes the three schedules once per run
 (schedules.schedule_table) and draws several steps' noise per RNG call,
 mapping, scaling and biasing (adding h to) each block once; draw i of a
-stream is the same in any block size. The saturation clamps against one -i0
-plane held for the run and refilled only when i0 changes. A step then
-spends its passes on the field product, the replica coupling, the
-accumulator sum and the saturation.
+stream is the same in any block size. The noise arrives spin-major from
+the RNG (rng packs it by bit plane), so no pass transposes it. An all-zero
+h, as every MAX-CUT model has, skips the bias pass.
+
+Per-run planes: past its noise block, a step allocates no plane; its
+accumulator is the previous step's noise plane. Each engine holds, for the
+whole run, the two spin planes (t and t-1), the -i0 plane the saturation
+clamps against (from _step_inputs, refilled only when i0 changes) and one
+scratch plane, which holds the neighbour plane of _add_coupling and then
+the raw ^ top select plane of _saturate_and_sign. A step then spends its
+passes on the field product, the replica coupling, the accumulator sum and
+the saturation.
 """
 
 from __future__ import annotations
@@ -101,43 +109,48 @@ def initial_state(model: IsingModel, rng: RngStreams, dtype) -> np.ndarray:
     return _bipolar(rng.next_block(model.n, low_bit=True), 1, dtype)
 
 
-def _saturate_and_sign(raw, i0, top, floor, sigma):
+def _saturate_and_sign(raw, i0, top, floor, sigma, scratch):
     """In place: raw >= i0 becomes top (i0 - alpha), raw < -i0 becomes -i0,
     and sigma (raw's signed integer dtype) gets the sign, 0 as +1. floor is
     a plane of raw's shape holding -i0: numpy clamps against a plane several
-    times faster than against a scalar. The top branch is a bit select, so
-    one kernel serves every integer width."""
+    times faster than against a scalar. The top branch is a bit select
+    through scratch, a plane of raw's shape and dtype whose values are not
+    read, so one kernel serves every integer width."""
     np.greater_equal(raw, i0, out=sigma)
     np.negative(sigma, out=sigma)  # all ones where raw >= i0
     np.maximum(raw, floor, out=raw)
-    sigma &= raw ^ raw.dtype.type(top)
+    np.bitwise_xor(raw, raw.dtype.type(top), out=scratch)
+    sigma &= scratch
     raw ^= sigma
     # The sign bit spread over the word: -1 where raw < 0, else 0; | 1 gives +-1.
     np.right_shift(raw, 8 * raw.dtype.itemsize - 1, out=sigma)
     sigma |= 1
 
 
-def _add_coupling(raw, prev, q, periodic):
+def _add_coupling(raw, prev, q, periodic, upper):
     """In place on spin-major planes: replica k adds q times replica k+1 of
     the t-1 plane prev; an open chain's last replica adds nothing. One flat
-    shifted copy of prev builds the neighbour plane, so no pass is strided,
-    and every entry of raw gets the term the two-slice rule gives it."""
+    shifted multiply of prev fills the neighbour plane upper, a C-ordered
+    plane of raw's shape and dtype whose values are not read, so no pass is
+    strided, and every entry of raw gets the term the two-slice rule gives
+    it."""
     if q == 0:
         return  # adding 0 changes nothing
-    upper = np.empty(prev.shape, dtype=prev.dtype)  # C order: written through reshape
-    upper.reshape(-1)[:-1] = prev.reshape(-1)[1:]  # [i, k] = prev[i, k + 1] but in the last column
-    upper[:, -1] = prev[:, 0]
-    upper *= q
-    if not periodic:
+    # [i, k] = q prev[i, k + 1] but in the last column.
+    np.multiply(prev.reshape(-1)[1:], q, out=upper.reshape(-1)[:-1])
+    if periodic:
+        np.multiply(prev[:, 0], q, out=upper[:, -1])
+    else:
         upper[:, -1] = 0
     raw += upper
 
 
-def _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, periodic):
+def _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, periodic, scratch):
     """A step's unsaturated sum on spin-major planes, in place: raw (the
     step's noise, already scaled by n_rnd and biased by h) becomes
     raw + J sigma + q sigma_prev[:, k + 1] + is_acc. The sum is exact in any
-    order, because _step_dtype bounds the sum of every |term|.
+    order, because _step_dtype bounds the sum of every |term|. scratch is
+    the run's held plane that _add_coupling builds the neighbour plane in.
 
     scipy's compiled CSR kernel adds J sigma straight into raw, with no
     result plane to allocate and add; it takes the single-column kernel at
@@ -159,7 +172,7 @@ def _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, periodic):
         _sparsetools.csr_matvec(n, n, *csr)  # reads the step-t plane only
     else:
         _sparsetools.csr_matvecs(n, n, replicas, *csr)
-    _add_coupling(raw, sigma_prev, q, periodic)
+    _add_coupling(raw, sigma_prev, q, periodic, scratch)
     raw += is_acc
 
 
@@ -171,11 +184,13 @@ def _step_inputs(params, rng, h, dtype):
     table. noise, n_rnd[t] times +-1 bits plus h, is a C-order, writable
     (N, R) plane in dtype, from blocks of K = max(1, _NOISE_BLOCK // N)
     steps (the last holds the rest) of one RNG call and one map, scale and
-    bias each. q and i0 are Python ints (a numpy integer would widen an int8
-    plane under NEP 50). floor is the -i0 plane; one serves the run,
-    refilled only when i0 changes."""
+    bias each; an all-zero h (every MAX-CUT model) skips the bias pass. q
+    and i0 are Python ints (a numpy integer would widen an int8 plane under
+    NEP 50). floor is the -i0 plane; one serves the run, refilled only when
+    i0 changes."""
     n, replicas = len(h), rng.n_streams
-    bias = np.repeat(h.astype(dtype), replicas)  # the flat spin-major (N, R) plane of h
+    # The flat spin-major (N, R) plane of h, or None when adding it changes nothing.
+    bias = np.repeat(h.astype(dtype), replicas) if h.any() else None
     i0s, n_rnd, qs = (column.tolist() for column in schedule_table(params))
     per_block = max(1, _NOISE_BLOCK // n)
     floor, held = np.empty((n, replicas), dtype), None
@@ -183,7 +198,8 @@ def _step_inputs(params, rng, h, dtype):
         scale = np.array(n_rnd[start:start + per_block], dtype)[:, None]  # one row per step
         bits = rng.next_block(len(scale) * n, low_bit=True)
         block = _bipolar(bits.reshape(len(scale), -1), scale, dtype)
-        block += bias
+        if bias is not None:
+            block += bias
         for t, noise in enumerate(block.reshape(-1, n, replicas), start):
             if i0s[t] != held:
                 held = i0s[t]
@@ -267,12 +283,12 @@ def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | Non
     sigma = initial_state(model, rng, dtype)
     # The t-1 plane starts as a copy of the t plane, so that the first
     # step's replica-coupling term is well defined.
-    sigma_prev, is_acc = sigma.copy(), np.zeros_like(sigma)
+    sigma_prev, is_acc, scratch = sigma.copy(), np.zeros_like(sigma), np.empty_like(sigma)
     trace = [] if record_trace else None
     for raw, q, i0, floor in _step_inputs(params, rng, model.h, dtype):
         # raw becomes the accumulator and sigma_prev the new spins.
-        _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, params.periodic_replicas)
-        _saturate_and_sign(raw, i0, i0 - params.alpha, floor, sigma_prev)
+        _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, params.periodic_replicas, scratch)
+        _saturate_and_sign(raw, i0, i0 - params.alpha, floor, sigma_prev, scratch)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
         if record_trace:
             trace.append(_trace_entry(sigma, is_acc))

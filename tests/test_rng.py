@@ -1,5 +1,7 @@
 """Unit tests for the xorshift64 generator and per-replica streams."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -231,13 +233,46 @@ def test_low_bit_tables_are_cached_and_read_only():
     assert int(last[0, 0]) == gen.state
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 300])
 def test_low_bit_table_entries_are_scalar_draws(n):
-    """Entry [j, v] packs bit 0 of the n scalar draws from v << 4j, LSB first,
-    64 draws a word, then holds the state after them."""
+    """Entry [j, v] packs bit 0 of the n scalar draws from v << 4j by bit
+    plane, draw i in bit i // B of byte i % B with B = ceil(n / 8), the
+    bytes little-endian 8 a word, then holds the state after them."""
     table = _low_bit_table(n)
+    width = -(-n // 8)
     for j, v in ((0, 1), (0, 15), (3, 6), (8, 9), (15, 1), (15, 15)):
         gen = XorShift64(v << 4 * j)
-        bits = [gen.next_word() & 1 for _ in range(n)]
-        words = [sum(b << i for i, b in enumerate(bits[w:w + 64])) for w in range(0, n, 64)]
+        packed = [0] * (8 * -(-n // 64))
+        for i in range(n):
+            packed[i % width] |= (gen.next_word() & 1) << (i // width)
+        words = [int.from_bytes(bytes(packed[w:w + 8]), "little")
+                 for w in range(0, len(packed), 8)]
         assert table[j, v].tolist() == words + [gen.state], (j, v)
+
+
+@pytest.mark.parametrize("replicas", [1, 3, 20, 480])
+def test_low_bit_block_is_c_ordered_spin_major_low_bits(replicas):
+    """next_block(n, low_bit=True) is a C-ordered (n, R) uint8 array equal to
+    bit 0 of the full words, at every n around a byte, word and bit-plane
+    boundary, an empty block included, and leaves the states the words do."""
+    bits_rng, words_rng = RngStreams(11, replicas), RngStreams(11, replicas)
+    for n in (0, 1, 7, 8, 9, 63, 64, 65, 4000, 4096):
+        bits = bits_rng.next_block(n, low_bit=True)
+        assert bits.dtype == np.uint8 and bits.shape == (n, replicas)
+        assert bits.flags.c_contiguous
+        assert np.array_equal(bits, words_rng.next_block(n) & np.uint64(1))
+        assert np.array_equal(bits_rng.states, words_rng.states)
+
+
+def test_low_bit_table_build_stays_within_its_heap_budget():
+    """Each 128-draw chunk is packed straight into its bit-plane bytes: the
+    build of the n = 4000 table peaks at no more heap than the draw-order
+    packing it replaced (379,520 bytes under numpy 2.4)."""
+    _low_bit_table.__wrapped__(4000)  # the lane tables are cached, as in a run
+    tracemalloc.start()
+    try:
+        _low_bit_table.__wrapped__(4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 379_520

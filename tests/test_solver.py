@@ -61,10 +61,10 @@ def hand_steps(model, params, rng, sigma, is_acc):
     jmat = model.coupling_matrix(dtype)
     sigma = np.array(np.transpose(sigma), dtype=dtype, order="C")
     is_acc = np.array(np.transpose(is_acc), dtype=dtype, order="C")
-    sigma_prev = sigma.copy()
+    sigma_prev, scratch = sigma.copy(), np.empty_like(sigma)
     for raw, q, i0, floor in _step_inputs(params, rng, model.h, dtype):
-        _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, params.periodic_replicas)
-        _saturate_and_sign(raw, i0, i0 - params.alpha, floor, sigma_prev)
+        _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, params.periodic_replicas, scratch)
+        _saturate_and_sign(raw, i0, i0 - params.alpha, floor, sigma_prev, scratch)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
         yield sigma.T.copy(), is_acc.T.copy()
 
@@ -315,7 +315,7 @@ def test_saturate_and_sign_matches_three_branch_rule(raw, i0, alpha, dtype):
     top = i0 - alpha
     expect = np.where(raw >= i0, top, np.where(raw < -i0, -i0, raw)).astype(raw.dtype)
     got, sigma = raw.copy(), np.empty_like(raw)
-    _saturate_and_sign(got, i0, top, np.full_like(raw, -i0), sigma)
+    _saturate_and_sign(got, i0, top, np.full_like(raw, -i0), sigma, np.full_like(raw, 77))
     assert got.tobytes() == expect.tobytes()
     assert np.array_equal(sigma, np.where(expect >= 0, 1, -1))
 
@@ -340,7 +340,7 @@ def test_add_coupling_matches_two_slice_rule(case):
     expect[:, :-1] += q * prev[:, 1:]
     if periodic:
         expect[:, -1] += q * prev[:, 0]
-    _add_coupling(raw, prev, q, periodic)
+    _add_coupling(raw, prev, q, periodic, np.full_like(raw, 77))
     assert raw.dtype == expect.dtype and raw.tobytes() == expect.tobytes()
 
 
@@ -371,14 +371,14 @@ def test_accumulate_matches_edge_loop_at_every_step_dtype(dtype, replicas):
         field[j] += w * sigma[i].astype(np.int64)
     assert np.array_equal(field, model.coupling_matrix() @ sigma.astype(np.int64))
     expect += field
-    _accumulate(jmat, sigma, prev, raw, is_acc, 2, True)
+    _accumulate(jmat, sigma, prev, raw, is_acc, 2, True, np.empty_like(raw))
     assert raw.dtype == dtype and raw.tobytes() == expect.astype(dtype).tobytes()
     strided = np.zeros((model.n, 2 * replicas), dtype)[:, ::2]
     other = np.int32 if dtype == np.int64 else np.int64
     for bad_raw, bad_sigma in ((strided, sigma), (raw.astype(other), sigma),
                                (raw, sigma.astype(other)), (raw[1:], sigma[1:])):
         with pytest.raises(ValueError, match="C-ordered"):
-            _accumulate(jmat, bad_sigma, prev, bad_raw, is_acc, 2, True)
+            _accumulate(jmat, bad_sigma, prev, bad_raw, is_acc, 2, True, np.empty_like(raw))
 
 
 @pytest.mark.parametrize("replicas", [1, 20])
