@@ -196,8 +196,7 @@ def _unpack_planes(words: np.ndarray, n: int) -> np.ndarray:
     # fills rows pB .. pB + B - 1. The passes run over flat (8, B R) arrays,
     # so that the inner loop is B R bytes long even at R = 1.
     packed = words.astype("<u8", copy=False).view(np.uint8)[:, :width].T.reshape(-1)
-    bits = np.empty((8, packed.size), dtype=np.uint8)
-    np.right_shift(packed, _PLANES, out=bits)
+    bits = packed >> _PLANES
     bits &= 1
     return bits.reshape(8 * width, len(words))[:n]
 

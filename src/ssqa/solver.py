@@ -115,13 +115,13 @@ def _saturate_and_sign(raw, i0, top, floor, sigma, scratch):
     a plane of raw's shape holding -i0: numpy clamps against a plane several
     times faster than against a scalar. The top branch is a bit select
     through scratch, a plane of raw's shape and dtype whose values are not
-    read, so one kernel serves every integer width."""
-    np.greater_equal(raw, i0, out=sigma)
-    np.negative(sigma, out=sigma)  # all ones where raw >= i0
+    read: raw ^ top, kept by a multiply with the 0/1 comparison, flips raw
+    to top. One kernel serves every integer width."""
+    np.greater_equal(raw, i0, out=sigma)  # 1 where raw >= i0, else 0
     np.maximum(raw, floor, out=raw)
     np.bitwise_xor(raw, raw.dtype.type(top), out=scratch)
-    sigma &= scratch
-    raw ^= sigma
+    scratch *= sigma
+    raw ^= scratch
     # The sign bit spread over the word: -1 where raw < 0, else 0; | 1 gives +-1.
     np.right_shift(raw, 8 * raw.dtype.itemsize - 1, out=sigma)
     sigma |= 1
