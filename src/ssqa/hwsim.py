@@ -41,9 +41,9 @@ from .schedules import AnnealParams
 # perfbench/tracer.py times hwsim.i0_at, hwsim.n_rnd_at and hwsim.q_value_at,
 # so the names stay bound here; run_hw reads the per-run table.
 from .schedules import i0_at, n_rnd_at, q_value_at  # noqa: F401
-from .solver import (AccumulatorOverflowError, _accumulate, _finalize, _saturate_and_sign,
-                     _step_dtype, _step_inputs, _trace_entry, accumulator_bound,
-                     initial_state)
+from .solver import (AccumulatorOverflowError, _accumulate, _check_field_planes, _finalize,
+                     _saturate_and_sign, _step_dtype, _step_inputs, _trace_entry,
+                     accumulator_bound, initial_state)
 
 
 class DelayAddressError(IndexError):
@@ -245,13 +245,14 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     plane = initial_state(model, rng, dtype)
     delay = _DELAY_LINES[delay_kind](plane, plane)
     is_acc, scratch = np.zeros_like(plane), np.empty_like(plane)
+    _check_field_planes(jmat, plane, is_acc)  # the delay banks are copies of plane
     trace = [] if record_trace else None
 
     # Each step's scaled noise word per replica per spin, with the bias
     # folded in, becomes the sum in place: the MAC product over the t plane,
     # then the FIN phase's coupling to replica k+1 of the t-1 plane and
     # accumulator.
-    for raw, q, i0, floor in _step_inputs(params, rng, model.h, dtype):
+    for raw, q, i0, floor, ceil in _step_inputs(params, rng, model.h, dtype):
         _accumulate(jmat, delay.read_t(...), delay.read_tminus1(...), raw, is_acc, q,
                     params.periodic_replicas, scratch)
         # Python ints: on a narrow dtype, -raw.min() could wrap.
@@ -261,7 +262,7 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
         # raw >= I0 becomes I0 - alpha, raw < -I0 becomes -I0, and each t+1
         # word is the sign, in place now that every t-1 word has been read.
         words = delay.next_plane()
-        _saturate_and_sign(raw, i0, i0 - params.alpha, floor, words, scratch)
+        _saturate_and_sign(raw, i0, params.alpha, floor, ceil, words, scratch)
         is_acc = raw
         delay.write(..., words)
         delay.advance_step()

@@ -38,12 +38,16 @@ h, as every MAX-CUT model has, skips the bias pass.
 
 Per-run planes: past its noise block, a step allocates no plane; its
 accumulator is the previous step's noise plane. Each engine holds, for the
-whole run, the two spin planes (t and t-1), the -i0 plane the saturation
-clamps against (from _step_inputs, refilled only when i0 changes) and one
-scratch plane, which holds the neighbour plane of _add_coupling and then
-the raw ^ top select plane of _saturate_and_sign. A step then spends its
-passes on the field product, the replica coupling, the accumulator sum and
-the saturation.
+whole run, the two spin planes (t and t-1), the -i0 and i0 - alpha planes
+the saturation clamps against (from _step_inputs, refilled only when i0
+changes) and one scratch plane, which holds the neighbour plane of
+_add_coupling (and the raw ^ top select plane of the saturation off the
+paper's rule). Each engine checks its field-product planes once, where it
+sets them up (_check_field_planes), so a step checks no flag, dtype or
+shape. A step then spends its passes on the field product, the replica
+coupling, the accumulator sum and the saturation: under the paper's rule
+(alpha 1, or 0, with i0 - alpha >= -i0) two clamps against the held
+planes, otherwise a bit select.
 """
 
 from __future__ import annotations
@@ -109,22 +113,36 @@ def initial_state(model: IsingModel, rng: RngStreams, dtype) -> np.ndarray:
     return _bipolar(rng.next_block(model.n, low_bit=True), 1, dtype)
 
 
-def _saturate_and_sign(raw, i0, top, floor, sigma, scratch):
-    """In place: raw >= i0 becomes top (i0 - alpha), raw < -i0 becomes -i0,
-    and sigma (raw's signed integer dtype) gets the sign, 0 as +1. floor is
-    a plane of raw's shape holding -i0: numpy clamps against a plane several
-    times faster than against a scalar. The top branch is a bit select
-    through scratch, a plane of raw's shape and dtype whose values are not
-    read: raw ^ top, kept by a multiply with the 0/1 comparison, flips raw
-    to top. One kernel serves every integer width."""
-    np.greater_equal(raw, i0, out=sigma)  # 1 where raw >= i0, else 0
-    np.maximum(raw, floor, out=raw)
-    np.bitwise_xor(raw, raw.dtype.type(top), out=scratch)
-    scratch *= sigma
-    raw ^= scratch
+def _saturate_and_sign(raw, i0, alpha, floor, ceil, sigma, scratch):
+    """In place: raw >= i0 becomes i0 - alpha, raw < -i0 becomes -i0, and
+    sigma (raw's signed integer dtype) gets the sign, 0 as +1. floor and
+    ceil are planes of raw's shape holding -i0 and i0 - alpha: numpy clamps
+    against a plane several times faster than against a scalar. Under the
+    paper's rule (alpha 0 or 1, and i0 - alpha >= -i0) the three branches
+    are two clamps, raw = min(max(raw, -i0), i0 - alpha); any other (i0,
+    alpha) goes through _saturate_by_select, which needs scratch. One
+    kernel serves every integer width."""
+    if (alpha == 0 or alpha == 1) and i0 + i0 >= alpha:
+        np.maximum(raw, floor, out=raw)
+        np.minimum(raw, ceil, out=raw)
+    else:
+        _saturate_by_select(raw, i0, i0 - alpha, floor, sigma, scratch)
     # The sign bit spread over the word: -1 where raw < 0, else 0; | 1 gives +-1.
     np.right_shift(raw, 8 * raw.dtype.itemsize - 1, out=sigma)
     sigma |= 1
+
+
+def _saturate_by_select(raw, i0, top, floor, select, scratch):
+    """In place, for any (i0, top): raw >= i0 becomes top, else raw < -i0
+    becomes -i0. The top branch is a bit select: raw ^ top in scratch, kept
+    by a multiply with the 0/1 comparison held in select, flips raw to top.
+    select and scratch are planes of raw's shape and dtype whose values are
+    not read."""
+    np.greater_equal(raw, i0, out=select)  # 1 where raw >= i0, else 0
+    np.maximum(raw, floor, out=raw)
+    np.bitwise_xor(raw, raw.dtype.type(top), out=scratch)
+    scratch *= select
+    raw ^= scratch
 
 
 def _add_coupling(raw, prev, q, periodic, upper):
@@ -145,6 +163,24 @@ def _add_coupling(raw, prev, q, periodic, upper):
     raw += upper
 
 
+def _check_field_planes(jmat, sigma, raw):
+    """Raise ValueError unless raw is C-ordered and sigma has raw's shape,
+    both in J's dtype with one row per spin: what _accumulate's kernel
+    needs and does not check. The kernel checks no length, so a plane of
+    another shape would be read or written out of bounds. The engines call
+    this once per run, where they set up their planes, with the plane that
+    every step's sigma is and the accumulator plane that every step's raw
+    matches (each noise plane of _step_inputs is a C-ordered plane of the
+    step dtype)."""
+    if (not raw.flags.c_contiguous or raw.dtype != jmat.dtype or sigma.dtype != jmat.dtype
+            or sigma.shape != raw.shape or len(jmat.indptr) != raw.shape[0] + 1):
+        raise ValueError(
+            f"the field product needs a C-ordered (N, R) accumulator and a sigma plane of its "
+            f"shape, both in J's dtype; got J {jmat.dtype} {jmat.shape}, raw {raw.dtype} "
+            f"{raw.shape} (C-ordered: {raw.flags.c_contiguous}), sigma {sigma.dtype} "
+            f"{sigma.shape}")
+
+
 def _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, periodic, scratch):
     """A step's unsaturated sum on spin-major planes, in place: raw (the
     step's noise, already scaled by n_rnd and biased by h) becomes
@@ -156,17 +192,10 @@ def _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, periodic, scratch):
     result plane to allocate and add; it takes the single-column kernel at
     R = 1, as scipy's own product does. The kernel sums in the operands'
     dtype and writes through raw's flat view, so raw must be C-ordered and
-    share J's dtype; sigma (read-only in run_hw) is only read."""
+    share J's dtype, and sigma (read-only in run_hw) must share raw's shape
+    and J's dtype. A step checks none of this: the engines check their
+    planes once per run (_check_field_planes)."""
     n, replicas = raw.shape
-    # The kernel checks no length: a plane of another shape would be read
-    # or written out of bounds.
-    if (not raw.flags.c_contiguous or raw.dtype != jmat.dtype or sigma.dtype != jmat.dtype
-            or sigma.shape != raw.shape or len(jmat.indptr) != n + 1):
-        raise ValueError(
-            f"the field product needs a C-ordered (N, R) accumulator and a sigma plane of its "
-            f"shape, both in J's dtype; got J {jmat.dtype} {jmat.shape}, raw {raw.dtype} "
-            f"{raw.shape} (C-ordered: {raw.flags.c_contiguous}), sigma {sigma.dtype} "
-            f"{sigma.shape}")
     csr = (jmat.indptr, jmat.indices, jmat.data, sigma.reshape(-1), raw.reshape(-1))
     if replicas == 1:
         _sparsetools.csr_matvec(n, n, *csr)  # reads the step-t plane only
@@ -180,20 +209,21 @@ _NOISE_BLOCK = 4096  # draws per stream in one noise block: 64 words a table ent
 
 
 def _step_inputs(params, rng, h, dtype):
-    """Yield (noise, q, i0, floor) of each step from the run's schedule
-    table. noise, n_rnd[t] times +-1 bits plus h, is a C-order, writable
-    (N, R) plane in dtype, from blocks of K = max(1, _NOISE_BLOCK // N)
-    steps (the last holds the rest) of one RNG call and one map, scale and
-    bias each; an all-zero h (every MAX-CUT model) skips the bias pass. q
-    and i0 are Python ints (a numpy integer would widen an int8 plane under
-    NEP 50). floor is the -i0 plane; one serves the run, refilled only when
-    i0 changes."""
+    """Yield (noise, q, i0, floor, ceil) of each step from the run's
+    schedule table. noise, n_rnd[t] times +-1 bits plus h, is a C-order,
+    writable (N, R) plane in dtype, from blocks of
+    K = max(1, _NOISE_BLOCK // N) steps (the last holds the rest) of one RNG
+    call and one map, scale and bias each; an all-zero h (every MAX-CUT
+    model) skips the bias pass. q and i0 are Python ints (a numpy integer
+    would widen an int8 plane under NEP 50). floor and ceil are the -i0 and
+    i0 - alpha planes that the saturation clamps against; one of each
+    serves the run, refilled only when i0 changes."""
     n, replicas = len(h), rng.n_streams
     # The flat spin-major (N, R) plane of h, or None when adding it changes nothing.
     bias = np.repeat(h.astype(dtype), replicas) if h.any() else None
     i0s, n_rnd, qs = (column.tolist() for column in schedule_table(params))
     per_block = max(1, _NOISE_BLOCK // n)
-    floor, held = np.empty((n, replicas), dtype), None
+    floor, ceil, held = np.empty((n, replicas), dtype), np.empty((n, replicas), dtype), None
     for start in range(0, params.steps, per_block):
         scale = np.array(n_rnd[start:start + per_block], dtype)[:, None]  # one row per step
         bits = rng.next_block(len(scale) * n, low_bit=True)
@@ -204,7 +234,8 @@ def _step_inputs(params, rng, h, dtype):
             if i0s[t] != held:
                 held = i0s[t]
                 floor.fill(-held)
-            yield noise, qs[t], held, floor
+                ceil.fill(held - params.alpha)
+            yield noise, qs[t], held, floor, ceil
 
 
 def _schedule_extremes(params: AnnealParams) -> tuple:
@@ -284,11 +315,12 @@ def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | Non
     # The t-1 plane starts as a copy of the t plane, so that the first
     # step's replica-coupling term is well defined.
     sigma_prev, is_acc, scratch = sigma.copy(), np.zeros_like(sigma), np.empty_like(sigma)
+    _check_field_planes(jmat, sigma, is_acc)
     trace = [] if record_trace else None
-    for raw, q, i0, floor in _step_inputs(params, rng, model.h, dtype):
+    for raw, q, i0, floor, ceil in _step_inputs(params, rng, model.h, dtype):
         # raw becomes the accumulator and sigma_prev the new spins.
         _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, params.periodic_replicas, scratch)
-        _saturate_and_sign(raw, i0, i0 - params.alpha, floor, sigma_prev, scratch)
+        _saturate_and_sign(raw, i0, params.alpha, floor, ceil, sigma_prev, scratch)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
         if record_trace:
             trace.append(_trace_entry(sigma, is_acc))

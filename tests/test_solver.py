@@ -14,6 +14,7 @@ from ssqa.solver import (
     _NOISE_BLOCK,
     _accumulate,
     _add_coupling,
+    _check_field_planes,
     _saturate_and_sign,
     _step_dtype,
     _step_inputs,
@@ -54,17 +55,19 @@ def random_model(rng, n, p=0.4, weight_bits=4):
 def hand_steps(model, params, rng, sigma, is_acc):
     """Step the engines' kernels, _accumulate and _saturate_and_sign, in the
     run's step dtype from hand-set replica-major (R, N) planes, with the t-1
-    plane a copy of the t plane as at the start of a run, over the engines'
-    per-step inputs (h rides with the noise). Yields replica-major (sigma,
-    Is) after each of params.steps steps."""
+    plane a copy of the t plane as at the start of a run and the planes
+    checked once as the engines check theirs, over the engines' per-step
+    inputs (h rides with the noise). Yields replica-major (sigma, Is) after
+    each of params.steps steps."""
     dtype = _step_dtype(model, params)
     jmat = model.coupling_matrix(dtype)
     sigma = np.array(np.transpose(sigma), dtype=dtype, order="C")
     is_acc = np.array(np.transpose(is_acc), dtype=dtype, order="C")
     sigma_prev, scratch = sigma.copy(), np.empty_like(sigma)
-    for raw, q, i0, floor in _step_inputs(params, rng, model.h, dtype):
+    _check_field_planes(jmat, sigma, is_acc)
+    for raw, q, i0, floor, ceil in _step_inputs(params, rng, model.h, dtype):
         _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, params.periodic_replicas, scratch)
-        _saturate_and_sign(raw, i0, i0 - params.alpha, floor, sigma_prev, scratch)
+        _saturate_and_sign(raw, i0, params.alpha, floor, ceil, sigma_prev, scratch)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
         yield sigma.T.copy(), is_acc.T.copy()
 
@@ -303,19 +306,31 @@ def test_saturation_and_sign_invariants():
 @settings(max_examples=300, deadline=None)
 @given(raw=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
                       elements=st.integers(-40, 40)),
-       i0=st.integers(-12, 12), alpha=st.integers(0, 3),
+       i0=st.integers(-12, 12), alpha=st.integers(-2, 3),
        dtype=st.sampled_from(["int8", "int16", "int32", "int64"]))
-# With i0 < 0 or alpha >= 2 the rule is not np.clip(raw, -i0, i0 - alpha).
-@example(raw=np.array([[-5, -3, 0, 3, 5]]), i0=-3, alpha=0, dtype="int64")
-@example(raw=np.array([[-5, -3, 0, 3, 5]]), i0=-3, alpha=0, dtype="int8")
+# The rule is two clamps only when alpha is 0 or 1 and i0 - alpha >= -i0:
+# each edge of that condition, on both sides, at the narrowest and widest dtype.
+@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=0, alpha=0, dtype="int8")
+@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=0, alpha=0, dtype="int64")
+@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=0, alpha=1, dtype="int8")
+@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=0, alpha=1, dtype="int64")
+@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=1, alpha=1, dtype="int8")
+@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=1, alpha=1, dtype="int64")
+@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=1, alpha=2, dtype="int8")
+@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=1, alpha=2, dtype="int64")
+@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=-3, alpha=0, dtype="int8")
+@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=-3, alpha=0, dtype="int64")
 def test_saturate_and_sign_matches_three_branch_rule(raw, i0, alpha, dtype):
-    """The branch-free in-place update equals the nested np.where rule bit
-    for bit, at every integer step dtype. The elements stay in int8 range."""
+    """The in-place update, on the two clamps or on the bit select, equals
+    the nested np.where rule bit for bit, at every integer step dtype,
+    against real -i0 and i0 - alpha planes. The elements stay in int8
+    range."""
     raw = raw.astype(dtype)
     top = i0 - alpha
     expect = np.where(raw >= i0, top, np.where(raw < -i0, -i0, raw)).astype(raw.dtype)
     got, sigma = raw.copy(), np.empty_like(raw)
-    _saturate_and_sign(got, i0, top, np.full_like(raw, -i0), sigma, np.full_like(raw, 77))
+    _saturate_and_sign(got, i0, alpha, np.full_like(raw, -i0), np.full_like(raw, top), sigma,
+                       np.full_like(raw, 77))
     assert got.tobytes() == expect.tobytes()
     assert np.array_equal(sigma, np.where(expect >= 0, 1, -1))
 
@@ -354,7 +369,7 @@ def test_accumulate_matches_edge_loop_at_every_step_dtype(dtype, replicas):
     the edge loop's and the @ product's, so a scipy release that moves or
     changes the kernel fails here. A non-contiguous accumulator, which the
     kernel would write through a copy, and planes in another dtype, which it
-    would sum in a narrower one, raise."""
+    would sum in a narrower one, fail the engines' once-per-run check."""
     rng = np.random.default_rng(replicas)
     model = random_model(rng, 9, p=0.5)
     jmat = model.coupling_matrix(dtype)
@@ -371,6 +386,7 @@ def test_accumulate_matches_edge_loop_at_every_step_dtype(dtype, replicas):
         field[j] += w * sigma[i].astype(np.int64)
     assert np.array_equal(field, model.coupling_matrix() @ sigma.astype(np.int64))
     expect += field
+    _check_field_planes(jmat, sigma, raw)
     _accumulate(jmat, sigma, prev, raw, is_acc, 2, True, np.empty_like(raw))
     assert raw.dtype == dtype and raw.tobytes() == expect.astype(dtype).tobytes()
     strided = np.zeros((model.n, 2 * replicas), dtype)[:, ::2]
@@ -378,7 +394,7 @@ def test_accumulate_matches_edge_loop_at_every_step_dtype(dtype, replicas):
     for bad_raw, bad_sigma in ((strided, sigma), (raw.astype(other), sigma),
                                (raw, sigma.astype(other)), (raw[1:], sigma[1:])):
         with pytest.raises(ValueError, match="C-ordered"):
-            _accumulate(jmat, bad_sigma, prev, bad_raw, is_acc, 2, True, np.empty_like(raw))
+            _check_field_planes(jmat, bad_sigma, bad_raw)
 
 
 @pytest.mark.parametrize("replicas", [1, 20])
@@ -388,10 +404,62 @@ def test_step_inputs_are_c_order_planes(replicas):
     for dtype in (np.int8, np.int16):
         params = AnnealParams(steps=7, replicas=replicas)
         h = np.zeros(800, np.int64)
-        for noise, _, _, floor in _step_inputs(params, RngStreams(1, replicas), h, dtype):
-            for plane in (noise, floor):
+        for noise, _, _, floor, ceil in _step_inputs(params, RngStreams(1, replicas), h, dtype):
+            for plane in (noise, floor, ceil):
                 assert plane.shape == (800, replicas) and plane.dtype == dtype
                 assert plane.flags.c_contiguous
+
+
+class SelectTaken(Exception):
+    """Raised by a patched-in bit-select saturation."""
+
+
+def test_default_schedule_steps_take_the_two_clamps(monkeypatch):
+    """The paper's rule (alpha 1, i0 5 at the defaults) is two clamps: with
+    the bit-select fallback patched to raise, run_ssqa at R = 20, run_ssa
+    (R = 1) and run_hw on G11, and run_hw on G14 over 40 steps, run to the
+    end, while a run at alpha 2 reaches the fallback."""
+    import ssqa.solver
+    from ssqa.hwsim import run_hw
+
+    def refuse(*args):
+        raise SelectTaken
+
+    monkeypatch.setattr(ssqa.solver, "_saturate_by_select", refuse)
+    for name, steps in (("G11", 500), ("G14", 40)):
+        graph = load_instance(name)
+        model = maxcut_to_ising(graph)
+        params = AnnealParams(steps=steps)
+        if name == "G11":
+            run_ssqa(model, params, graph)
+            run_ssa(model, params, graph)
+        run_hw(model, params, graph=graph)
+    with pytest.raises(SelectTaken):
+        run_hw(model, params.with_(alpha=2), graph=graph)
+
+
+@pytest.mark.parametrize("engine", ["run_ssqa", "dual_bram", "shift_register"])
+def test_engines_check_field_planes_once_per_run(engine, monkeypatch):
+    """Each engine checks its field-product planes once, where it sets them
+    up, and no step checks them again."""
+    import ssqa.hwsim
+    import ssqa.solver
+
+    calls, check = [], _check_field_planes
+
+    def spy(*args):
+        calls.append(args)
+        check(*args)
+
+    monkeypatch.setattr(ssqa.solver, "_check_field_planes", spy)
+    monkeypatch.setattr(ssqa.hwsim, "_check_field_planes", spy)
+    model = random_model(np.random.default_rng(3), 9)
+    params = AnnealParams(steps=12, replicas=4, seed=2)
+    if engine == "run_ssqa":
+        run_ssqa(model, params)
+    else:
+        ssqa.hwsim.run_hw(model, params, engine)
+    assert len(calls) == 1
 
 
 def steps_per_block(n):
@@ -408,29 +476,39 @@ STEP_COUNTS = (lambda k: 0, lambda k: 1, lambda k: k - 1, lambda k: k, lambda k:
 @given(n=st.sampled_from([1, 7, 800, _NOISE_BLOCK + 5]), steps=st.sampled_from(STEP_COUNTS),
        replicas=st.sampled_from([1, 3, 20]), dtype=st.sampled_from([np.int8, np.int16]),
        seed=st.integers(0, 2**32), n_rnd=st.tuples(st.integers(-7, 7), st.integers(-7, 7)),
-       biased=st.booleans())
+       biased=st.booleans(), i0=st.tuples(st.integers(-3, 9), st.integers(-3, 9)),
+       alpha=st.integers(-1, 2))
 @example(n=_NOISE_BLOCK + 5, steps=STEP_COUNTS[-1], replicas=20, dtype=np.int16, seed=1,
-         n_rnd=(6, 0), biased=False)
+         n_rnd=(6, 0), biased=False, i0=(3, 9), alpha=1)
 @example(n=7, steps=STEP_COUNTS[-1], replicas=3, dtype=np.int8, seed=1, n_rnd=(6, 0),
-         biased=True)
-def test_step_inputs_equal_step_by_step_draws(n, steps, replicas, dtype, seed, n_rnd, biased):
+         biased=True, i0=(3, 9), alpha=1)
+# i0 ramps from 0 and across 0, over several noise blocks.
+@example(n=800, steps=STEP_COUNTS[-1], replicas=3, dtype=np.int8, seed=1, n_rnd=(6, 0),
+         biased=False, i0=(0, 4), alpha=1)
+@example(n=800, steps=STEP_COUNTS[-1], replicas=3, dtype=np.int8, seed=1, n_rnd=(6, 0),
+         biased=False, i0=(-2, 3), alpha=2)
+def test_step_inputs_equal_step_by_step_draws(n, steps, replicas, dtype, seed, n_rnd, biased,
+                                              i0, alpha):
     """Each noise plane is n_rnd(t) times the +-1 bits of a twin stream
     drawing one step at a time, plus h when there is one, in the step dtype;
     planes are C-ordered, writable and disjoint, and both streams end in one
-    state. q, i0 and the -i0 floor are the schedule's at each step."""
+    state. q and i0 are the schedule's at each step, and the run's one floor
+    and one ceil plane hold -i0 and i0 - alpha at every step."""
     params = AnnealParams(steps=steps(steps_per_block(n)), replicas=replicas, seed=seed,
-                          n_rnd=LinearSchedule(*n_rnd), i0=LinearSchedule(3, 9))
+                          n_rnd=LinearSchedule(*n_rnd), i0=LinearSchedule(*i0), alpha=alpha)
     h = np.zeros(n, np.int64)
     if biased:
         h[:] = np.random.default_rng(seed).integers(-8, 8, size=n)
     blocks, twin = RngStreams(seed, replicas), RngStreams(seed, replicas)
-    planes = []
-    for t, (plane, q, i0, floor) in enumerate(_step_inputs(params, blocks, h, dtype)):
-        assert (q, i0) == (q_value_at(params, t), i0_at(params, t))
-        assert type(q) is type(i0) is int
-        assert floor.dtype == dtype and np.all(floor == -i0)
+    planes, bounds = [], set()
+    for t, (plane, q, level, floor, ceil) in enumerate(_step_inputs(params, blocks, h, dtype)):
+        assert (q, level) == (q_value_at(params, t), i0_at(params, t))
+        assert type(q) is type(level) is int
+        assert floor.dtype == ceil.dtype == dtype
+        assert np.all(floor == -level) and np.all(ceil == level - alpha)
         planes.append(plane)
-    assert len(planes) == params.steps
+        bounds.add((id(floor), id(ceil)))
+    assert len(planes) == params.steps and len(bounds) <= 1
     for t, plane in enumerate(planes):
         expect = (n_rnd_at(params, t) * twin.next_bipolar(n) + h[:, None]).astype(dtype)
         assert plane.dtype == dtype and plane.shape == (n, replicas)
