@@ -24,14 +24,22 @@ L = ceil(n / C) consecutive draws. Lane c starts from T^(cL) s, read from
 the table of T^L applied c times, and all C * R lanes advance L times in
 lockstep as one numpy array, so Python loops about sqrt(n) times per block
 instead of n times. The words come out in stream order, equal to n scalar
-steps of each stream. next_block(n, low_bit=True) is one gather from the
-table of the n noise bits, whose last word is the new state. The bits are
+steps of each stream. The T^L stride is drawn from the basis in 128-draw
+chunks, so a long lane holds no (L, 64) word array.
+
+next_block(n, low_bit=True) is one gather from the table of the n noise
+bits, whose last word is the new state. With lanes=C the n draws come as C
+lanes of L = n / C: one gather of the lane tables gives every lane's start
+state, one gather of the L-bit table over the C * R lane states gives every
+lane's bits, and lane C - 1's end word is the new state. So a narrow plane
+draws many steps of noise per call from the table of one lane. The bits are
 packed by bit plane: with B = ceil(n / 8), draw i is bit i // B of byte
 i % B, so bit plane p holds draws pB .. pB + B - 1 in order. After one
 small (R, B) -> (B, R) byte transpose, shifting the byte plane right by
 p = 0..7 and masking bit 0 writes plane p as rows pB .. pB + B - 1 of a
 C-ordered (n, R) block: two contiguous broadcast passes give the bits
-spin-major, draw i of every stream in row i, with no transposed unpack.
+spin-major, draw i of every stream in row i, with no transposed unpack
+(lane by lane for a lane block).
 next_bipolar draws through it, so a wrapper on next_block sees every word.
 """
 
@@ -153,8 +161,14 @@ def _draws(states: np.ndarray, n: int) -> np.ndarray:
 def _lane_tables(lanes: int, length: int) -> np.ndarray:
     """Read-only (lanes, 16, 16) tables of T^(c * length), c = 0..lanes-1."""
     images = [_BASIS]
-    if lanes > 1:  # length < n of the block that asks, so the recursion ends
-        stride = _table(_draws(_BASIS.copy(), length)[-1])
+    if lanes > 1:
+        # T^length from the basis drawn in 128-draw chunks, as _low_bit_table
+        # draws, so no (length, 64) word array is held. A chunk's own lanes
+        # are shorter than the chunk, so the recursion ends.
+        stride = _BASIS.copy()
+        for start in range(0, length, 128):
+            _draws(stride, min(128, length - start))
+        stride = _table(stride)
         for _ in range(1, lanes):
             images.append(_apply(stride[None], images[-1])[0])
     tables = np.moveaxis(_table(np.stack(images, axis=1)), 2, 0).copy()
@@ -189,16 +203,20 @@ _PLANES = np.arange(8, dtype=np.uint8)[:, None]
 
 
 def _unpack_planes(words: np.ndarray, n: int) -> np.ndarray:
-    """C-ordered (n, R) uint8 bits of the R C-ordered rows of packed words a
-    low-bit table gives: row i is draw i, bit i // B of byte i % B."""
+    """(C, n, R) uint8 bits of C lanes of R C-ordered rows of packed words a
+    low-bit table gives, each lane a C-ordered (n, R) plane: row i is draw
+    i, bit i // B of byte i % B."""
+    lanes, replicas = words.shape[:2]
     width = -(-n // 8)
-    # The flat (B, R) bytes, transposed once (a view at R = 1); plane p then
-    # fills rows pB .. pB + B - 1. The passes run over flat (8, B R) arrays,
-    # so that the inner loop is B R bytes long even at R = 1.
-    packed = words.astype("<u8", copy=False).view(np.uint8)[:, :width].T.reshape(-1)
+    # Each lane's (B, R) bytes, transposed once (a view at R = 1); plane p
+    # then fills rows pB .. pB + B - 1 of its lane. The passes run over flat
+    # (C, 8, B R) arrays, so that the inner loop is B R bytes long even at
+    # R = 1.
+    packed = words.astype("<u8", copy=False).view(np.uint8)[..., :width]
+    packed = packed.transpose(0, 2, 1).reshape(lanes, 1, -1)
     bits = packed >> _PLANES
     bits &= 1
-    return bits.reshape(8 * width, len(words))[:n]
+    return bits.reshape(lanes, 8 * width, replicas)[:, :n]
 
 
 class RngStreams:
@@ -207,20 +225,29 @@ class RngStreams:
     next_block(n) returns the next n output words of every stream as an
     (n, R) array: entry [i, k] is draw i of stream k. With low_bit=True it
     returns bit 0 of each of those words as a C-ordered uint8 array, without
-    forming the words.
+    forming the words. With lanes=C it returns the same n draws as C
+    consecutive lanes of L = n / C draws, a (C, L, R) array whose lane c is
+    draws cL .. cL + L - 1; each low-bit lane is a C-ordered (L, R) plane.
     """
 
     def __init__(self, seed: int, n_streams: int):
         self.states = stream_seeds(seed, n_streams)
         self.n_streams = n_streams
 
-    def next_block(self, n: int, low_bit: bool = False) -> np.ndarray:
-        if low_bit:
-            states = self.states
-            out = _apply(_low_bit_table(n)[None], states)[0]  # (R, words + 1)
-            states[:] = out[:, -1]
-            return _unpack_planes(out, n)
-        return _draws(self.states, n)
+    def next_block(self, n: int, low_bit: bool = False, lanes: int | None = None) -> np.ndarray:
+        count = 1 if lanes is None else lanes
+        if count < 1 or n % count:
+            raise ValueError(f"{n} draws do not split into {lanes} equal lanes")
+        length, states = n // count, self.states
+        if not low_bit:
+            words = _draws(states, n)
+            return words if lanes is None else words.reshape(count, length, -1)
+        # Lane c starts from T^(cL) s; one gather then packs every lane's bits.
+        starts = _apply(_lane_tables(count, length), states).reshape(-1) if count > 1 else states
+        out = _apply(_low_bit_table(length)[None], starts)[0]  # (C R, words + 1)
+        states[:] = out[-len(states):, -1]  # the end words of lane C - 1
+        bits = _unpack_planes(out.reshape(count, len(states), -1), length)
+        return bits[0] if lanes is None else bits
 
     def next_bipolar(self, n: int) -> np.ndarray:
         """(n, R) int64 array of +-1 noise bits (low bit of each word)."""

@@ -32,7 +32,10 @@ n_rnd, and the p-bit RNGs run free of the spins. So one generator,
 _step_inputs, computes the three schedules once per run
 (schedules.schedule_table) and draws several steps' noise per RNG call,
 mapping, scaling and biasing (adding h to) each block once; draw i of a
-stream is the same in any block size. The noise arrives spin-major from
+stream is the same in any block size. A block holds C = max(1, 20 // R)
+lanes of m = max(1, 4096 // N) steps (rng's lane blocks), so a narrow
+plane draws as many steps a call as C lanes hold: 100 G11 steps at R = 1,
+and m steps at R >= 11. The noise arrives spin-major from
 the RNG (rng packs it by bit plane), so no pass transposes it. An all-zero
 h, as every MAX-CUT model has, skips the bias pass.
 
@@ -205,28 +208,38 @@ def _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, periodic, scratch):
     raw += is_acc
 
 
-_NOISE_BLOCK = 4096  # draws per stream in one noise block: 64 words a table entry
+_NOISE_BLOCK = 4096  # draws per stream in one noise lane: 64 words a table entry
+_NOISE_LANES = 20  # lanes x streams a noise block aims at; R >= 11 draws one lane
 
 
 def _step_inputs(params, rng, h, dtype):
     """Yield (noise, q, i0, floor, ceil) of each step from the run's
     schedule table. noise, n_rnd[t] times +-1 bits plus h, is a C-order,
-    writable (N, R) plane in dtype, from blocks of
-    K = max(1, _NOISE_BLOCK // N) steps (the last holds the rest) of one RNG
-    call and one map, scale and bias each; an all-zero h (every MAX-CUT
-    model) skips the bias pass. q and i0 are Python ints (a numpy integer
-    would widen an int8 plane under NEP 50). floor and ceil are the -i0 and
-    i0 - alpha planes that the saturation clamps against; one of each
-    serves the run, refilled only when i0 changes."""
+    writable (N, R) plane in dtype. One RNG call draws the noise of
+    C = max(1, _NOISE_LANES // R) lanes of m = max(1, _NOISE_BLOCK // N)
+    steps, fewer lanes when fewer whole lanes are left, and a tail shorter
+    than m steps is one single-lane block; each block is mapped, scaled and
+    biased once, and an all-zero h (every MAX-CUT model) skips the bias
+    pass. So a narrow plane draws many steps a call (100 G11 steps at
+    R = 1) and R >= 11 draws m steps a call. q and i0 are Python ints (a
+    numpy integer would widen an int8 plane under NEP 50). floor and ceil
+    are the -i0 and i0 - alpha planes that the saturation clamps against;
+    one of each serves the run, refilled only when i0 changes."""
     n, replicas = len(h), rng.n_streams
     # The flat spin-major (N, R) plane of h, or None when adding it changes nothing.
     bias = np.repeat(h.astype(dtype), replicas) if h.any() else None
     i0s, n_rnd, qs = (column.tolist() for column in schedule_table(params))
-    per_block = max(1, _NOISE_BLOCK // n)
+    per_lane, lanes = max(1, _NOISE_BLOCK // n), max(1, _NOISE_LANES // replicas)
     floor, ceil, held = np.empty((n, replicas), dtype), np.empty((n, replicas), dtype), None
-    for start in range(0, params.steps, per_block):
-        scale = np.array(n_rnd[start:start + per_block], dtype)[:, None]  # one row per step
-        bits = rng.next_block(len(scale) * n, low_bit=True)
+    start = 0
+    while start < params.steps:
+        # count lanes of size steps: whole lanes while any are left, then one
+        # lane of the rest.
+        rest = params.steps - start
+        count, size = min(lanes, rest // per_lane) or 1, min(per_lane, rest)
+        scale = np.array(n_rnd[start:start + count * size], dtype)[:, None]  # one row per step
+        bits = rng.next_block(count * size * n, low_bit=True, lanes=count)
+        # One row per step: a view but for lanes of a length not divisible by 8.
         block = _bipolar(bits.reshape(len(scale), -1), scale, dtype)
         if bias is not None:
             block += bias
@@ -236,6 +249,7 @@ def _step_inputs(params, rng, h, dtype):
                 floor.fill(-held)
                 ceil.fill(held - params.alpha)
             yield noise, qs[t], held, floor, ceil
+        start += count * size
 
 
 def _schedule_extremes(params: AnnealParams) -> tuple:
@@ -346,8 +360,8 @@ def run_psa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None
 
     Replicas evolve independently (no coupling term); r is uniform on [-1, 1).
     The uniforms of K = max(1, _NOISE_BLOCK // N) steps come from one RNG
-    call, as _step_inputs draws its noise; draw i of a stream is the same in
-    any block size.
+    call, as one lane of _step_inputs' noise does; draw i of a stream is the
+    same in any block size.
     """
     jmat = model.coupling_matrix()
     h = model.h.astype(np.float64)[:, None]

@@ -140,6 +140,17 @@ def _cases():
     yield ("hw-G11-R80-6steps",
            lambda: _digest(*run_hw(models["G11"], AnnealParams(steps=6, replicas=80, seed=8),
                                    graph=graphs["G11"], record_trace=True)))
+    # Lane blocks: at R = 1, 20 lanes of 5 G11 steps a call, so 203 steps are
+    # two 100-step blocks and a 3-step tail; at R = 3, 30-step blocks of 6
+    # lanes, then a shorter lane block and a tail.
+    yield ("ssa-G11-203steps",
+           lambda: _digest(run_ssa(models["G11"], AnnealParams(steps=203, seed=9), graphs["G11"],
+                                   record_trace=True)))
+    narrow = AnnealParams(steps=67, replicas=3, seed=9)
+    yield ("ssqa-G11-R3-67steps",
+           lambda: _digest(run_ssqa(models["G11"], narrow, graphs["G11"], record_trace=True)))
+    yield ("hw-G11-R3-67steps",
+           lambda: _digest(*run_hw(models["G11"], narrow, graph=graphs["G11"], record_trace=True)))
     # Saturation off the paper's rule: alpha other than 1, and i0 ramps that
     # start at or below 0 (where i0 - alpha < -i0) and rise past it.
     off_rule = {"alpha0": dict(alpha=0), "alpha2": dict(alpha=2), "alpha-1": dict(alpha=-1),

@@ -167,8 +167,9 @@ def test_blocks_match_scalar_streams(seed, r, sizes):
     assert got.tolist() == expect
 
 
-@pytest.mark.parametrize("lanes,length", [(1, 5), (2, 1), (2, 64), (17, 18), (28, 29),
-                                          (63, 64)])
+# (2, 0) is the identity; 129 and 300 draws cross the stride's 128-draw chunks.
+@pytest.mark.parametrize("lanes,length", [(1, 5), (2, 0), (2, 1), (2, 64), (17, 18), (28, 29),
+                                          (63, 64), (2, 129), (4, 300)])
 def test_lane_tables_equal_scalar_steps(lanes, length):
     """Lane table c applied to a state is the state after c * length scalar draws."""
     tables = _lane_tables(lanes, length)
@@ -276,3 +277,49 @@ def test_low_bit_table_build_stays_within_its_heap_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 379_520
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, MASK64), r=st.sampled_from([1, 2, 3, 20]), lanes=st.integers(1, 20),
+       length=st.sampled_from([1, 7, 8, 9, 63, 64, 65, 800, 4000, 4095]))
+@example(seed=1, r=1, lanes=20, length=4000)  # an R = 1 G11 block: 20 lanes of 5 steps
+@example(seed=1, r=3, lanes=6, length=4095)
+def test_lane_blocks_equal_consecutive_blocks(seed, r, lanes, length):
+    """next_block(C L, low_bit=True, lanes=C) is C C-ordered (L, R) lanes
+    equal to C consecutive next_block(L, low_bit=True) calls of a twin
+    stream, and leaves the states they leave."""
+    lane_rng, twin = RngStreams(seed, r), RngStreams(seed, r)
+    bits = lane_rng.next_block(lanes * length, low_bit=True, lanes=lanes)
+    assert bits.dtype == np.uint8 and bits.shape == (lanes, length, r)
+    for c in range(lanes):
+        assert bits[c].flags.c_contiguous
+        assert np.array_equal(bits[c], twin.next_block(length, low_bit=True)), c
+    assert np.array_equal(lane_rng.states, twin.states)
+
+
+def test_word_lanes_and_uneven_splits():
+    """Full-word lanes are the block cut into consecutive lanes; a block that
+    does not split into whole lanes raises."""
+    lane_rng, twin = RngStreams(5, 3), RngStreams(5, 3)
+    words = lane_rng.next_block(12, lanes=4)
+    assert words.shape == (4, 3, 3)
+    assert np.array_equal(words.reshape(12, 3), twin.next_block(12))
+    for n, lanes in ((10, 3), (4, 0), (4, -2)):
+        for low_bit in (False, True):
+            with pytest.raises(ValueError, match="equal lanes"):
+                lane_rng.next_block(n, low_bit, lanes)
+    assert np.array_equal(lane_rng.states, twin.states)
+
+
+def test_lane_table_build_stays_within_its_heap_budget():
+    """The T^L stride comes from the basis drawn in 128-draw chunks, so an
+    uncached _lane_tables(20, 4000) build holds no (4000, 64) word array
+    (2 MB): its tracemalloc peak was 131,425 bytes under numpy 2.4."""
+    _lane_tables.__wrapped__(20, 4000)  # the chunks' own lane tables are cached, as in a run
+    tracemalloc.start()
+    try:
+        _lane_tables.__wrapped__(20, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200_000

@@ -12,6 +12,7 @@ from ssqa.schedules import (AnnealParams, LinearSchedule, QSchedule, i0_at, n_rn
                             schedule_table)
 from ssqa.solver import (
     _NOISE_BLOCK,
+    _NOISE_LANES,
     _accumulate,
     _add_coupling,
     _check_field_planes,
@@ -466,10 +467,27 @@ def steps_per_block(n):
     return max(1, _NOISE_BLOCK // n)
 
 
+def lanes_per_block(replicas):
+    return max(1, _NOISE_LANES // replicas)
+
+
 # Step counts around the block size K: none, one, a block short of its last
 # step, one whole block, and one or several blocks with a short last block.
 STEP_COUNTS = (lambda k: 0, lambda k: 1, lambda k: k - 1, lambda k: k, lambda k: k + 1,
                lambda k: 2 * k + 3)
+
+
+def lane_block_examples(test):
+    """Examples at N = 800 and R = 1 and 3, whose blocks hold C lanes of K
+    steps (C = 20 and 6): one step short of a block, one block, a block and
+    3 steps, and two blocks, one lane and a 2-step tail."""
+    for replicas in (1, 3):
+        c = lanes_per_block(replicas)
+        for steps in (lambda k, c=c: c * k - 1, lambda k, c=c: c * k,
+                      lambda k, c=c: c * k + 3, lambda k, c=c: 2 * c * k + k + 2):
+            test = example(n=800, steps=steps, replicas=replicas, dtype=np.int8, seed=2,
+                           n_rnd=(6, -3), biased=True, i0=(3, 9), alpha=1)(test)
+    return test
 
 
 @settings(max_examples=60, deadline=None)
@@ -487,10 +505,12 @@ STEP_COUNTS = (lambda k: 0, lambda k: 1, lambda k: k - 1, lambda k: k, lambda k:
          biased=False, i0=(0, 4), alpha=1)
 @example(n=800, steps=STEP_COUNTS[-1], replicas=3, dtype=np.int8, seed=1, n_rnd=(6, 0),
          biased=False, i0=(-2, 3), alpha=2)
+@lane_block_examples
 def test_step_inputs_equal_step_by_step_draws(n, steps, replicas, dtype, seed, n_rnd, biased,
                                               i0, alpha):
-    """Each noise plane is n_rnd(t) times the +-1 bits of a twin stream
-    drawing one step at a time, plus h when there is one, in the step dtype;
+    """Each noise plane, whether its block holds one lane or several, is
+    n_rnd(t) times the +-1 bits of a twin stream drawing one step at a
+    time, plus h when there is one, in the step dtype;
     planes are C-ordered, writable and disjoint, and both streams end in one
     state. q and i0 are the schedule's at each step, and the run's one floor
     and one ceil plane hold -i0 and i0 - alpha at every step."""
@@ -529,14 +549,16 @@ def test_runs_draw_one_word_per_spin_update(engine, monkeypatch):
 
     words, next_block = [], RngStreams.next_block
 
-    def spy(self, n, low_bit=False):
+    def spy(self, n, low_bit=False, **kw):
         words.append(self.n_streams * n)
-        return next_block(self, n, low_bit)
+        return next_block(self, n, low_bit, **kw)
 
     monkeypatch.setattr(RngStreams, "next_block", spy)
     graph = load_instance("G11")
     model = maxcut_to_ising(graph)
-    for steps in (0, 1, steps_per_block(model.n) + 1):
+    # The last count is past one R = 3 block of 6 lanes, into the lane path.
+    for steps in (0, 1, steps_per_block(model.n) + 1,
+                  lanes_per_block(3) * steps_per_block(model.n) + 2):
         params = AnnealParams(steps=steps, replicas=3, seed=4)
         words.clear()
         if engine == "run_ssqa":
