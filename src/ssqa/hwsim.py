@@ -15,15 +15,17 @@ the step's cycles in hardware order:
 * MAC phase: one read of the whole t plane (a read-only view of the bank)
   and one CSR kernel call that adds J times it straight into the step's
   sums, as all R replica gates share each (J_ij, j) fetch (csr_matvec at
-  R = 1, csr_matvecs above; solver._accumulate). No cycle of a step writes
-  the t plane, and a zero weight adds nothing, so the product also serves
-  the dense schedule.
+  R = 1, csr_matvecs above). No cycle of a step writes the t plane, and a
+  zero weight adds nothing, so the product also serves the dense schedule.
 * FIN phase: cycle i reads t-1 word i and writes t+1 word i, once per
   spin, so reading every t-1 word (a view), then writing every t+1 word
   in place into next_plane(), the t-1 bank on dual-BRAM, gives the words
-  of cycle order. Noise, sum, saturation and sign are the reference
-  engine's, in its dtype, from the same per-run tables (solver._step_inputs,
-  _accumulate, _saturate_and_sign).
+  of cycle order.
+
+Both phases are one call of the reference engine's step kernel
+(solver._step), in its dtype, from the same per-run tables
+(solver._step_inputs), with next_plane() as the plane of t+1 words; the
+kernel checks each sum against accumulator_bound before the saturation.
 
 Cycle counts and the MAC / FIN split come from the same row degrees.
 """
@@ -41,8 +43,7 @@ from .schedules import AnnealParams
 # perfbench/tracer.py times hwsim.i0_at, hwsim.n_rnd_at and hwsim.q_value_at,
 # so the names stay bound here; run_hw reads the per-run table.
 from .schedules import i0_at, n_rnd_at, q_value_at  # noqa: F401
-from .solver import (AccumulatorOverflowError, _accumulate, _check_field_planes, _finalize,
-                     _saturate_and_sign, _step_dtype, _step_inputs, _trace_entry,
+from .solver import (_finalize, _step, _step_constants, _step_dtype, _step_inputs, _trace_entry,
                      accumulator_bound, initial_state)
 
 
@@ -244,25 +245,19 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     # replica states of spin i. The t-1 plane starts as a copy of the t plane.
     plane = initial_state(model, rng, dtype)
     delay = _DELAY_LINES[delay_kind](plane, plane)
-    is_acc, scratch = np.zeros_like(plane), np.empty_like(plane)
-    _check_field_planes(jmat, plane, is_acc)  # the delay banks are copies of plane
+    is_acc = np.zeros_like(plane)  # the delay banks are copies of plane, checked here
+    run = _step_constants(jmat, plane, is_acc, params.alpha, params.periodic_replicas, acc_bound)
     trace = [] if record_trace else None
 
     # Each step's scaled noise word per replica per spin, with the bias
     # folded in, becomes the sum in place: the MAC product over the t plane,
-    # then the FIN phase's coupling to replica k+1 of the t-1 plane and
-    # accumulator.
-    for raw, q, i0, floor, ceil in _step_inputs(params, rng, model.h, dtype):
-        _accumulate(jmat, delay.read_t(...), delay.read_tminus1(...), raw, is_acc, q,
-                    params.periodic_replicas, scratch)
-        # Python ints: on a narrow dtype, -raw.min() could wrap.
-        peak = max(int(raw.max()), -int(raw.min()))
-        if peak > acc_bound:
-            raise AccumulatorOverflowError(f"|accumulator| {peak} exceeds bound {acc_bound}")
-        # raw >= I0 becomes I0 - alpha, raw < -I0 becomes -I0, and each t+1
-        # word is the sign, in place now that every t-1 word has been read.
+    # then the FIN phase's coupling to replica k+1 of the t-1 plane, the
+    # accumulator, the bound check, the saturation and the sign, whose t+1
+    # words land in place once every t-1 word has been read.
+    for raw, flat, q, i0, floor, ceil in _step_inputs(params, rng, model.h, dtype):
         words = delay.next_plane()
-        _saturate_and_sign(raw, i0, params.alpha, floor, ceil, words, scratch)
+        _step(run, delay.read_t(...).reshape(-1), delay.read_tminus1(...), raw, flat, is_acc, q,
+              i0, floor, ceil, words)
         is_acc = raw
         delay.write(..., words)
         delay.advance_step()

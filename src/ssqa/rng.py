@@ -25,7 +25,8 @@ the table of T^L applied c times, and all C * R lanes advance L times in
 lockstep as one numpy array, so Python loops about sqrt(n) times per block
 instead of n times. The words come out in stream order, equal to n scalar
 steps of each stream. The T^L stride is drawn from the basis in 128-draw
-chunks, so a long lane holds no (L, 64) word array.
+chunks, so a long lane holds no (L, 64) word array, and is cached per
+length, so each further lane count at L is only table applications.
 
 next_block(n, low_bit=True) is one gather from the table of the n noise
 bits, whose last word is the new state. With lanes=C the n draws come as C
@@ -158,19 +159,27 @@ def _draws(states: np.ndarray, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
+def _stride_table(length: int) -> np.ndarray:
+    """Read-only (16, 16) table of T^length, from the basis drawn in
+    128-draw chunks, as _low_bit_table draws, so no (length, 64) word array
+    is held. A chunk's own lanes are shorter than the chunk, so the
+    recursion through _draws ends."""
+    stride = _BASIS.copy()
+    for start in range(0, length, 128):
+        _draws(stride, min(128, length - start))
+    return _table(stride)
+
+
+@functools.lru_cache(maxsize=8)
 def _lane_tables(lanes: int, length: int) -> np.ndarray:
-    """Read-only (lanes, 16, 16) tables of T^(c * length), c = 0..lanes-1."""
+    """Read-only (lanes, 16, 16) tables of T^(c * length), c = 0..lanes-1:
+    the cached stride table applied c times, so a second lane count at a
+    length draws nothing."""
     images = [_BASIS]
     if lanes > 1:
-        # T^length from the basis drawn in 128-draw chunks, as _low_bit_table
-        # draws, so no (length, 64) word array is held. A chunk's own lanes
-        # are shorter than the chunk, so the recursion ends.
-        stride = _BASIS.copy()
-        for start in range(0, length, 128):
-            _draws(stride, min(128, length - start))
-        stride = _table(stride)
+        stride = _stride_table(length)[None]
         for _ in range(1, lanes):
-            images.append(_apply(stride[None], images[-1])[0])
+            images.append(_apply(stride, images[-1])[0])
     tables = np.moveaxis(_table(np.stack(images, axis=1)), 2, 0).copy()
     tables.flags.writeable = False
     return tables

@@ -16,16 +16,16 @@ hardware delay lines: row i holds spin i of every replica. A step's noise
 block arrives in that shape and the noise buffer becomes the accumulator in
 place. The field J sigma needs no transpose: scipy's compiled CSR kernel
 (csr_matvec at R = 1, csr_matvecs above) adds it straight into the
-accumulator, with no product plane (_accumulate). run_ssqa and
+accumulator, with no product plane (_step). run_ssqa and
 hwsim.run_hw hold the planes, the noise, h, J and the accumulators in one
 step dtype per run: a signed integer sized, like the hardware registers,
 from the weight width, the row degree and the schedule endpoints (int8 on
 G11, int16 on G14; see _step_dtype), which the kernel sums in. The model
 caches its CSR in each step dtype. Every pass of a step runs over whole
 contiguous planes: the replica coupling is one pass over a neighbour plane
-built by a flat shifted copy (_add_coupling), and run_hw forms its sums
-through the same _accumulate. Only traces and results are replica-major
-(R, N) and int64, and only those boundaries transpose and widen.
+built by a flat shifted copy (_add_coupling), and run_hw steps through the
+same _step. Only traces and results are replica-major (R, N) and int64,
+and only those boundaries transpose and widen.
 
 Per-step inputs: the paper's controller hands each step its q, I0 and
 n_rnd, and the p-bit RNGs run free of the spins. So one generator,
@@ -41,21 +41,24 @@ h, as every MAX-CUT model has, skips the bias pass.
 
 Per-run planes: past its noise block, a step allocates no plane; its
 accumulator is the previous step's noise plane. Each engine holds, for the
-whole run, the two spin planes (t and t-1), the -i0 and i0 - alpha planes
-the saturation clamps against (from _step_inputs, refilled only when i0
-changes) and one scratch plane, which holds the neighbour plane of
-_add_coupling (and the raw ^ top select plane of the saturation off the
-paper's rule). Each engine checks its field-product planes once, where it
-sets them up (_check_field_planes), so a step checks no flag, dtype or
-shape. A step then spends its passes on the field product, the replica
-coupling, the accumulator sum and the saturation: under the paper's rule
-(alpha 1, or 0, with i0 - alpha >= -i0) two clamps against the held
-planes, otherwise a bit select.
+whole run, the t and t-1 spin planes with their flat views, the -i0 and
+i0 - alpha clamp planes (from _step_inputs, which yields each noise plane
+with its flat view and refills the clamp planes only when i0 changes) and
+_step_constants: the CSR product bound to J, one scratch plane (the
+neighbour plane of _add_coupling, and the raw ^ top plane off the paper's
+rule) and a 1 of the step dtype. The planes are checked once there
+(_check_field_planes), so a step checks no flag, dtype or shape. A step is
+one _step call: the field product, the replica coupling (skipped at q = 0),
+the accumulator sum, run_hw's bound check, the saturation (two clamps under
+the paper's rule, alpha 1, or 0, with i0 - alpha >= -i0, else a bit select)
+and the sign, np.sign ORed with the held 1, so 0 gives +1. Only run_hw
+reshapes a plane in a step: each read_t view to its flat view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -116,25 +119,6 @@ def initial_state(model: IsingModel, rng: RngStreams, dtype) -> np.ndarray:
     return _bipolar(rng.next_block(model.n, low_bit=True), 1, dtype)
 
 
-def _saturate_and_sign(raw, i0, alpha, floor, ceil, sigma, scratch):
-    """In place: raw >= i0 becomes i0 - alpha, raw < -i0 becomes -i0, and
-    sigma (raw's signed integer dtype) gets the sign, 0 as +1. floor and
-    ceil are planes of raw's shape holding -i0 and i0 - alpha: numpy clamps
-    against a plane several times faster than against a scalar. Under the
-    paper's rule (alpha 0 or 1, and i0 - alpha >= -i0) the three branches
-    are two clamps, raw = min(max(raw, -i0), i0 - alpha); any other (i0,
-    alpha) goes through _saturate_by_select, which needs scratch. One
-    kernel serves every integer width."""
-    if (alpha == 0 or alpha == 1) and i0 + i0 >= alpha:
-        np.maximum(raw, floor, out=raw)
-        np.minimum(raw, ceil, out=raw)
-    else:
-        _saturate_by_select(raw, i0, i0 - alpha, floor, sigma, scratch)
-    # The sign bit spread over the word: -1 where raw < 0, else 0; | 1 gives +-1.
-    np.right_shift(raw, 8 * raw.dtype.itemsize - 1, out=sigma)
-    sigma |= 1
-
-
 def _saturate_by_select(raw, i0, top, floor, select, scratch):
     """In place, for any (i0, top): raw >= i0 becomes top, else raw < -i0
     becomes -i0. The top branch is a bit select: raw ^ top in scratch, kept
@@ -155,8 +139,6 @@ def _add_coupling(raw, prev, q, periodic, upper):
     plane of raw's shape and dtype whose values are not read, so no pass is
     strided, and every entry of raw gets the term the two-slice rule gives
     it."""
-    if q == 0:
-        return  # adding 0 changes nothing
     # [i, k] = q prev[i, k + 1] but in the last column.
     np.multiply(prev.reshape(-1)[1:], q, out=upper.reshape(-1)[:-1])
     if periodic:
@@ -168,13 +150,12 @@ def _add_coupling(raw, prev, q, periodic, upper):
 
 def _check_field_planes(jmat, sigma, raw):
     """Raise ValueError unless raw is C-ordered and sigma has raw's shape,
-    both in J's dtype with one row per spin: what _accumulate's kernel
-    needs and does not check. The kernel checks no length, so a plane of
-    another shape would be read or written out of bounds. The engines call
-    this once per run, where they set up their planes, with the plane that
-    every step's sigma is and the accumulator plane that every step's raw
-    matches (each noise plane of _step_inputs is a C-ordered plane of the
-    step dtype)."""
+    both in J's dtype with one row per spin: what _step's CSR kernel needs
+    and does not check. The kernel checks no length, so a plane of another
+    shape would be read or written out of bounds. _step_constants calls
+    this once per run with the plane that every step's sigma is a view of
+    and the accumulator plane that every step's raw matches (each noise
+    plane of _step_inputs is a C-ordered plane of the step dtype)."""
     if (not raw.flags.c_contiguous or raw.dtype != jmat.dtype or sigma.dtype != jmat.dtype
             or sigma.shape != raw.shape or len(jmat.indptr) != raw.shape[0] + 1):
         raise ValueError(
@@ -184,28 +165,50 @@ def _check_field_planes(jmat, sigma, raw):
             f"{sigma.shape}")
 
 
-def _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, periodic, scratch):
-    """A step's unsaturated sum on spin-major planes, in place: raw (the
-    step's noise, already scaled by n_rnd and biased by h) becomes
-    raw + J sigma + q sigma_prev[:, k + 1] + is_acc. The sum is exact in any
-    order, because _step_dtype bounds the sum of every |term|. scratch is
-    the run's held plane that _add_coupling builds the neighbour plane in.
+def _step_constants(jmat, sigma, is_acc, alpha, periodic, bound=None):
+    """The per-run constants of _step, from the run's t plane sigma and
+    accumulator plane is_acc, whose planes it checks once
+    (_check_field_planes): the CSR product bound to J (csr_matvec at R = 1,
+    csr_matvecs above, as scipy's own product picks), alpha, the chain's
+    wrap, the held scratch plane, a 1 of the step dtype and the accumulator
+    bound (None skips the check)."""
+    _check_field_planes(jmat, sigma, is_acc)
+    n, replicas = sigma.shape
+    csr = (jmat.indptr, jmat.indices, jmat.data)
+    product = (partial(_sparsetools.csr_matvec, n, n, *csr) if replicas == 1
+               else partial(_sparsetools.csr_matvecs, n, n, replicas, *csr))
+    return product, alpha, periodic, np.empty_like(sigma), np.array(1, sigma.dtype), bound
 
-    scipy's compiled CSR kernel adds J sigma straight into raw, with no
-    result plane to allocate and add; it takes the single-column kernel at
-    R = 1, as scipy's own product does. The kernel sums in the operands'
-    dtype and writes through raw's flat view, so raw must be C-ordered and
-    share J's dtype, and sigma (read-only in run_hw) must share raw's shape
-    and J's dtype. A step checks none of this: the engines check their
-    planes once per run (_check_field_planes)."""
-    n, replicas = raw.shape
-    csr = (jmat.indptr, jmat.indices, jmat.data, sigma.reshape(-1), raw.reshape(-1))
-    if replicas == 1:
-        _sparsetools.csr_matvec(n, n, *csr)  # reads the step-t plane only
-    else:
-        _sparsetools.csr_matvecs(n, n, replicas, *csr)
-    _add_coupling(raw, sigma_prev, q, periodic, scratch)
+
+def _step(run, sigma, prev, raw, flat, is_acc, q, i0, floor, ceil, out):
+    """One step in place on spin-major planes: raw (the step's noise, scaled
+    by n_rnd and biased by h) becomes the saturated accumulator and out the
+    new spins. run is _step_constants' tuple, sigma the t plane's flat
+    view, prev the t-1 plane and flat raw's flat view. raw gains J sigma
+    (through flat), q prev[:, k + 1] and is_acc, exactly in any order, as
+    _step_dtype bounds the sum of every |term|; a run with a bound checks
+    the sum against it. Then raw >= i0 becomes i0 - alpha and raw < -i0
+    becomes -i0, against the -i0 and i0 - alpha planes floor and ceil (a
+    clamp against a plane is several times faster than against a scalar):
+    two clamps under the paper's rule (alpha 0 or 1, i0 - alpha >= -i0),
+    else the bit select. The sign is np.sign ORed with 1, so 0 gives +1."""
+    product, alpha, periodic, scratch, one, bound = run
+    product(sigma, flat)
+    if q:
+        _add_coupling(raw, prev, q, periodic, scratch)
     raw += is_acc
+    if bound is not None:
+        # Python ints: on a narrow dtype, -raw.min() could wrap.
+        peak = max(int(raw.max()), -int(raw.min()))
+        if peak > bound:
+            raise AccumulatorOverflowError(f"|accumulator| {peak} exceeds bound {bound}")
+    if (alpha == 0 or alpha == 1) and i0 + i0 >= alpha:
+        np.maximum(raw, floor, out=raw)
+        np.minimum(raw, ceil, out=raw)
+    else:
+        _saturate_by_select(raw, i0, i0 - alpha, floor, out, scratch)
+    np.sign(raw, out=out)
+    out |= one
 
 
 _NOISE_BLOCK = 4096  # draws per stream in one noise lane: 64 words a table entry
@@ -213,18 +216,18 @@ _NOISE_LANES = 20  # lanes x streams a noise block aims at; R >= 11 draws one la
 
 
 def _step_inputs(params, rng, h, dtype):
-    """Yield (noise, q, i0, floor, ceil) of each step from the run's
+    """Yield (noise, flat, q, i0, floor, ceil) of each step from the run's
     schedule table. noise, n_rnd[t] times +-1 bits plus h, is a C-order,
-    writable (N, R) plane in dtype. One RNG call draws the noise of
-    C = max(1, _NOISE_LANES // R) lanes of m = max(1, _NOISE_BLOCK // N)
-    steps, fewer lanes when fewer whole lanes are left, and a tail shorter
-    than m steps is one single-lane block; each block is mapped, scaled and
-    biased once, and an all-zero h (every MAX-CUT model) skips the bias
-    pass. So a narrow plane draws many steps a call (100 G11 steps at
-    R = 1) and R >= 11 draws m steps a call. q and i0 are Python ints (a
-    numpy integer would widen an int8 plane under NEP 50). floor and ceil
-    are the -i0 and i0 - alpha planes that the saturation clamps against;
-    one of each serves the run, refilled only when i0 changes."""
+    writable (N, R) plane in dtype, and flat its flat view. One RNG call
+    draws the noise of C = max(1, _NOISE_LANES // R) lanes of
+    m = max(1, _NOISE_BLOCK // N) steps, fewer lanes when fewer whole lanes are left,
+    and a tail shorter than m steps is one single-lane block; each block is
+    mapped, scaled and biased once, and an all-zero h (every MAX-CUT model)
+    skips the bias pass. So a narrow plane draws many steps a call (100 G11
+    steps at R = 1) and R >= 11 draws m steps a call. q and i0 are Python
+    ints (a numpy integer would widen an int8 plane under NEP 50). floor
+    and ceil are the -i0 and i0 - alpha planes that the saturation clamps
+    against; one of each serves the run, refilled only when i0 changes."""
     n, replicas = len(h), rng.n_streams
     # The flat spin-major (N, R) plane of h, or None when adding it changes nothing.
     bias = np.repeat(h.astype(dtype), replicas) if h.any() else None
@@ -243,12 +246,12 @@ def _step_inputs(params, rng, h, dtype):
         block = _bipolar(bits.reshape(len(scale), -1), scale, dtype)
         if bias is not None:
             block += bias
-        for t, noise in enumerate(block.reshape(-1, n, replicas), start):
+        for t, (noise, flat) in enumerate(zip(block.reshape(-1, n, replicas), block), start):
             if i0s[t] != held:
                 held = i0s[t]
                 floor.fill(-held)
                 ceil.fill(held - params.alpha)
-            yield noise, qs[t], held, floor, ceil
+            yield noise, flat, qs[t], held, floor, ceil
         start += count * size
 
 
@@ -328,14 +331,15 @@ def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | Non
     sigma = initial_state(model, rng, dtype)
     # The t-1 plane starts as a copy of the t plane, so that the first
     # step's replica-coupling term is well defined.
-    sigma_prev, is_acc, scratch = sigma.copy(), np.zeros_like(sigma), np.empty_like(sigma)
-    _check_field_planes(jmat, sigma, is_acc)
+    sigma_prev, is_acc = sigma.copy(), np.zeros_like(sigma)
+    run = _step_constants(jmat, sigma, is_acc, params.alpha, params.periodic_replicas)
+    flat, flat_prev = sigma.reshape(-1), sigma_prev.reshape(-1)
     trace = [] if record_trace else None
-    for raw, q, i0, floor, ceil in _step_inputs(params, rng, model.h, dtype):
+    for raw, raw_flat, q, i0, floor, ceil in _step_inputs(params, rng, model.h, dtype):
         # raw becomes the accumulator and sigma_prev the new spins.
-        _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, params.periodic_replicas, scratch)
-        _saturate_and_sign(raw, i0, params.alpha, floor, ceil, sigma_prev, scratch)
+        _step(run, flat, sigma_prev, raw, raw_flat, is_acc, q, i0, floor, ceil, sigma_prev)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
+        flat, flat_prev = flat_prev, flat
         if record_trace:
             trace.append(_trace_entry(sigma, is_acc))
     return _finalize(model, params, graph, sigma, trace)

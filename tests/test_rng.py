@@ -14,6 +14,7 @@ from ssqa.rng import (
     _apply,
     _lane_tables,
     _low_bit_table,
+    _stride_table,
     splitmix64,
     stream_seeds,
     xorshift_next,
@@ -312,14 +313,41 @@ def test_word_lanes_and_uneven_splits():
 
 
 def test_lane_table_build_stays_within_its_heap_budget():
-    """The T^L stride comes from the basis drawn in 128-draw chunks, so an
-    uncached _lane_tables(20, 4000) build holds no (4000, 64) word array
-    (2 MB): its tracemalloc peak was 131,425 bytes under numpy 2.4."""
+    """The T^L stride comes from the basis drawn in 128-draw chunks, so
+    neither an uncached _lane_tables(20, 4000) build nor an uncached build
+    of its stride holds a (4000, 64) word array (2 MB). Under numpy 2.4
+    their tracemalloc peaks were 129,256 bytes (the lane tables, with the
+    stride cached) and 106,000 bytes (the stride)."""
     _lane_tables.__wrapped__(20, 4000)  # the chunks' own lane tables are cached, as in a run
-    tracemalloc.start()
-    try:
-        _lane_tables.__wrapped__(20, 4000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 200_000
+    for build in (lambda: _lane_tables.__wrapped__(20, 4000),
+                  lambda: _stride_table.__wrapped__(4000)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200_000
+
+
+def test_second_lane_count_at_a_length_draws_nothing(monkeypatch):
+    """The T^L stride is cached per length: once a length's stride is
+    built, lane tables of another lane count at that length are table
+    applications only, with no basis chunk drawn, and equal the tables a
+    fresh stride gives."""
+    import ssqa.rng
+
+    _lane_tables(3, 777)
+    draws, draw = [], ssqa.rng._draws
+
+    def spy(states, n):
+        draws.append(n)
+        return draw(states, n)
+
+    monkeypatch.setattr(ssqa.rng, "_draws", spy)
+    tables = _lane_tables.__wrapped__(5, 777)
+    assert draws == []
+    monkeypatch.undo()
+    fresh = _stride_table.__wrapped__(777)
+    assert np.array_equal(fresh, _stride_table(777))
+    assert np.array_equal(tables[:3], _lane_tables(3, 777))

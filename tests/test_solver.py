@@ -13,10 +13,10 @@ from ssqa.schedules import (AnnealParams, LinearSchedule, QSchedule, i0_at, n_rn
 from ssqa.solver import (
     _NOISE_BLOCK,
     _NOISE_LANES,
-    _accumulate,
     _add_coupling,
     _check_field_planes,
-    _saturate_and_sign,
+    _step,
+    _step_constants,
     _step_dtype,
     _step_inputs,
     accumulator_bound,
@@ -54,21 +54,21 @@ def random_model(rng, n, p=0.4, weight_bits=4):
 # ------------------------------------------------------- hand-computed trace
 
 def hand_steps(model, params, rng, sigma, is_acc):
-    """Step the engines' kernels, _accumulate and _saturate_and_sign, in the
-    run's step dtype from hand-set replica-major (R, N) planes, with the t-1
-    plane a copy of the t plane as at the start of a run and the planes
-    checked once as the engines check theirs, over the engines' per-step
-    inputs (h rides with the noise). Yields replica-major (sigma, Is) after
-    each of params.steps steps."""
+    """Step the engines' kernel, _step, in the run's step dtype from hand-set
+    replica-major (R, N) planes, with the t-1 plane a copy of the t plane as
+    at the start of a run and the planes checked once as the engines check
+    theirs (_step_constants), over the engines' per-step inputs (h rides
+    with the noise). Yields replica-major (sigma, Is) after each of
+    params.steps steps."""
     dtype = _step_dtype(model, params)
     jmat = model.coupling_matrix(dtype)
     sigma = np.array(np.transpose(sigma), dtype=dtype, order="C")
     is_acc = np.array(np.transpose(is_acc), dtype=dtype, order="C")
-    sigma_prev, scratch = sigma.copy(), np.empty_like(sigma)
-    _check_field_planes(jmat, sigma, is_acc)
-    for raw, q, i0, floor, ceil in _step_inputs(params, rng, model.h, dtype):
-        _accumulate(jmat, sigma, sigma_prev, raw, is_acc, q, params.periodic_replicas, scratch)
-        _saturate_and_sign(raw, i0, params.alpha, floor, ceil, sigma_prev, scratch)
+    sigma_prev = sigma.copy()
+    run = _step_constants(jmat, sigma, is_acc, params.alpha, params.periodic_replicas)
+    for raw, flat, q, i0, floor, ceil in _step_inputs(params, rng, model.h, dtype):
+        _step(run, sigma.reshape(-1), sigma_prev, raw, flat, is_acc, q, i0, floor, ceil,
+              sigma_prev)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
         yield sigma.T.copy(), is_acc.T.copy()
 
@@ -321,19 +321,30 @@ def test_saturation_and_sign_invariants():
 @example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=1, alpha=2, dtype="int64")
 @example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=-3, alpha=0, dtype="int8")
 @example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=-3, alpha=0, dtype="int64")
+# A clamped plane that holds 0, whose spin is +1, at every dtype.
+@example(raw=np.array([[-9, 0], [0, 9]]), i0=4, alpha=1, dtype="int8")
+@example(raw=np.array([[-9, 0], [0, 9]]), i0=4, alpha=1, dtype="int16")
+@example(raw=np.array([[-9, 0], [0, 9]]), i0=4, alpha=1, dtype="int32")
+@example(raw=np.array([[-9, 0], [0, 9]]), i0=4, alpha=1, dtype="int64")
 def test_saturate_and_sign_matches_three_branch_rule(raw, i0, alpha, dtype):
-    """The in-place update, on the two clamps or on the bit select, equals
-    the nested np.where rule bit for bit, at every integer step dtype,
-    against real -i0 and i0 - alpha planes. The elements stay in int8
-    range."""
+    """The saturation and sign of _step, on the two clamps or on the bit
+    select, equal the nested np.where rule bit for bit, at every integer
+    step dtype, against real -i0 and i0 - alpha planes: a step with no
+    couplings, q = 0 and a zero accumulator saturates its noise plane. The
+    elements stay in int8 range."""
     raw = raw.astype(dtype)
     top = i0 - alpha
     expect = np.where(raw >= i0, top, np.where(raw < -i0, -i0, raw)).astype(raw.dtype)
-    got, sigma = raw.copy(), np.empty_like(raw)
-    _saturate_and_sign(got, i0, alpha, np.full_like(raw, -i0), np.full_like(raw, top), sigma,
-                       np.full_like(raw, 77))
+    got, sigma = raw.copy(), np.full_like(raw, 55)
+    jmat = IsingModel(len(raw), np.zeros(len(raw), np.int64), ()).coupling_matrix(raw.dtype)
+    zero, spins = np.zeros_like(raw), np.ones_like(raw)
+    run = _step_constants(jmat, spins, zero, alpha, True)
+    run[3][...] = 77  # the scratch plane's values are not read
+    _step(run, spins.reshape(-1), spins, got, got.reshape(-1), zero, 0, i0,
+          np.full_like(raw, -i0), np.full_like(raw, top), sigma)
     assert got.tobytes() == expect.tobytes()
     assert np.array_equal(sigma, np.where(expect >= 0, 1, -1))
+    assert sigma.dtype == raw.dtype and not (sigma == 0).any()
 
 
 @st.composite
@@ -363,14 +374,15 @@ def test_add_coupling_matches_two_slice_rule(case):
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
 @pytest.mark.parametrize("replicas", [1, 5])
 def test_accumulate_matches_edge_loop_at_every_step_dtype(dtype, replicas):
-    """_accumulate adds J sigma through scipy's compiled CSR kernel, a
-    private module: the single-column kernel at R = 1, the multi-column one
-    above. At every step dtype, from a read-only sigma as run_hw's delay
-    views are, with raw near a quarter of the dtype's range, the sum equals
-    the edge loop's and the @ product's, so a scipy release that moves or
-    changes the kernel fails here. A non-contiguous accumulator, which the
-    kernel would write through a copy, and planes in another dtype, which it
-    would sum in a narrower one, fail the engines' once-per-run check."""
+    """_step adds J sigma through scipy's compiled CSR kernel, a private
+    module: the single-column kernel at R = 1, the multi-column one above.
+    At every step dtype, from a read-only sigma as run_hw's delay views are,
+    with raw near a quarter of the dtype's range and an i0 that no sum
+    reaches, the sum equals the edge loop's and the @ product's, so a scipy
+    release that moves or changes the kernel fails here. A non-contiguous
+    accumulator, which the kernel would write through a copy, and planes in
+    another dtype, which it would sum in a narrower one, fail the engines'
+    once-per-run check."""
     rng = np.random.default_rng(replicas)
     model = random_model(rng, 9, p=0.5)
     jmat = model.coupling_matrix(dtype)
@@ -387,9 +399,14 @@ def test_accumulate_matches_edge_loop_at_every_step_dtype(dtype, replicas):
         field[j] += w * sigma[i].astype(np.int64)
     assert np.array_equal(field, model.coupling_matrix() @ sigma.astype(np.int64))
     expect += field
-    _check_field_planes(jmat, sigma, raw)
-    _accumulate(jmat, sigma, prev, raw, is_acc, 2, True, np.empty_like(raw))
+    i0 = int(np.iinfo(dtype).max)
+    assert np.abs(expect).max() < i0
+    run = _step_constants(jmat, sigma, raw, 0, True)
+    out = np.empty_like(raw)
+    _step(run, sigma.reshape(-1), prev, raw, raw.reshape(-1), is_acc, 2, i0,
+          np.full_like(raw, -i0), np.full_like(raw, i0), out)
     assert raw.dtype == dtype and raw.tobytes() == expect.astype(dtype).tobytes()
+    assert np.array_equal(out, np.where(expect >= 0, 1, -1))
     strided = np.zeros((model.n, 2 * replicas), dtype)[:, ::2]
     other = np.int32 if dtype == np.int64 else np.int64
     for bad_raw, bad_sigma in ((strided, sigma), (raw.astype(other), sigma),
@@ -405,7 +422,8 @@ def test_step_inputs_are_c_order_planes(replicas):
     for dtype in (np.int8, np.int16):
         params = AnnealParams(steps=7, replicas=replicas)
         h = np.zeros(800, np.int64)
-        for noise, _, _, floor, ceil in _step_inputs(params, RngStreams(1, replicas), h, dtype):
+        for noise, _, _, _, floor, ceil in _step_inputs(params, RngStreams(1, replicas), h,
+                                                        dtype):
             for plane in (noise, floor, ceil):
                 assert plane.shape == (800, replicas) and plane.dtype == dtype
                 assert plane.flags.c_contiguous
@@ -453,7 +471,6 @@ def test_engines_check_field_planes_once_per_run(engine, monkeypatch):
         check(*args)
 
     monkeypatch.setattr(ssqa.solver, "_check_field_planes", spy)
-    monkeypatch.setattr(ssqa.hwsim, "_check_field_planes", spy)
     model = random_model(np.random.default_rng(3), 9)
     params = AnnealParams(steps=12, replicas=4, seed=2)
     if engine == "run_ssqa":
@@ -521,7 +538,10 @@ def test_step_inputs_equal_step_by_step_draws(n, steps, replicas, dtype, seed, n
         h[:] = np.random.default_rng(seed).integers(-8, 8, size=n)
     blocks, twin = RngStreams(seed, replicas), RngStreams(seed, replicas)
     planes, bounds = [], set()
-    for t, (plane, q, level, floor, ceil) in enumerate(_step_inputs(params, blocks, h, dtype)):
+    for t, (plane, flat, q, level, floor, ceil) in enumerate(_step_inputs(params, blocks, h,
+                                                                           dtype)):
+        assert flat.shape == (n * replicas,) and flat.base is not None
+        assert flat.__array_interface__ == plane.reshape(-1).__array_interface__
         assert (q, level) == (q_value_at(params, t), i0_at(params, t))
         assert type(q) is type(level) is int
         assert floor.dtype == ceil.dtype == dtype
