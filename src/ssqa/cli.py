@@ -95,6 +95,12 @@ def _build_config(args, suffix="") -> RunConfig:
             flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
+    return _run_config(values)
+
+
+def _run_config(values: dict) -> RunConfig:
+    """RunConfig(**values), with a bad field raised as a configuration
+    error (exit 2)."""
     try:
         return RunConfig(**values)
     except (TypeError, ValueError) as exc:
@@ -142,8 +148,11 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     config = _build_config(args)
-    _check_out_dir(args)
     field = args.sweep_field
+    # Every point's config is checked before the first trial of any point.
+    for value in args.values:
+        _run_config({**dataclasses.asdict(config), field: value})
+    _check_out_dir(args)
     results = bench.sweep(config, field, args.values)
     payload = json.dumps({
         "instance": config.instance,

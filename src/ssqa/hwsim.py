@@ -22,29 +22,29 @@ the step's cycles in hardware order:
   in place into next_plane(), the t-1 bank on dual-BRAM, gives the words
   of cycle order.
 
-Both phases are one call of the reference engine's step kernel
-(solver._step), in its dtype, from the same per-run tables
-(solver._step_inputs), with next_plane() as the plane of t+1 words; the
-kernel checks each sum against accumulator_bound before the saturation.
-
-Cycle counts and the MAC / FIN split come from the same row degrees.
+run_hw is the reference engine's step loop (solver._anneal) with its delay
+line as the plane store (_delay_planes), so both phases are one call of the
+step kernel, which checks each sum against accumulator_bound before the
+saturation; plus the cycle report, whose MAC / FIN split comes from the row
+degrees.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .ising import IsingModel, WeightedGraph
-from .rng import RngStreams
 from .schedules import AnnealParams
-# perfbench/tracer.py times hwsim.i0_at, hwsim.n_rnd_at and hwsim.q_value_at,
-# so the names stay bound here; run_hw reads the per-run table.
+# perfbench/tracer.py times hwsim.i0_at, hwsim.n_rnd_at, hwsim.q_value_at,
+# hwsim.initial_state and hwsim._finalize, so the names stay bound here;
+# solver's step loop reads the per-run table and calls its own.
 from .schedules import i0_at, n_rnd_at, q_value_at  # noqa: F401
-from .solver import (_finalize, _step, _step_constants, _step_dtype, _step_inputs, _trace_entry,
-                     accumulator_bound, initial_state)
+from .solver import _anneal
+from .solver import _finalize, initial_state  # noqa: F401
 
 
 class DelayAddressError(IndexError):
@@ -191,9 +191,6 @@ class DelayLine:
             np.copyto(self._tm1, self._next)
             self._t, self._tm1 = self._tm1, self._t
 
-    def plane_t(self) -> np.ndarray:
-        return self._t.copy()
-
 
 # perfbench/tracer.py counts the calls of read_t and write through
 # owner.__dict__[...] of each class, so each subclass re-binds them; without
@@ -216,6 +213,20 @@ _DELAY_LINES = {cls.kind: cls for cls in (DualBramDelay, ShiftRegDelay)}
 DELAY_KINDS = tuple(_DELAY_LINES)
 
 
+def _delay_planes(delay_cls, plane, steps):
+    """run_hw's plane store for steps steps: a delay line of delay_cls whose
+    t and t-1 planes start as copies of plane. For each step it yields the
+    whole t plane read as its flat view (the MAC phase), the whole t-1 plane
+    and next_plane() (the FIN phase); after the step it commits the t+1
+    words written in place and advances the line."""
+    delay = delay_cls(plane, plane)
+    for _ in range(steps):
+        words = delay.next_plane()
+        yield delay.read_t(...).reshape(-1), delay.read_tminus1(...), words
+        delay.write(..., words)
+        delay.advance_step()
+
+
 def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram",
            graph: WeightedGraph | None = None, sparse_bypass: bool = True,
            record_trace: bool = False,
@@ -228,44 +239,13 @@ def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram
     """
     if delay_kind not in _DELAY_LINES:
         raise ValueError(f"unknown delay kind {delay_kind!r}")
-    acc_bound = accumulator_bound(model, params)
-
-    n, r_count = model.n, params.replicas
-    # Delay words, noise, h, J and the accumulators are held in the step
-    # dtype, sized from the register widths, not from acc_bound, so that
-    # the check below sees every true sum.
-    dtype = _step_dtype(model, params)
-    jmat = model.coupling_matrix(dtype)
-    # Row i's MAC cycles: its stored couplings, or every j != i when the
-    # sparse bypass is off (zero weights still cost a cycle).
-    degree = np.diff(jmat.indptr) if sparse_bypass else np.full(n, n - 1)
-
-    rng = RngStreams(params.seed, r_count)
-    # Delay words and accumulators are spin-major: address i holds the R
-    # replica states of spin i. The t-1 plane starts as a copy of the t plane.
-    plane = initial_state(model, rng, dtype)
-    delay = _DELAY_LINES[delay_kind](plane, plane)
-    is_acc = np.zeros_like(plane)  # the delay banks are copies of plane, checked here
-    run = _step_constants(jmat, plane, is_acc, params.alpha, params.periodic_replicas, acc_bound)
-    trace = [] if record_trace else None
-
-    # Each step's scaled noise word per replica per spin, with the bias
-    # folded in, becomes the sum in place: the MAC product over the t plane,
-    # then the FIN phase's coupling to replica k+1 of the t-1 plane, the
-    # accumulator, the bound check, the saturation and the sign, whose t+1
-    # words land in place once every t-1 word has been read.
-    for raw, flat, q, i0, floor, ceil in _step_inputs(params, rng, model.h, dtype):
-        words = delay.next_plane()
-        _step(run, delay.read_t(...).reshape(-1), delay.read_tminus1(...), raw, flat, is_acc, q,
-              i0, floor, ceil, words)
-        is_acc = raw
-        delay.write(..., words)
-        delay.advance_step()
-        if record_trace:
-            trace.append(_trace_entry(delay.plane_t(), is_acc))
-
-    result = _finalize(model, params, graph, delay.plane_t(), trace=trace)
-    mac_cycles, fin_cycles = params.steps * int(degree.sum()), params.steps * n
+    result = _anneal(model, params, graph, record_trace,
+                     partial(_delay_planes, _DELAY_LINES[delay_kind]), checked=True)
+    # A step's MAC cycles: every row's stored couplings, or every j != i when
+    # the sparse bypass is off (zero weights still cost a cycle).
+    n = model.n
+    macs = model.coupling_matrix().nnz if sparse_bypass else n * (n - 1)
+    mac_cycles, fin_cycles = params.steps * macs, params.steps * n
     cycle = mac_cycles + fin_cycles
     per_step = count_total_cycles(model, 1, sparse_bypass)
     assert cycle == params.steps * per_step, f"cycle accounting drift: {cycle} != {per_step}/step"

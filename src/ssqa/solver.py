@@ -11,21 +11,27 @@ matches the hardware model, which reads its delay banks while writing the
 next plane. The replica-coupling term reads the plane from two steps back
 (delay d = 1) of replica k+1, wrapping periodically unless configured open.
 
+One loop: run_ssqa, run_ssa and hwsim.run_hw all anneal through _anneal.
+Each step takes its spin planes from a plane store, an iterator that yields
+the t plane's flat view, the t-1 plane and the plane that takes the t+1
+spins, then rotates them. run_ssqa's store (_two_planes) writes the t+1
+spins over the t-1 plane and swaps the two, as the paper's dual-BRAM delay
+line does; run_hw's store is its delay line.
+
 Layout: the engines keep spin-major (N, R) planes, the word layout of the
 hardware delay lines: row i holds spin i of every replica. A step's noise
 block arrives in that shape and the noise buffer becomes the accumulator in
 place. The field J sigma needs no transpose: scipy's compiled CSR kernel
 (csr_matvec at R = 1, csr_matvecs above) adds it straight into the
-accumulator, with no product plane (_step). run_ssqa and
-hwsim.run_hw hold the planes, the noise, h, J and the accumulators in one
-step dtype per run: a signed integer sized, like the hardware registers,
-from the weight width, the row degree and the schedule endpoints (int8 on
-G11, int16 on G14; see _step_dtype), which the kernel sums in. The model
-caches its CSR in each step dtype. Every pass of a step runs over whole
-contiguous planes: the replica coupling is one pass over a neighbour plane
-built by a flat shifted copy (_add_coupling), and run_hw steps through the
-same _step. Only traces and results are replica-major (R, N) and int64,
-and only those boundaries transpose and widen.
+accumulator, with no product plane (_step). The loop holds the planes, the
+noise, h, J and the accumulators in one step dtype per run: a signed
+integer sized, like the hardware registers, from the weight width, the row
+degree and the schedule endpoints (int8 on G11, int16 on G14; see
+_step_dtype), which the kernel sums in. The model caches its CSR in each
+step dtype. Every pass of a step runs over whole contiguous planes: the
+replica coupling is one pass over a neighbour plane built by a flat shifted
+copy (_add_coupling). Only traces and results are replica-major (R, N) and
+int64, and only those boundaries transpose and widen.
 
 Per-step inputs: the paper's controller hands each step its q, I0 and
 n_rnd, and the p-bit RNGs run free of the spins. So one generator,
@@ -40,25 +46,25 @@ the RNG (rng packs it by bit plane), so no pass transposes it. An all-zero
 h, as every MAX-CUT model has, skips the bias pass.
 
 Per-run planes: past its noise block, a step allocates no plane; its
-accumulator is the previous step's noise plane. Each engine holds, for the
-whole run, the t and t-1 spin planes with their flat views, the -i0 and
-i0 - alpha clamp planes (from _step_inputs, which yields each noise plane
-with its flat view and refills the clamp planes only when i0 changes) and
-_step_constants: the CSR product bound to J, one scratch plane (the
-neighbour plane of _add_coupling, and the raw ^ top plane off the paper's
-rule) and a 1 of the step dtype. The planes are checked once there
-(_check_field_planes), so a step checks no flag, dtype or shape. A step is
-one _step call: the field product, the replica coupling (skipped at q = 0),
-the accumulator sum, run_hw's bound check, the saturation (two clamps under
-the paper's rule, alpha 1, or 0, with i0 - alpha >= -i0, else a bit select)
-and the sign, np.sign ORed with the held 1, so 0 gives +1. Only run_hw
-reshapes a plane in a step: each read_t view to its flat view.
+accumulator is the previous step's noise plane. The loop holds, for the
+whole run, the store's planes, the -i0 and i0 - alpha clamp planes (from
+_step_inputs, which yields each noise plane with its flat view and refills
+the clamp planes only when i0 changes) and _step_constants: the CSR product
+bound to J, one scratch plane (the neighbour plane of _add_coupling, and
+the raw ^ top plane off the paper's rule) and a 1 of the step dtype. The
+planes are checked once there (_check_field_planes), so a step checks no
+flag, dtype or shape. A step is one _step call: the field product, the
+replica coupling (skipped at q = 0), the accumulator sum, run_hw's bound
+check, the saturation (two clamps under the paper's rule, alpha 1, or 0,
+with i0 - alpha >= -i0, else a bit select) and the sign, np.sign ORed with
+the held 1, so 0 gives +1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import cycle, islice
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -321,34 +327,47 @@ def _finalize(model, params, graph, sigma, trace=None, spin_mean=None):
     )
 
 
-def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None = None,
-             record_trace: bool = False) -> RunResult:
-    """Run the full replica-coupled anneal; deterministic in (model, params, seed)."""
-    accumulator_bound(model, params)  # a too-wide schedule raises here
+def _two_planes(sigma, steps):
+    """run_ssqa's plane store for steps steps: the t plane sigma and a t-1
+    plane that starts as its copy, so that the first step's replica-coupling
+    term is well defined. Each step's t+1 spins overwrite the t-1 plane,
+    which then takes the t role."""
+    prev = sigma.copy()
+    return islice(cycle(((sigma.reshape(-1), prev, prev), (prev.reshape(-1), sigma, sigma))),
+                  steps)
+
+
+def _anneal(model, params, graph, record_trace, planes, checked) -> RunResult:
+    """The one step loop: the setup, one _step per step over the plane
+    store planes(sigma, steps) built on the initial plane sigma, and
+    _finalize. checked makes _step check each sum against accumulator_bound."""
+    bound = accumulator_bound(model, params)  # a too-wide schedule raises here
     dtype = _step_dtype(model, params)
-    jmat = model.coupling_matrix(dtype)
     rng = RngStreams(params.seed, params.replicas)
     sigma = initial_state(model, rng, dtype)
-    # The t-1 plane starts as a copy of the t plane, so that the first
-    # step's replica-coupling term is well defined.
-    sigma_prev, is_acc = sigma.copy(), np.zeros_like(sigma)
-    run = _step_constants(jmat, sigma, is_acc, params.alpha, params.periodic_replicas)
-    flat, flat_prev = sigma.reshape(-1), sigma_prev.reshape(-1)
+    is_acc = np.zeros_like(sigma)
+    run = _step_constants(model.coupling_matrix(dtype), sigma, is_acc, params.alpha,
+                          params.periodic_replicas, bound if checked else None)
     trace = [] if record_trace else None
-    for raw, raw_flat, q, i0, floor, ceil in _step_inputs(params, rng, model.h, dtype):
-        # raw becomes the accumulator and sigma_prev the new spins.
-        _step(run, flat, sigma_prev, raw, raw_flat, is_acc, q, i0, floor, ceil, sigma_prev)
-        sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
-        flat, flat_prev = flat_prev, flat
+    # The store comes first: zip stops at the first exhausted iterator, so the
+    # store's rotation after the last step still runs and no plane past it is
+    # read.
+    for (flat, prev, out), (raw, raw_flat, q, i0, floor, ceil) in zip(
+            planes(sigma, params.steps), _step_inputs(params, rng, model.h, dtype)):
+        # raw becomes the accumulator and out the new spins.
+        _step(run, flat, prev, raw, raw_flat, is_acc, q, i0, floor, ceil, out)
+        sigma, is_acc = out, raw
         if record_trace:
-            trace.append(_trace_entry(sigma, is_acc))
+            # Replica-major int64 copies, whatever the step dtype.
+            trace.append((sigma.T.astype(np.int64, order="C"),
+                          is_acc.T.astype(np.int64, order="C")))
     return _finalize(model, params, graph, sigma, trace)
 
 
-def _trace_entry(sigma, is_acc) -> tuple:
-    """Replica-major int64 copies (sigma, Is) of spin-major planes, whatever
-    the step dtype."""
-    return sigma.T.astype(np.int64, order="C"), is_acc.T.astype(np.int64, order="C")
+def run_ssqa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None = None,
+             record_trace: bool = False) -> RunResult:
+    """Run the full replica-coupled anneal; deterministic in (model, params, seed)."""
+    return _anneal(model, params, graph, record_trace, _two_planes, checked=False)
 
 
 def run_ssa(model: IsingModel, params: AnnealParams, graph: WeightedGraph | None = None,

@@ -122,7 +122,8 @@ def _cases():
            lambda: _digest(run_ssqa(models["G11"], wide, graphs["G11"], record_trace=True)))
     yield ("hw-G11-i0-2^40",
            lambda: _digest(*run_hw(models["G11"], wide, graph=graphs["G11"], record_trace=True)))
-    # G11 has N = 800, so a noise block holds 5 steps: 6 steps cross a block boundary.
+    # G11 has N = 800, so a noise block holds 5 steps: 6 steps cross a block
+    # boundary. Both delay kinds: the last step's commit and the final readout.
     for steps in (0, 1, 6):
         short = AnnealParams(steps=steps, seed=7)
         yield (f"ssqa-G11-{steps}steps",
@@ -131,6 +132,9 @@ def _cases():
         yield (f"hw-G11-{steps}steps",
                lambda short=short: _digest(*run_hw(models["G11"], short, graph=graphs["G11"],
                                                    record_trace=True)))
+        yield (f"hw-G11-{steps}steps-shift_register",
+               lambda short=short: _digest(*run_hw(models["G11"], short, "shift_register",
+                                                   graph=graphs["G11"], record_trace=True)))
     # Wide planes: R = 80 and 480 over 6 steps, which cross a 5-step noise block.
     for replicas in (80, 480):
         wide_plane = AnnealParams(steps=6, replicas=replicas, seed=8)

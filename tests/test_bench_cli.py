@@ -287,6 +287,19 @@ def test_cli_exit_codes(square_path, tmp_path, capsys, monkeypatch):
                         ("--q-min", "-inf"), ("--fclk", "inf"), ("--power", "inf"),
                         ("--fclk", "nan")):
         assert run_cli("run", "--instance", square_path, f"{flag}={value}") == 2, flag
+    # A bad sweep point, even after a good one, exits 2 before any point's first trial.
+    capsys.readouterr()
+    trials = []
+    with monkeypatch.context() as patched:
+        patched.setattr(bench, "run_one_trial", lambda *a: trials.append(a))
+        for command in (["sweep-replicas", "--replicas-list", "0", "--steps", "5"],
+                        ["sweep-steps", "--steps-list", "5,-1", "--trials", "1",
+                         "--out", str(tmp_path / "sweep")]):
+            assert run_cli(*command, "--instance", square_path) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("ssqa-bench: error:") and len(err.splitlines()) == 1, err
+            assert "Traceback" not in err
+    assert trials == [] and not list(tmp_path.glob("sweep*"))
     # 3: I/O errors.
     assert run_cli("run", "--instance", str(tmp_path / "absent.txt")) == 3
     assert run_cli("run", "--config", str(tmp_path / "absent.json")) == 3

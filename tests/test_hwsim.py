@@ -268,7 +268,7 @@ def test_bound_transactions_equal_checked_ones(delay_cls):
             twin.end_cycle()
         for dl in (d, twin):
             dl.advance_step()
-        assert np.array_equal(d.plane_t(), twin.plane_t())
+        assert np.array_equal(d.read_t(...), twin.read_t(...))
         assert np.array_equal(d.read_tminus1(...), twin.read_tminus1(...))
 
 
@@ -292,10 +292,11 @@ def test_run_hw_bit_exact_and_cycle_exact(delay_kind, sparse):
 
 
 @pytest.mark.parametrize("delay_kind", ["dual_bram", "shift_register"])
-def test_run_hw_calls_its_own_delay_class(delay_kind, monkeypatch):
-    """run_hw reads the t plane and writes the t+1 plane once per step, through
-    read_t and write in its kind's class __dict__, which is where the traced
-    benchmark counts them."""
+@pytest.mark.parametrize("steps", [0, 1, 7])
+def test_run_hw_calls_its_own_delay_class(delay_kind, steps, monkeypatch):
+    """run_hw reads the t plane and writes the t+1 plane once per step, the
+    last step included, through read_t and write in its kind's class
+    __dict__, which is where the traced benchmark counts them."""
     calls = Counter()
     for cls in (DualBramDelay, ShiftRegDelay):
         for attr in ("read_t", "write"):
@@ -304,8 +305,9 @@ def test_run_hw_calls_its_own_delay_class(delay_kind, monkeypatch):
                 return _orig(self, *args)
             monkeypatch.setattr(cls, attr, counted)
     model = IsingModel(3, np.zeros(3, dtype=np.int64), ((0, 1, 1), (1, 2, -1)))
-    run_hw(model, AnnealParams(steps=7, replicas=2, seed=1), delay_kind)
-    assert calls == {(delay_kind, "read_t"): 7, (delay_kind, "write"): 7}
+    run_hw(model, AnnealParams(steps=steps, replicas=2, seed=1), delay_kind)
+    assert calls[delay_kind, "read_t"] == calls[delay_kind, "write"] == steps
+    assert sum(calls.values()) == 2 * steps  # none through the other class
 
 
 @pytest.mark.parametrize("delay_kind", ["dual_bram", "shift_register"])
