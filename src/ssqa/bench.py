@@ -58,7 +58,6 @@ class RunConfig:
     sparse_bypass: bool = True
     f_clk: float = hwsim.DEFAULT_F_CLK
     power_w: float = hwsim.DEFAULT_POWER_W
-    utilization: float = hwsim.DEFAULT_UTILIZATION
     workers: int = 1
 
     def __post_init__(self):
@@ -78,7 +77,7 @@ class RunConfig:
                              f"choose from {hwsim.DELAY_KINDS}")
         # Steps, replicas, the q staircase and both ramps, then the cost model.
         self.anneal_params(self.seed)
-        hwsim.estimate_report(0, self.f_clk, self.power_w, self.utilization)
+        hwsim.estimate_report(0, self.f_clk, self.power_w)
 
     def anneal_params(self, seed: int) -> AnnealParams:
         return AnnealParams(
@@ -120,14 +119,13 @@ def run_one_trial(config: RunConfig, trial_index: int) -> dict:
         result, report = hwsim.run_hw(
             model, params, config.delay_kind, graph=graph,
             sparse_bypass=config.sparse_bypass, f_clk=config.f_clk,
-            power_w=config.power_w, utilization=config.utilization)
+            power_w=config.power_w)
     else:
         run = {"ssqa_ref": solver.run_ssqa, "ssa": solver.run_ssa,
                "psa": solver.run_psa}[config.engine]
         result = run(model, params, graph)
         cycles = hwsim.count_total_cycles(model, config.steps, config.sparse_bypass)
-        report = hwsim.estimate_report(cycles, config.f_clk, config.power_w,
-                                       config.utilization)
+        report = hwsim.estimate_report(cycles, config.f_clk, config.power_w)
     if record is not None and result.best_value > record.best_known_cut:
         raise IntegrityError(
             f"{config.instance}: cut {result.best_value} exceeds best known "

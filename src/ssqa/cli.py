@@ -65,7 +65,6 @@ def _add_common(parser):
     parser.add_argument("--n-rnd", dest="n_rnd", help="noise gain: 'v' or 'start:end'")
     parser.add_argument("--fclk", dest="f_clk", type=float)
     parser.add_argument("--power", dest="power_w", type=float)
-    parser.add_argument("--utilization", type=float)
     parser.add_argument("--workers", type=int)
     parser.add_argument("--out", help="output prefix; writes <out>.json and <out>.csv")
 

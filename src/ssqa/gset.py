@@ -125,9 +125,17 @@ def _decode(data: bytes) -> str:
 
 
 def load_instance(name_or_path: str) -> WeightedGraph:
-    """Load by registry name (bundled data) or by filesystem path."""
+    """Load by registry name (bundled data) or by filesystem path; a registry
+    name whose edge file is not bundled loads only as a path."""
     bundled = resources.files("ssqa").joinpath(f"data/gset/{name_or_path}")
     if name_or_path in _REGISTRY and bundled.is_file():
         return parse_gset(_decode(bundled.read_bytes()))
-    with open(name_or_path, "rb") as fh:
-        return parse_gset(_decode(fh.read()))
+    try:
+        with open(name_or_path, "rb") as fh:
+            return parse_gset(_decode(fh.read()))
+    except FileNotFoundError:
+        if name_or_path not in _REGISTRY:
+            raise
+        raise FileNotFoundError(f"{name_or_path} is a registry instance whose edge file is not "
+                                f"bundled; pass a path to a {name_or_path} G-set file to load "
+                                f"it") from None

@@ -215,14 +215,14 @@ DELAY_KINDS = tuple(_DELAY_LINES)
 
 def _delay_planes(delay_cls, plane, steps):
     """run_hw's plane store for steps steps: a delay line of delay_cls whose
-    t and t-1 planes start as copies of plane. For each step it yields the
-    whole t plane read as its flat view (the MAC phase), the whole t-1 plane
-    and next_plane() (the FIN phase); after the step it commits the t+1
-    words written in place and advances the line."""
+    t and t-1 planes start as copies of plane. For each step it yields
+    whole (N, R) planes: the t plane, read-only (the MAC phase), the t-1
+    plane, read-only, and next_plane() (the FIN phase); after the step it
+    commits the t+1 words written in place and advances the line."""
     delay = delay_cls(plane, plane)
     for _ in range(steps):
         words = delay.next_plane()
-        yield delay.read_t(...).reshape(-1), delay.read_tminus1(...), words
+        yield delay.read_t(...), delay.read_tminus1(...), words
         delay.write(..., words)
         delay.advance_step()
 

@@ -24,9 +24,10 @@ L = ceil(n / C) consecutive draws. Lane c starts from T^(cL) s, read from
 the table of T^L applied c times, and all C * R lanes advance L times in
 lockstep as one numpy array, so Python loops about sqrt(n) times per block
 instead of n times. The words come out in stream order, equal to n scalar
-steps of each stream. The T^L stride is drawn from the basis in 128-draw
-chunks, so a long lane holds no (L, 64) word array, and is cached per
-length, so each further lane count at L is only table applications.
+steps of each stream. T^L is the last word of the cached table of L noise
+bits (below), whose image of e_j ends with T^L e_j, as an F2-linear jump is
+fixed by its basis images (Haramoto et al., INFORMS J. Comput. 20(3),
+2008); so each length holds one map, and a lane count is table applications.
 
 next_block(n, low_bit=True) is one gather from the table of the n noise
 bits, whose last word is the new state. With lanes=C the n draws come as C
@@ -159,25 +160,14 @@ def _draws(states: np.ndarray, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _stride_table(length: int) -> np.ndarray:
-    """Read-only (16, 16) table of T^length, from the basis drawn in
-    128-draw chunks, as _low_bit_table draws, so no (length, 64) word array
-    is held. A chunk's own lanes are shorter than the chunk, so the
-    recursion through _draws ends."""
-    stride = _BASIS.copy()
-    for start in range(0, length, 128):
-        _draws(stride, min(128, length - start))
-    return _table(stride)
-
-
-@functools.lru_cache(maxsize=8)
 def _lane_tables(lanes: int, length: int) -> np.ndarray:
     """Read-only (lanes, 16, 16) tables of T^(c * length), c = 0..lanes-1:
-    the cached stride table applied c times, so a second lane count at a
-    length draws nothing."""
+    T^length, the last word of the cached _low_bit_table(length), applied c
+    times, so a lane count at a length whose low-bit table is cached draws
+    nothing."""
     images = [_BASIS]
     if lanes > 1:
-        stride = _stride_table(length)[None]
+        stride = _low_bit_table(length)[None, ..., -1]
         for _ in range(1, lanes):
             images.append(_apply(stride, images[-1])[0])
     tables = np.moveaxis(_table(np.stack(images, axis=1)), 2, 0).copy()
@@ -190,7 +180,9 @@ def _low_bit_table(n: int) -> np.ndarray:
     """Read-only (16, 16, ceil(n / 64) + 1) nibble table of the n noise bits
     and the state after them. The image of e_j packs bit 0 of the n draws
     from e_j by bit plane, draw i in bit i // B of byte i % B with
-    B = ceil(n / 8), and ends with the state they leave."""
+    B = ceil(n / 8), and ends with the state they leave (T^n). The basis is
+    drawn in 128-draw chunks, so no (n, 64) word array is held; a chunk's
+    lanes are shorter than it, so the recursion through _draws ends."""
     width = -(-n // 8)
     states = _BASIS.copy()
     images = np.zeros((64, -(-n // 64) + 1), dtype="<u8")

@@ -13,25 +13,26 @@ next plane. The replica-coupling term reads the plane from two steps back
 
 One loop: run_ssqa, run_ssa and hwsim.run_hw all anneal through _anneal.
 Each step takes its spin planes from a plane store, an iterator that yields
-the t plane's flat view, the t-1 plane and the plane that takes the t+1
-spins, then rotates them. run_ssqa's store (_two_planes) writes the t+1
-spins over the t-1 plane and swaps the two, as the paper's dual-BRAM delay
-line does; run_hw's store is its delay line.
+the whole t plane, the t-1 plane and the plane that takes the t+1 spins,
+then rotates them. run_ssqa's store (_two_planes) writes the t+1 spins over
+the t-1 plane and swaps the two, as the paper's dual-BRAM delay line does;
+run_hw's store is its delay line.
 
 Layout: the engines keep spin-major (N, R) planes, the word layout of the
 hardware delay lines: row i holds spin i of every replica. A step's noise
 block arrives in that shape and the noise buffer becomes the accumulator in
 place. The field J sigma needs no transpose: scipy's compiled CSR kernel
-(csr_matvec at R = 1, csr_matvecs above) adds it straight into the
-accumulator, with no product plane (_step). The loop holds the planes, the
-noise, h, J and the accumulators in one step dtype per run: a signed
-integer sized, like the hardware registers, from the weight width, the row
-degree and the schedule endpoints (int8 on G11, int16 on G14; see
-_step_dtype), which the kernel sums in. The model caches its CSR in each
-step dtype. Every pass of a step runs over whole contiguous planes: the
-replica coupling is one pass over a neighbour plane built by a flat shifted
-copy (_add_coupling). Only traces and results are replica-major (R, N) and
-int64, and only those boundaries transpose and widen.
+(csr_matvec at R = 1, csr_matvecs above) reads the whole t plane and adds J
+sigma straight into the whole accumulator plane, with no product plane and
+no flat view (_step). The loop holds the planes, the noise, h, J and the
+accumulators in one step dtype per run: a signed integer sized, like the
+hardware registers, from the weight width, the row degree and the schedule
+endpoints (int8 on G11, int16 on G14; see _step_dtype), which the kernel
+sums in. The model caches its CSR in each step dtype. Every pass of a step
+runs over whole contiguous planes: the replica coupling is one pass over a
+neighbour plane built by a flat shifted copy (_add_coupling). Only traces
+and results are replica-major (R, N) and int64, and only those boundaries
+transpose and widen.
 
 Per-step inputs: the paper's controller hands each step its q, I0 and
 n_rnd, and the p-bit RNGs run free of the spins. So one generator,
@@ -48,16 +49,15 @@ h, as every MAX-CUT model has, skips the bias pass.
 Per-run planes: past its noise block, a step allocates no plane; its
 accumulator is the previous step's noise plane. The loop holds, for the
 whole run, the store's planes, the -i0 and i0 - alpha clamp planes (from
-_step_inputs, which yields each noise plane with its flat view and refills
-the clamp planes only when i0 changes) and _step_constants: the CSR product
-bound to J, one scratch plane (the neighbour plane of _add_coupling, and
-the raw ^ top plane off the paper's rule) and a 1 of the step dtype. The
-planes are checked once there (_check_field_planes), so a step checks no
-flag, dtype or shape. A step is one _step call: the field product, the
-replica coupling (skipped at q = 0), the accumulator sum, run_hw's bound
-check, the saturation (two clamps under the paper's rule, alpha 1, or 0,
-with i0 - alpha >= -i0, else a bit select) and the sign, np.sign ORed with
-the held 1, so 0 gives +1.
+_step_inputs, which refills them only when i0 changes) and _step_constants:
+the CSR product bound to J, one scratch plane (the neighbour plane of
+_add_coupling, and the raw ^ top plane off the paper's rule) and a 1 of the
+step dtype. The planes are checked once there (_check_field_planes), so a
+step checks no flag, dtype or shape. A step is one _step call: the field
+product, the replica coupling (skipped at q = 0), the accumulator sum,
+run_hw's bound check, the saturation (two clamps under the paper's rule,
+alpha 1, or 0, with i0 - alpha >= -i0, else a bit select) and the sign,
+np.sign ORed with the held 1, so 0 gives +1.
 """
 
 from __future__ import annotations
@@ -157,11 +157,12 @@ def _add_coupling(raw, prev, q, periodic, upper):
 def _check_field_planes(jmat, sigma, raw):
     """Raise ValueError unless raw is C-ordered and sigma has raw's shape,
     both in J's dtype with one row per spin: what _step's CSR kernel needs
-    and does not check. The kernel checks no length, so a plane of another
-    shape would be read or written out of bounds. _step_constants calls
-    this once per run with the plane that every step's sigma is a view of
-    and the accumulator plane that every step's raw matches (each noise
-    plane of _step_inputs is a C-ordered plane of the step dtype)."""
+    and does not check. It takes whole (N, R) planes as buffers of N R
+    entries and checks no length, so a plane of another shape would be read
+    or written out of bounds. _step_constants calls this once per run with
+    the initial t plane, whose shape and dtype every store plane keeps, and
+    the accumulator plane that every step's raw matches (each noise plane
+    of _step_inputs is a C-ordered plane of the step dtype)."""
     if (not raw.flags.c_contiguous or raw.dtype != jmat.dtype or sigma.dtype != jmat.dtype
             or sigma.shape != raw.shape or len(jmat.indptr) != raw.shape[0] + 1):
         raise ValueError(
@@ -186,12 +187,12 @@ def _step_constants(jmat, sigma, is_acc, alpha, periodic, bound=None):
     return product, alpha, periodic, np.empty_like(sigma), np.array(1, sigma.dtype), bound
 
 
-def _step(run, sigma, prev, raw, flat, is_acc, q, i0, floor, ceil, out):
-    """One step in place on spin-major planes: raw (the step's noise, scaled
-    by n_rnd and biased by h) becomes the saturated accumulator and out the
-    new spins. run is _step_constants' tuple, sigma the t plane's flat
-    view, prev the t-1 plane and flat raw's flat view. raw gains J sigma
-    (through flat), q prev[:, k + 1] and is_acc, exactly in any order, as
+def _step(run, sigma, prev, raw, is_acc, q, i0, floor, ceil, out):
+    """One step in place on whole spin-major (N, R) planes: raw (the step's
+    noise, scaled by n_rnd and biased by h) becomes the saturated
+    accumulator and out the new spins. run is _step_constants' tuple, sigma
+    the t plane and prev the t-1 plane. raw gains J sigma (the CSR kernel
+    adds it in place), q prev[:, k + 1] and is_acc, exactly in any order, as
     _step_dtype bounds the sum of every |term|; a run with a bound checks
     the sum against it. Then raw >= i0 becomes i0 - alpha and raw < -i0
     becomes -i0, against the -i0 and i0 - alpha planes floor and ceil (a
@@ -199,7 +200,7 @@ def _step(run, sigma, prev, raw, flat, is_acc, q, i0, floor, ceil, out):
     two clamps under the paper's rule (alpha 0 or 1, i0 - alpha >= -i0),
     else the bit select. The sign is np.sign ORed with 1, so 0 gives +1."""
     product, alpha, periodic, scratch, one, bound = run
-    product(sigma, flat)
+    product(sigma, raw)
     if q:
         _add_coupling(raw, prev, q, periodic, scratch)
     raw += is_acc
@@ -222,18 +223,18 @@ _NOISE_LANES = 20  # lanes x streams a noise block aims at; R >= 11 draws one la
 
 
 def _step_inputs(params, rng, h, dtype):
-    """Yield (noise, flat, q, i0, floor, ceil) of each step from the run's
+    """Yield (noise, q, i0, floor, ceil) of each step from the run's
     schedule table. noise, n_rnd[t] times +-1 bits plus h, is a C-order,
-    writable (N, R) plane in dtype, and flat its flat view. One RNG call
-    draws the noise of C = max(1, _NOISE_LANES // R) lanes of
-    m = max(1, _NOISE_BLOCK // N) steps, fewer lanes when fewer whole lanes are left,
-    and a tail shorter than m steps is one single-lane block; each block is
-    mapped, scaled and biased once, and an all-zero h (every MAX-CUT model)
-    skips the bias pass. So a narrow plane draws many steps a call (100 G11
-    steps at R = 1) and R >= 11 draws m steps a call. q and i0 are Python
-    ints (a numpy integer would widen an int8 plane under NEP 50). floor
-    and ceil are the -i0 and i0 - alpha planes that the saturation clamps
-    against; one of each serves the run, refilled only when i0 changes."""
+    writable (N, R) plane in dtype. One RNG call draws the noise of
+    C = max(1, _NOISE_LANES // R) lanes of m = max(1, _NOISE_BLOCK // N)
+    steps, fewer lanes when fewer whole lanes are left, and a tail shorter
+    than m steps is one single-lane block; each block is mapped, scaled and
+    biased once, and an all-zero h (every MAX-CUT model) skips the bias
+    pass. So a narrow plane draws many steps a call (100 G11 steps at
+    R = 1) and R >= 11 draws m steps a call. q and i0 are Python ints (a
+    numpy integer would widen an int8 plane under NEP 50). floor and ceil
+    are the -i0 and i0 - alpha planes that the saturation clamps against;
+    one of each serves the run, refilled only when i0 changes."""
     n, replicas = len(h), rng.n_streams
     # The flat spin-major (N, R) plane of h, or None when adding it changes nothing.
     bias = np.repeat(h.astype(dtype), replicas) if h.any() else None
@@ -252,12 +253,12 @@ def _step_inputs(params, rng, h, dtype):
         block = _bipolar(bits.reshape(len(scale), -1), scale, dtype)
         if bias is not None:
             block += bias
-        for t, (noise, flat) in enumerate(zip(block.reshape(-1, n, replicas), block), start):
+        for t, noise in enumerate(block.reshape(-1, n, replicas), start):
             if i0s[t] != held:
                 held = i0s[t]
                 floor.fill(-held)
                 ceil.fill(held - params.alpha)
-            yield noise, flat, qs[t], held, floor, ceil
+            yield noise, qs[t], held, floor, ceil
         start += count * size
 
 
@@ -328,13 +329,12 @@ def _finalize(model, params, graph, sigma, trace=None, spin_mean=None):
 
 
 def _two_planes(sigma, steps):
-    """run_ssqa's plane store for steps steps: the t plane sigma and a t-1
-    plane that starts as its copy, so that the first step's replica-coupling
-    term is well defined. Each step's t+1 spins overwrite the t-1 plane,
-    which then takes the t role."""
+    """run_ssqa's plane store for steps steps: it yields (t, t-1, t+1)
+    planes, the t plane sigma and a t-1 plane that starts as its copy, so
+    that the first step's replica-coupling term is well defined. Each
+    step's t+1 spins overwrite the t-1 plane, which then takes the t role."""
     prev = sigma.copy()
-    return islice(cycle(((sigma.reshape(-1), prev, prev), (prev.reshape(-1), sigma, sigma))),
-                  steps)
+    return islice(cycle(((sigma, prev, prev), (prev, sigma, sigma))), steps)
 
 
 def _anneal(model, params, graph, record_trace, planes, checked) -> RunResult:
@@ -352,10 +352,10 @@ def _anneal(model, params, graph, record_trace, planes, checked) -> RunResult:
     # The store comes first: zip stops at the first exhausted iterator, so the
     # store's rotation after the last step still runs and no plane past it is
     # read.
-    for (flat, prev, out), (raw, raw_flat, q, i0, floor, ceil) in zip(
+    for (now, prev, out), (raw, q, i0, floor, ceil) in zip(
             planes(sigma, params.steps), _step_inputs(params, rng, model.h, dtype)):
         # raw becomes the accumulator and out the new spins.
-        _step(run, flat, prev, raw, raw_flat, is_acc, q, i0, floor, ceil, out)
+        _step(run, now, prev, raw, is_acc, q, i0, floor, ceil, out)
         sigma, is_acc = out, raw
         if record_trace:
             # Replica-major int64 copies, whatever the step dtype.

@@ -271,7 +271,7 @@ def test_cli_exit_codes(square_path, tmp_path, capsys, monkeypatch):
     assert run_cli("run", "--config", str(bad)) == 2
     bad.write_text(json.dumps({"unknown_key": 1}))
     assert run_cli("run", "--config", str(bad)) == 2
-    for flag, value in (("--q-beta", "-1"), ("--power", "-1"), ("--utilization", "-3")):
+    for flag, value in (("--q-beta", "-1"), ("--power", "-1")):
         assert run_cli("run", "--instance", square_path, flag, value) == 2
     for wrong in ({"delay_kind": "foo"}, {"replicas": "4"}, {"steps": 5.0},
                   {"sparse_bypass": 0}):
@@ -311,6 +311,28 @@ def test_cli_exit_codes(square_path, tmp_path, capsys, monkeypatch):
     assert run_cli("run", "--instance", square_path, "--steps", "50",
                    "--replicas", "4") == 4
     capsys.readouterr()
+
+
+def test_cli_config_with_utilization_is_an_unknown_key(square_path, tmp_path, capsys):
+    """RunConfig has no utilization field (no bench output reads it), so an
+    old params block reused as a config must drop the key: it exits 2."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instance": square_path, "steps": 5, "utilization": 0.199}))
+    assert run_cli("run", "--config", str(cfg)) == 2
+    assert "unknown config key 'utilization'" in capsys.readouterr().err
+
+
+def test_cli_unbundled_registry_instance_exits_3(tmp_path, capsys, monkeypatch):
+    """A registry instance whose edge file is not bundled (G12) is an I/O
+    error (3) saying so: no anneal runs and nothing is written."""
+    anneals = []
+    monkeypatch.setattr("ssqa.solver.run_ssqa", lambda *a, **kw: anneals.append(a))
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "res"
+    assert run_cli("run", "--instance", "G12", "--steps", "5", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "G12 is a registry instance whose edge file is not bundled" in err
+    assert anneals == [] and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [["run"], ["sweep-steps", "--steps-list", "5,10"],

@@ -99,6 +99,19 @@ def test_load_instance_from_path(tmp_path):
         gset.load_instance(str(tmp_path / "absent.txt"))
 
 
+def test_unbundled_registry_instance_names_the_missing_file(tmp_path, monkeypatch):
+    """G12 is in the registry but its edge file is not bundled: loading it
+    raises FileNotFoundError saying so, and a G12 file on the path loads."""
+    assert "G12" not in gset.bundled_instance_names()
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError,
+                       match="G12 is a registry instance whose edge file is not bundled; "
+                             "pass a path to a G12 G-set file"):
+        gset.load_instance("G12")
+    (tmp_path / "G12").write_text(SAMPLE)
+    assert gset.load_instance("G12").n_nodes == 3
+
+
 @pytest.mark.parametrize("text,match", [
     ("3 2\n1 4 1\n1 2\n", "line 2: edge \\(1,4\\) out of range 1..3"),
     ("3 2\n1 2 1\n2 1 3\n1 2 x\n", "line 3: duplicate edge \\(1,2\\)"),

@@ -11,10 +11,10 @@ from ssqa.rng import (
     MASK64,
     RngStreams,
     XorShift64,
+    _BASIS,
     _apply,
     _lane_tables,
     _low_bit_table,
-    _stride_table,
     splitmix64,
     stream_seeds,
     xorshift_next,
@@ -168,7 +168,7 @@ def test_blocks_match_scalar_streams(seed, r, sizes):
     assert got.tolist() == expect
 
 
-# (2, 0) is the identity; 129 and 300 draws cross the stride's 128-draw chunks.
+# (2, 0) is the identity; 129 and 300 draws cross the low-bit table's 128-draw chunks.
 @pytest.mark.parametrize("lanes,length", [(1, 5), (2, 0), (2, 1), (2, 64), (17, 18), (28, 29),
                                           (63, 64), (2, 129), (4, 300)])
 def test_lane_tables_equal_scalar_steps(lanes, length):
@@ -313,31 +313,28 @@ def test_word_lanes_and_uneven_splits():
 
 
 def test_lane_table_build_stays_within_its_heap_budget():
-    """The T^L stride comes from the basis drawn in 128-draw chunks, so
-    neither an uncached _lane_tables(20, 4000) build nor an uncached build
-    of its stride holds a (4000, 64) word array (2 MB). Under numpy 2.4
-    their tracemalloc peaks were 129,256 bytes (the lane tables, with the
-    stride cached) and 106,000 bytes (the stride)."""
-    _lane_tables.__wrapped__(20, 4000)  # the chunks' own lane tables are cached, as in a run
-    for build in (lambda: _lane_tables.__wrapped__(20, 4000),
-                  lambda: _stride_table.__wrapped__(4000)):
-        tracemalloc.start()
-        try:
-            build()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 200_000
+    """T^L is read off the cached low-bit table of L draws, whose basis is
+    drawn in 128-draw chunks, so an uncached _lane_tables(20, 4000) build
+    holds no (4000, 64) word array (2 MB). Under numpy 2.4 its tracemalloc
+    peak was 129,256 bytes with the low-bit table cached."""
+    _lane_tables.__wrapped__(20, 4000)  # the low-bit tables are cached, as in a run
+    tracemalloc.start()
+    try:
+        _lane_tables.__wrapped__(20, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200_000
 
 
 def test_second_lane_count_at_a_length_draws_nothing(monkeypatch):
-    """The T^L stride is cached per length: once a length's stride is
-    built, lane tables of another lane count at that length are table
-    applications only, with no basis chunk drawn, and equal the tables a
-    fresh stride gives."""
+    """T^L is the last word of the cached _low_bit_table(L): once that table
+    is built, lane tables of any lane count at L are table applications
+    only, with no basis chunk drawn, and equal the tables a fresh low-bit
+    table gives."""
     import ssqa.rng
 
-    _lane_tables(3, 777)
+    _low_bit_table(777)
     draws, draw = [], ssqa.rng._draws
 
     def spy(states, n):
@@ -345,9 +342,14 @@ def test_second_lane_count_at_a_length_draws_nothing(monkeypatch):
         return draw(states, n)
 
     monkeypatch.setattr(ssqa.rng, "_draws", spy)
-    tables = _lane_tables.__wrapped__(5, 777)
+    tables = {lanes: _lane_tables.__wrapped__(lanes, 777) for lanes in (1, 2, 3, 5, 20)}
     assert draws == []
     monkeypatch.undo()
-    fresh = _stride_table.__wrapped__(777)
-    assert np.array_equal(fresh, _stride_table(777))
-    assert np.array_equal(tables[:3], _lane_tables(3, 777))
+    fresh = _low_bit_table.__wrapped__(777)
+    assert np.array_equal(fresh, _low_bit_table(777))
+    # Row c: the images of the basis states under T^(777 c), by the fresh T^777.
+    expect = [_BASIS]
+    for _ in range(1, 20):
+        expect.append(_apply(fresh[None, ..., -1], expect[-1])[0])
+    for lanes, table in tables.items():
+        assert np.array_equal(_apply(table, _BASIS), np.stack(expect[:lanes])), lanes

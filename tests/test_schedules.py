@@ -118,12 +118,17 @@ RAMP_END = st.integers(-60, 60) | st.floats(-60, 60, allow_nan=False) | HUGE
 @example(steps=0, i0=(5, 5), n_rnd=(6, 0), q_min=0, q_span=2, tau=10, beta=0.05)
 @example(steps=1, i0=(9, 3), n_rnd=(-3, 4), q_min=-2.5, q_span=1, tau=7, beta=1 / 3)
 @example(steps=100, i0=(3.0, 9.0), n_rnd=(-6, -1), q_min=0, q_span=100, tau=1, beta=0.7)
+@example(steps=0, i0=(0, 0), n_rnd=(0, 0), q_min=18_014_398_509_481_013, q_span=0.0, tau=1,
+         beta=0)
 def test_schedule_table_equals_scalar_functions(steps, i0, n_rnd, q_min, q_span, tau, beta):
     """Each column of the per-run table is i0_at, n_rnd_at and q_value_at
     at every step, over reversed and negative ramps, tau past the run,
     q_min < 0, 0 or 1 steps and int endpoints past 2^53."""
+    # An int q_min past 2^53 plus a float span can round below q_min, which
+    # QSchedule rejects; such a staircase tops out at q_min.
+    q_max = max(q_min + q_span, q_min)
     params = AnnealParams(steps=steps, i0=LinearSchedule(*i0), n_rnd=LinearSchedule(*n_rnd),
-                          q=QSchedule(q_min, q_min + q_span, tau, beta))
+                          q=QSchedule(q_min, q_max, tau, beta))
     table = schedule_table(params)
     for column, scalar in zip(table, (i0_at, n_rnd_at, q_value_at)):
         assert column.dtype == np.int64 and column.shape == (steps,)

@@ -1,5 +1,7 @@
 """Tests for the reference engines: golden traces, invariants, equivalences."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +21,7 @@ from ssqa.solver import (
     _step_constants,
     _step_dtype,
     _step_inputs,
+    _two_planes,
     accumulator_bound,
     initial_state,
     run_psa,
@@ -66,9 +69,8 @@ def hand_steps(model, params, rng, sigma, is_acc):
     is_acc = np.array(np.transpose(is_acc), dtype=dtype, order="C")
     sigma_prev = sigma.copy()
     run = _step_constants(jmat, sigma, is_acc, params.alpha, params.periodic_replicas)
-    for raw, flat, q, i0, floor, ceil in _step_inputs(params, rng, model.h, dtype):
-        _step(run, sigma.reshape(-1), sigma_prev, raw, flat, is_acc, q, i0, floor, ceil,
-              sigma_prev)
+    for raw, q, i0, floor, ceil in _step_inputs(params, rng, model.h, dtype):
+        _step(run, sigma, sigma_prev, raw, is_acc, q, i0, floor, ceil, sigma_prev)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
         yield sigma.T.copy(), is_acc.T.copy()
 
@@ -340,8 +342,8 @@ def test_saturate_and_sign_matches_three_branch_rule(raw, i0, alpha, dtype):
     zero, spins = np.zeros_like(raw), np.ones_like(raw)
     run = _step_constants(jmat, spins, zero, alpha, True)
     run[3][...] = 77  # the scratch plane's values are not read
-    _step(run, spins.reshape(-1), spins, got, got.reshape(-1), zero, 0, i0,
-          np.full_like(raw, -i0), np.full_like(raw, top), sigma)
+    _step(run, spins, spins, got, zero, 0, i0, np.full_like(raw, -i0), np.full_like(raw, top),
+          sigma)
     assert got.tobytes() == expect.tobytes()
     assert np.array_equal(sigma, np.where(expect >= 0, 1, -1))
     assert sigma.dtype == raw.dtype and not (sigma == 0).any()
@@ -403,8 +405,8 @@ def test_accumulate_matches_edge_loop_at_every_step_dtype(dtype, replicas):
     assert np.abs(expect).max() < i0
     run = _step_constants(jmat, sigma, raw, 0, True)
     out = np.empty_like(raw)
-    _step(run, sigma.reshape(-1), prev, raw, raw.reshape(-1), is_acc, 2, i0,
-          np.full_like(raw, -i0), np.full_like(raw, i0), out)
+    _step(run, sigma, prev, raw, is_acc, 2, i0, np.full_like(raw, -i0), np.full_like(raw, i0),
+          out)
     assert raw.dtype == dtype and raw.tobytes() == expect.astype(dtype).tobytes()
     assert np.array_equal(out, np.where(expect >= 0, 1, -1))
     strided = np.zeros((model.n, 2 * replicas), dtype)[:, ::2]
@@ -418,15 +420,27 @@ def test_accumulate_matches_edge_loop_at_every_step_dtype(dtype, replicas):
 @pytest.mark.parametrize("replicas", [1, 20])
 def test_step_inputs_are_c_order_planes(replicas):
     """Every plane of a step is C-ordered: an elementwise pass that mixes a
-    C- and an F-ordered plane is strided."""
+    C- and an F-ordered plane is strided, and the CSR kernel takes whole
+    planes as flat buffers. Both plane stores, run_ssqa's and the delay
+    line of either kind, yield whole (N, R) planes of the step dtype, and
+    the delay line's t plane is read-only."""
+    from ssqa.hwsim import DELAY_KINDS, _DELAY_LINES, _delay_planes
+
+    stores = [_two_planes] + [partial(_delay_planes, _DELAY_LINES[kind]) for kind in DELAY_KINDS]
     for dtype in (np.int8, np.int16):
         params = AnnealParams(steps=7, replicas=replicas)
         h = np.zeros(800, np.int64)
-        for noise, _, _, _, floor, ceil in _step_inputs(params, RngStreams(1, replicas), h,
-                                                        dtype):
-            for plane in (noise, floor, ceil):
-                assert plane.shape == (800, replicas) and plane.dtype == dtype
-                assert plane.flags.c_contiguous
+        planes = [plane for step in _step_inputs(params, RngStreams(1, replicas), h, dtype)
+                  for plane in (step[0], *step[3:])]
+        for store in stores:
+            for now, prev, out in store(np.ones((800, replicas), dtype), 3):
+                planes += (now, prev, out)
+                assert out.flags.writeable
+                if store is not _two_planes:
+                    assert not now.flags.writeable
+        for plane in planes:
+            assert plane.shape == (800, replicas) and plane.dtype == dtype
+            assert plane.flags.c_contiguous
 
 
 class SelectTaken(Exception):
@@ -538,10 +552,7 @@ def test_step_inputs_equal_step_by_step_draws(n, steps, replicas, dtype, seed, n
         h[:] = np.random.default_rng(seed).integers(-8, 8, size=n)
     blocks, twin = RngStreams(seed, replicas), RngStreams(seed, replicas)
     planes, bounds = [], set()
-    for t, (plane, flat, q, level, floor, ceil) in enumerate(_step_inputs(params, blocks, h,
-                                                                           dtype)):
-        assert flat.shape == (n * replicas,) and flat.base is not None
-        assert flat.__array_interface__ == plane.reshape(-1).__array_interface__
+    for t, (plane, q, level, floor, ceil) in enumerate(_step_inputs(params, blocks, h, dtype)):
         assert (q, level) == (q_value_at(params, t), i0_at(params, t))
         assert type(q) is type(level) is int
         assert floor.dtype == ceil.dtype == dtype
