@@ -11,7 +11,7 @@ import numpy as np
 
 from ssqa import (
     AnnealParams,
-    count_total_cycles,
+    cycle_report,
     load_instance,
     maxcut_to_ising,
     resource_scaling_model,
@@ -35,14 +35,13 @@ for kind in ("dual_bram", "shift_register"):
           f"({report.mac_cycles:,} MAC + {report.fin_cycles:,} finalize in total)")
 
 # Full-length G11 budget: degree 4, so 800*(4+1) = 4000 cycles per step.
-total = count_total_cycles(model, steps=500)
-full = AnnealParams(seed=3)
-print(f"\n500-step G11 budget: {total:,} cycles")
-from ssqa import estimate_report
-
-report = estimate_report(total)
+# cycle_report prices a run of any engine without running it.
+report = cycle_report(model, steps=500)
+print(f"\n500-step G11 budget: {report.total_cycles:,} cycles "
+      f"({report.mac_cycles:,} MAC + {report.fin_cycles:,} finalize)")
 print(f"at {report.f_clk/1e6:.0f} MHz: latency {report.latency_s*1e3:.2f} ms, "
-      f"energy {report.energy_j*1e3:.3f} mJ, area-delay {report.adp_s*1e3:.2f} ms")
+      f"energy {report.energy_j*1e3:.3f} mJ, area-delay {report.adp_s*1e3:.2f} ms "
+      f"(at utilization {report.utilization})")
 
 print("\ndelay-line resource scaling (spin-plane registers per replica):")
 for n in (100, 800, 4000):

@@ -30,6 +30,7 @@ from .hwsim import (
     DualBramDelay,
     ShiftRegDelay,
     count_total_cycles,
+    cycle_report,
     estimate_report,
     resource_scaling_model,
     run_hw,

@@ -78,6 +78,8 @@ class RunConfig:
         # Steps, replicas, the q staircase and both ramps, then the cost model.
         self.anneal_params(self.seed)
         hwsim.estimate_report(0, self.f_clk, self.power_w)
+        if self.engine == "ssa":  # recorded as run_ssa runs it: R = 1, q = 0
+            self.__dict__.update(replicas=1, q_min=0.0, q_max=0.0, q_tau=1, q_beta=0.0)
 
     def anneal_params(self, seed: int) -> AnnealParams:
         return AnnealParams(
@@ -124,8 +126,8 @@ def run_one_trial(config: RunConfig, trial_index: int) -> dict:
         run = {"ssqa_ref": solver.run_ssqa, "ssa": solver.run_ssa,
                "psa": solver.run_psa}[config.engine]
         result = run(model, params, graph)
-        cycles = hwsim.count_total_cycles(model, config.steps, config.sparse_bypass)
-        report = hwsim.estimate_report(cycles, config.f_clk, config.power_w)
+        report = hwsim.cycle_report(model, config.steps, config.sparse_bypass,
+                                    config.f_clk, config.power_w)
     if record is not None and result.best_value > record.best_known_cut:
         raise IntegrityError(
             f"{config.instance}: cut {result.best_value} exceeds best known "

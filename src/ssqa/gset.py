@@ -63,17 +63,17 @@ def registry_as_json() -> str:
 def parse_gset(text: str) -> WeightedGraph:
     lines = ((lineno, raw.split()) for lineno, raw in enumerate(text.splitlines(), start=1))
     lines = ((lineno, parts) for lineno, parts in lines if parts and parts[0][0] not in "#c")
-    lineno, parts = next(lines, (0, None))
+    header, parts = next(lines, (0, None))
     if parts is None:
         raise GsetParseError("empty file: no 'N M' header")
     if len(parts) != 2:
-        raise GsetParseError(f"line {lineno}: expected 'N M' header")
+        raise GsetParseError(f"line {header}: expected 'N M' header")
     try:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
-        raise GsetParseError(f"line {lineno}: non-integer header") from None
+        raise GsetParseError(f"line {header}: non-integer header") from None
     if n < 1:
-        raise GsetParseError(f"line {lineno}: header declares {n} nodes, need >= 1")
+        raise GsetParseError(f"line {header}: header declares {n} nodes, need >= 1")
     rows, linenos, error = [], [], None
     for lineno, parts in lines:
         if len(parts) != 3:
@@ -90,6 +90,8 @@ def parse_gset(text: str) -> WeightedGraph:
         edges = _edge_array(n, rows, base=1)
     except EdgeError as exc:
         raise GsetParseError(f"line {linenos[exc.row]}: {exc}") from None
+    except ValueError as exc:  # n too large for the pair keys
+        raise GsetParseError(f"line {header}: {exc}") from None
     if error:
         raise GsetParseError(error)
     if len(edges) != m:

@@ -8,15 +8,13 @@ saturating accumulator and the sign, giving N*(k+1) cycles per annealing
 step on a regular-degree graph. All R replica gates advance in lockstep and
 share each (J_ij, j) fetch; the per-replica noise word is consumed in FIN.
 
-A delay-line address is a word index i in [0, N) or ... for every word in
-spin order. run_hw makes two transactions per step with ..., each equal to
-the step's cycles in hardware order:
+run_hw makes two whole-plane transactions per step (address ..., every
+word in spin order), each equal to the step's cycles in hardware order:
 
 * MAC phase: one read of the whole t plane (a read-only view of the bank)
   and one CSR kernel call that adds J times it straight into the step's
-  sums, as all R replica gates share each (J_ij, j) fetch (csr_matvec at
-  R = 1, csr_matvecs above). No cycle of a step writes the t plane, and a
-  zero weight adds nothing, so the product also serves the dense schedule.
+  sums. No cycle of a step writes the t plane, and a zero weight adds
+  nothing, so the product also serves the dense schedule.
 * FIN phase: cycle i reads t-1 word i and writes t+1 word i, once per
   spin, so reading every t-1 word (a view), then writing every t+1 word
   in place into next_plane(), the t-1 bank on dual-BRAM, gives the words
@@ -25,8 +23,10 @@ the step's cycles in hardware order:
 run_hw is the reference engine's step loop (solver._anneal) with its delay
 line as the plane store (_delay_planes), so both phases are one call of the
 step kernel, which checks each sum against accumulator_bound before the
-saturation; plus the cycle report, whose MAC / FIN split comes from the row
-degrees.
+saturation. It returns cycle_report, the one price of a run of any engine:
+cycles per step, their MAC / FIN split, latency, energy, and ADP at the
+reference build's utilization, DEFAULT_UTILIZATION (at utilization u, ADP
+is u * latency_s). estimate_report prices a bare cycle count.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class CycleReport:
     energy_j: float
     utilization: float
     adp_s: float
-    # The MAC / FIN split of total_cycles; 0 when no cycle was simulated.
+    # The MAC / FIN split of total_cycles; 0 from estimate_report's bare count.
     mac_cycles: int = 0
     fin_cycles: int = 0
 
@@ -90,21 +90,31 @@ DEFAULT_UTILIZATION = 0.199
 
 
 def estimate_report(total_cycles: int, f_clk: float = DEFAULT_F_CLK,
-                    power_w: float = DEFAULT_POWER_W,
-                    utilization: float = DEFAULT_UTILIZATION) -> CycleReport:
-    """Latency, energy and ADP of total_cycles; run_hw adds cycles_per_step and the split."""
+                    power_w: float = DEFAULT_POWER_W) -> CycleReport:
+    """Latency, energy and ADP of total_cycles; cycle_report adds cycles_per_step and the split."""
     if not total_cycles >= 0:
         raise ValueError(f"cycle count must be >= 0, got {total_cycles}")
     if not 0 < f_clk < float("inf"):
         raise ValueError(f"clock frequency must be positive and finite, got {f_clk}")
     if not 0 <= power_w < float("inf"):
         raise ValueError(f"power must be >= 0 and finite, got {power_w}")
-    if not 0 <= utilization <= 1:
-        raise ValueError("utilization must be in [0, 1]")
     latency = total_cycles / f_clk
     return CycleReport(total_cycles=total_cycles, cycles_per_step=0, f_clk=f_clk,
                        latency_s=latency, power_w=power_w, energy_j=power_w * latency,
-                       utilization=utilization, adp_s=utilization * latency)
+                       utilization=DEFAULT_UTILIZATION, adp_s=DEFAULT_UTILIZATION * latency)
+
+
+def cycle_report(model: IsingModel, steps: int, sparse_bypass: bool = True,
+                 f_clk: float = DEFAULT_F_CLK, power_w: float = DEFAULT_POWER_W) -> CycleReport:
+    """The CycleReport of a steps-step run on model, of any engine. A step's MAC
+    cycles are the CSR's stored couplings, or every j != i without the sparse
+    bypass; with one FIN cycle per spin they must make count_total_cycles."""
+    n = model.n
+    macs = model.coupling_matrix().nnz if sparse_bypass else n * (n - 1)
+    per_step = count_total_cycles(model, 1, sparse_bypass)
+    assert macs + n == per_step, f"cycle accounting drift: {macs} + {n} != {per_step}/step"
+    return replace(estimate_report(steps * per_step, f_clk, power_w), cycles_per_step=per_step,
+                   mac_cycles=steps * macs, fin_cycles=steps * n)
 
 
 def resource_scaling_model(n: int, delay_kind: str, weight_bits: int = 4) -> dict:
@@ -135,12 +145,11 @@ class DelayLine:
     * shift_register: three planes. t+1 words go to a third plane;
       advance_step copies it into the t-1 plane, which becomes t.
 
-    An address is a word index i in [0, N) or ... for the whole plane in
-    spin order, checked on every access. Reads return read-only views.
-    Writes commit at end_cycle, so a same-cycle read returns the old word;
-    write(..., next_plane()) commits t+1 words already written in place
-    (read every t-1 word first). FIN cycle i reads t-1 word i before its
-    own write and no other cycle reads it, so both kinds agree in run_hw.
+    Every access checks its address (_check_addr); reads return read-only
+    views. Writes commit at end_cycle, so a same-cycle read returns the old
+    word; write(..., next_plane()) commits t+1 words already written in
+    place (read every t-1 word first). FIN cycle i reads t-1 word i before
+    its own write and no other cycle reads it, so both kinds agree in run_hw.
     """
 
     kind: str  # set by each subclass
@@ -230,25 +239,11 @@ def _delay_planes(delay_cls, plane, steps):
 def run_hw(model: IsingModel, params: AnnealParams, delay_kind: str = "dual_bram",
            graph: WeightedGraph | None = None, sparse_bypass: bool = True,
            record_trace: bool = False,
-           f_clk: float = DEFAULT_F_CLK, power_w: float = DEFAULT_POWER_W,
-           utilization: float = DEFAULT_UTILIZATION):
-    """Spin-serial execution of the schedule, cycle-accounted.
-
-    Returns (RunResult, CycleReport); the RunResult is bit-exact equal to
-    run_ssqa with the same inputs.
-    """
+           f_clk: float = DEFAULT_F_CLK, power_w: float = DEFAULT_POWER_W):
+    """Spin-serial execution of the schedule: (RunResult, cycle_report of the
+    run). The RunResult is bit-exact equal to run_ssqa with the same inputs."""
     if delay_kind not in _DELAY_LINES:
         raise ValueError(f"unknown delay kind {delay_kind!r}")
     result = _anneal(model, params, graph, record_trace,
                      partial(_delay_planes, _DELAY_LINES[delay_kind]), checked=True)
-    # A step's MAC cycles: every row's stored couplings, or every j != i when
-    # the sparse bypass is off (zero weights still cost a cycle).
-    n = model.n
-    macs = model.coupling_matrix().nnz if sparse_bypass else n * (n - 1)
-    mac_cycles, fin_cycles = params.steps * macs, params.steps * n
-    cycle = mac_cycles + fin_cycles
-    per_step = count_total_cycles(model, 1, sparse_bypass)
-    assert cycle == params.steps * per_step, f"cycle accounting drift: {cycle} != {per_step}/step"
-    report = estimate_report(cycle, f_clk, power_w, utilization)
-    return result, replace(report, cycles_per_step=per_step, mac_cycles=mac_cycles,
-                           fin_cycles=fin_cycles)
+    return result, cycle_report(model, params.steps, sparse_bypass, f_clk, power_w)

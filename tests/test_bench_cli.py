@@ -128,9 +128,11 @@ def test_compare(square_path):
     assert report["b"]["steps"] == 200
     diff = report["a"]["summary"]["mean"] - report["b"]["summary"]["mean"]
     assert report["mean_diff_a_minus_b"] == pytest.approx(diff)
-    # Solution memory model: one bit per spin per replica.
+    # Solution memory model: one bit per spin per replica; ssa runs one.
     assert report["a"]["final_state_bits"] == 4 * 4
-    assert report["b"]["final_state_bits"] == 4 * 4
+    assert report["b"]["replicas"] == 1
+    assert (sb.config.q_min, sb.config.q_max, sb.config.q_tau, sb.config.q_beta) == (0, 0, 1, 0)
+    assert report["b"]["final_state_bits"] == 4
 
 
 def count_loads(monkeypatch):
@@ -167,6 +169,26 @@ def test_hw_row_carries_the_run_hw_report(square_path, monkeypatch):
     (report,) = reports
     assert (row["cycles"], row["latency_s"], row["energy_j"]) == (
         report.total_cycles, report.latency_s, report.energy_j)
+
+
+@pytest.mark.parametrize("steps", [0, 7])
+@pytest.mark.parametrize("engine", bench.ENGINES)
+def test_every_row_is_priced_by_cycle_report(engine, steps, square_path, monkeypatch):
+    """Every engine's row carries the cost of cycle_report, and every report
+    splits its total into MAC and FIN cycles, steps * cycles_per_step."""
+    cycle_report = hwsim.cycle_report
+    reports = []
+    monkeypatch.setattr(hwsim, "cycle_report",
+                        lambda *args: reports.append(cycle_report(*args)) or reports[-1])
+    config = small_config(square_path, engine=engine, steps=steps, f_clk=1e8, power_w=0.5)
+    row = bench.run_one_trial(config, 0)
+    _, model, _ = bench._load(square_path)
+    want = cycle_report(model, steps, True, 1e8, 0.5)
+    assert reports == [want]
+    assert (row["cycles"], row["latency_s"], row["energy_j"]) == (
+        want.total_cycles, want.latency_s, want.energy_j)
+    assert want.mac_cycles + want.fin_cycles == want.total_cycles == steps * want.cycles_per_step
+    assert want.cycles_per_step == 4 + 8
 
 
 # ---------------------------------------------------------------------- CLI
@@ -373,10 +395,13 @@ def test_cli_config_error_exits_2_without_traceback(square_path, tmp_path):
     ("2 1\n1 2 \xff\n", "parse error: line 2: byte 0xff is not UTF-8 text"),
     ("3 2\n1 2 4611686018427387904\n2 3 4611686018427387904\n",
      "parse error: the sum of |weight| exceeds int64, so a cut could wrap"),
+    ("4000000000 1\n1 2 1\n",
+     "parse error: line 1: 4000000000 nodes: a pair key a*n + b would not fit int64"),
 ])
 def test_cli_bad_gset_file_exits_2(text, message, tmp_path, capsys):
     """A file with no nodes, with a weight past the 4-bit range, with weights
-    whose sum of |w| passes int64, or that is not UTF-8 text is a
+    whose sum of |w| passes int64, with more nodes than int64 pair keys can
+    number, or that is not UTF-8 text is a
     configuration error: exit 2 with the message, not a traceback. Each
     character of text is written as one byte."""
     path = tmp_path / "bad.txt"

@@ -43,6 +43,9 @@ def test_roundtrip():
     ("3 2\n1 2 1\n", "count mismatch"),
     ("3 2\n1 2 1\n2 1 3\n", "line 3: duplicate"),
     ("2 1\n1 2 -9223372036854775808\n", "sum of \\|weight\\| exceeds int64"),
+    # The fewest nodes whose pair keys a*n + b pass int64 (n^2 > 2^63 - 1).
+    ("4000000000 1\n1 2 1\n", "^line 1: 4000000000 nodes: .* would not fit int64"),
+    ("# c\n3037000500 1\n1 2 1\n", "^line 2: 3037000500 nodes: .* would not fit int64"),
 ])
 def test_parse_errors(text, match):
     with pytest.raises(GsetParseError, match=match):

@@ -13,6 +13,7 @@ from ssqa.hwsim import (
     DelayAddressError,
     ShiftRegDelay,
     count_total_cycles,
+    cycle_report,
     estimate_report,
     resource_scaling_model,
     run_hw,
@@ -54,7 +55,7 @@ def test_count_total_cycles_sparse_vs_dense():
 
 
 def test_estimate_report_arithmetic():
-    rep = estimate_report(2_000_000, f_clk=166e6, power_w=0.091, utilization=0.199)
+    rep = estimate_report(2_000_000, f_clk=166e6, power_w=0.091)
     assert rep.latency_s == 2_000_000 / 166e6
     assert rep.energy_j == pytest.approx(0.091 * rep.latency_s)
     assert rep.adp_s == pytest.approx(0.199 * rep.latency_s)
@@ -64,16 +65,13 @@ def test_estimate_report_arithmetic():
     for power_w in (-1, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             estimate_report(1, power_w=power_w)
-    for utilization in (-3, 1.5):
-        with pytest.raises(ValueError):
-            estimate_report(1, utilization=utilization)
     zero = estimate_report(0, f_clk=166e6, power_w=0.091)
     assert zero.latency_s == 0.0 and zero.energy_j == 0.0 and zero.adp_s == 0.0
     # A negative count gave a negative latency and energy.
     for cycles in (-4000, -1, float("nan")):
         with pytest.raises(ValueError, match="cycle count"):
             estimate_report(cycles)
-    assert estimate_report(4000).cycles_per_step == 0  # run_hw fills it in
+    assert estimate_report(4000).cycles_per_step == 0  # cycle_report fills it in
 
 
 def test_resource_scaling_model():
@@ -329,8 +327,9 @@ def test_run_hw_reports_mac_fin_split():
     assert (dense.mac_cycles, dense.fin_cycles) == (6 * 4 * 3, 6 * 4)
     for rep, sb in ((sparse, True), (dense, False)):
         assert rep.mac_cycles + rep.fin_cycles == count_total_cycles(model, 6, sb)
-    # The reference engines simulate no cycle, so their split is zero.
-    assert (estimate_report(100).mac_cycles, estimate_report(100).fin_cycles) == (0, 0)
+        # Any engine's run is priced the same way, so every report splits.
+        assert rep == cycle_report(model, 6, sb)
+        assert rep.mac_cycles + rep.fin_cycles == rep.total_cycles == 6 * rep.cycles_per_step
 
 
 def test_run_hw_accumulator_bound_is_enforced(monkeypatch):
