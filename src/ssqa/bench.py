@@ -75,11 +75,17 @@ class RunConfig:
         if self.delay_kind not in hwsim.DELAY_KINDS:
             raise ValueError(f"unknown delay kind {self.delay_kind!r}; "
                              f"choose from {hwsim.DELAY_KINDS}")
-        # Steps, replicas, the q staircase and both ramps, then the cost model.
-        self.anneal_params(self.seed)
+        # Steps, replicas, the q staircase and both ramps, i0 >= 1 at both
+        # ends but for psa (which reads i0 as a gain), then the cost model.
+        params = self.anneal_params(self.seed)
+        if self.engine != "psa":
+            solver._schedule_extremes(params)
         hwsim.estimate_report(0, self.f_clk, self.power_w)
-        if self.engine == "ssa":  # recorded as run_ssa runs it: R = 1, q = 0
+        # Recorded as the engine runs it.
+        if self.engine == "ssa":  # R = 1, q = 0
             self.__dict__.update(replicas=1, q_min=0.0, q_max=0.0, q_tau=1, q_beta=0.0)
+        elif self.engine == "psa":  # no q staircase, no noise ramp
+            self.__dict__.update(q_min=0.0, q_max=0.0, q_tau=1, q_beta=0.0, n_rnd="0")
 
     def anneal_params(self, seed: int) -> AnnealParams:
         return AnnealParams(

@@ -116,12 +116,6 @@ class WeightedGraph:
     def total_weight(self) -> int:
         return sum(self.edges[:, 2].tolist())  # a Python int: no int64 sum can wrap
 
-    @cached_property
-    def _narrow_weights(self) -> np.ndarray:
-        """The edge weights in the narrowest signed integer that holds them."""
-        w = self.edges[:, 2]
-        return w.astype(np.min_scalar_type(-1 - int(np.abs(w).max(initial=0))))
-
 
 @dataclass(frozen=True, eq=False)
 class IsingModel:
@@ -223,21 +217,20 @@ def cut_value(graph: WeightedGraph, state) -> int:
 
 
 def replica_cuts(graph: WeightedGraph, plane) -> np.ndarray:
-    """(R,) int64 cuts of the R replicas of a spin-major (N, R) plane, from
-    one gather of each edge endpoint. The (E, R) planes are held in the
-    narrowest integer that holds every weight (int8 on the G-set), and the
-    sum is buffered, so no (E, R) int64 plane is formed."""
+    """(R,) int64 cuts of the R replicas of a spin-major (N, R) plane: one
+    gather of each edge endpoint's side, their XOR (True where the edge
+    crosses the cut) and one contraction with the weights, in int64. Every
+    partial sum is exact, as crossings are 0 or 1 and the graph bounds
+    sum |w| by int64."""
     s = np.asarray(plane)
     if s.shape[0] != graph.n_nodes:
         raise DimensionError(f"state has {s.shape[0]} spins, expected {graph.n_nodes}")
     _check_spins(s)
-    u, v = graph.edges[:, 0], graph.edges[:, 1]
-    w = graph._narrow_weights
-    side = (s < 0).astype(w.dtype)
+    u, v, w = graph.edges.T
+    side = s < 0
     crossed = np.take(side, u, axis=0)  # several times faster than side[u]
-    crossed ^= np.take(side, v, axis=0)  # 1 where the edge crosses the cut
-    crossed *= w[:, None]
-    return np.add.reduce(crossed, axis=0, dtype=np.int64)
+    crossed ^= np.take(side, v, axis=0)
+    return np.einsum("er,e->r", crossed, w, dtype=np.int64)
 
 
 def maxcut_to_ising(graph: WeightedGraph, weight_bits: int = 4) -> IsingModel:

@@ -92,8 +92,8 @@ class LinearSchedule:
 class AnnealParams:
     """Full run configuration for the annealing engines.
 
-    alpha (saturation offset) is fixed to 1 by the update rule; it is
-    exposed only for sensitivity experiments.
+    The SSQA engines saturate into [-i0, i0 - 1] and so need i0 to round to
+    at least 1 at every step; run_psa reads i0 as a real-valued gain.
     """
 
     steps: int = 500
@@ -101,12 +101,11 @@ class AnnealParams:
     q: QSchedule = field(default_factory=QSchedule)
     i0: LinearSchedule = field(default_factory=lambda: LinearSchedule.constant(5))
     n_rnd: LinearSchedule = field(default_factory=lambda: LinearSchedule(6, 0))
-    alpha: int = 1
     seed: int = 1
     periodic_replicas: bool = True
 
     def __post_init__(self):
-        _check_ints(self, "steps", "replicas", "alpha", "seed")
+        _check_ints(self, "steps", "replicas", "seed")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.replicas < 1:

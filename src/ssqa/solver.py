@@ -48,16 +48,17 @@ h, as every MAX-CUT model has, skips the bias pass.
 
 Per-run planes: past its noise block, a step allocates no plane; its
 accumulator is the previous step's noise plane. The loop holds, for the
-whole run, the store's planes, the -i0 and i0 - alpha clamp planes (from
+whole run, the store's planes, the -i0 and i0 - 1 clamp planes (from
 _step_inputs, which refills them only when i0 changes) and _step_constants:
 the CSR product bound to J, one scratch plane (the neighbour plane of
-_add_coupling, and the raw ^ top plane off the paper's rule) and a 1 of the
-step dtype. The planes are checked once there (_check_field_planes), so a
-step checks no flag, dtype or shape. A step is one _step call: the field
-product, the replica coupling (skipped at q = 0), the accumulator sum,
-run_hw's bound check, the saturation (two clamps under the paper's rule,
-alpha 1, or 0, with i0 - alpha >= -i0, else a bit select) and the sign,
-np.sign ORed with the held 1, so 0 gives +1.
+_add_coupling) and a 1 of the step dtype. The planes are checked once there
+(_check_field_planes), so a step checks no flag, dtype or shape. A step is
+one _step call: the field product, the replica coupling (skipped at q = 0),
+the accumulator sum, run_hw's bound check, the paper's saturation into
+[-i0, i0 - 1] (two clamps) and the sign, np.sign ORed with the held 1, so 0
+gives +1. That interval is empty below i0 = 1, so _schedule_extremes
+rejects, before the first step, an i0 that rounds below 1 at either end of
+its linear ramp.
 """
 
 from __future__ import annotations
@@ -125,19 +126,6 @@ def initial_state(model: IsingModel, rng: RngStreams, dtype) -> np.ndarray:
     return _bipolar(rng.next_block(model.n, low_bit=True), 1, dtype)
 
 
-def _saturate_by_select(raw, i0, top, floor, select, scratch):
-    """In place, for any (i0, top): raw >= i0 becomes top, else raw < -i0
-    becomes -i0. The top branch is a bit select: raw ^ top in scratch, kept
-    by a multiply with the 0/1 comparison held in select, flips raw to top.
-    select and scratch are planes of raw's shape and dtype whose values are
-    not read."""
-    np.greater_equal(raw, i0, out=select)  # 1 where raw >= i0, else 0
-    np.maximum(raw, floor, out=raw)
-    np.bitwise_xor(raw, raw.dtype.type(top), out=scratch)
-    scratch *= select
-    raw ^= scratch
-
-
 def _add_coupling(raw, prev, q, periodic, upper):
     """In place on spin-major planes: replica k adds q times replica k+1 of
     the t-1 plane prev; an open chain's last replica adds nothing. One flat
@@ -172,34 +160,33 @@ def _check_field_planes(jmat, sigma, raw):
             f"{sigma.shape}")
 
 
-def _step_constants(jmat, sigma, is_acc, alpha, periodic, bound=None):
+def _step_constants(jmat, sigma, is_acc, periodic, bound=None):
     """The per-run constants of _step, from the run's t plane sigma and
     accumulator plane is_acc, whose planes it checks once
     (_check_field_planes): the CSR product bound to J (csr_matvec at R = 1,
-    csr_matvecs above, as scipy's own product picks), alpha, the chain's
-    wrap, the held scratch plane, a 1 of the step dtype and the accumulator
-    bound (None skips the check)."""
+    csr_matvecs above, as scipy's own product picks), the chain's wrap, the
+    held scratch plane, a 1 of the step dtype and the accumulator bound
+    (None skips the check)."""
     _check_field_planes(jmat, sigma, is_acc)
     n, replicas = sigma.shape
     csr = (jmat.indptr, jmat.indices, jmat.data)
     product = (partial(_sparsetools.csr_matvec, n, n, *csr) if replicas == 1
                else partial(_sparsetools.csr_matvecs, n, n, replicas, *csr))
-    return product, alpha, periodic, np.empty_like(sigma), np.array(1, sigma.dtype), bound
+    return product, periodic, np.empty_like(sigma), np.array(1, sigma.dtype), bound
 
 
-def _step(run, sigma, prev, raw, is_acc, q, i0, floor, ceil, out):
+def _step(run, sigma, prev, raw, is_acc, q, floor, ceil, out):
     """One step in place on whole spin-major (N, R) planes: raw (the step's
     noise, scaled by n_rnd and biased by h) becomes the saturated
     accumulator and out the new spins. run is _step_constants' tuple, sigma
     the t plane and prev the t-1 plane. raw gains J sigma (the CSR kernel
     adds it in place), q prev[:, k + 1] and is_acc, exactly in any order, as
     _step_dtype bounds the sum of every |term|; a run with a bound checks
-    the sum against it. Then raw >= i0 becomes i0 - alpha and raw < -i0
-    becomes -i0, against the -i0 and i0 - alpha planes floor and ceil (a
-    clamp against a plane is several times faster than against a scalar):
-    two clamps under the paper's rule (alpha 0 or 1, i0 - alpha >= -i0),
-    else the bit select. The sign is np.sign ORed with 1, so 0 gives +1."""
-    product, alpha, periodic, scratch, one, bound = run
+    the sum against it. Then two clamps saturate raw into [-i0, i0 - 1],
+    against the -i0 and i0 - 1 planes floor and ceil (a clamp against a
+    plane is several times faster than against a scalar). The sign is
+    np.sign ORed with 1, so 0 gives +1."""
+    product, periodic, scratch, one, bound = run
     product(sigma, raw)
     if q:
         _add_coupling(raw, prev, q, periodic, scratch)
@@ -209,11 +196,8 @@ def _step(run, sigma, prev, raw, is_acc, q, i0, floor, ceil, out):
         peak = max(int(raw.max()), -int(raw.min()))
         if peak > bound:
             raise AccumulatorOverflowError(f"|accumulator| {peak} exceeds bound {bound}")
-    if (alpha == 0 or alpha == 1) and i0 + i0 >= alpha:
-        np.maximum(raw, floor, out=raw)
-        np.minimum(raw, ceil, out=raw)
-    else:
-        _saturate_by_select(raw, i0, i0 - alpha, floor, out, scratch)
+    np.maximum(raw, floor, out=raw)
+    np.minimum(raw, ceil, out=raw)
     np.sign(raw, out=out)
     out |= one
 
@@ -223,7 +207,7 @@ _NOISE_LANES = 20  # lanes x streams a noise block aims at; R >= 11 draws one la
 
 
 def _step_inputs(params, rng, h, dtype):
-    """Yield (noise, q, i0, floor, ceil) of each step from the run's
+    """Yield (noise, q, floor, ceil) of each step from the run's
     schedule table. noise, n_rnd[t] times +-1 bits plus h, is a C-order,
     writable (N, R) plane in dtype. One RNG call draws the noise of
     C = max(1, _NOISE_LANES // R) lanes of m = max(1, _NOISE_BLOCK // N)
@@ -231,10 +215,10 @@ def _step_inputs(params, rng, h, dtype):
     than m steps is one single-lane block; each block is mapped, scaled and
     biased once, and an all-zero h (every MAX-CUT model) skips the bias
     pass. So a narrow plane draws many steps a call (100 G11 steps at
-    R = 1) and R >= 11 draws m steps a call. q and i0 are Python ints (a
-    numpy integer would widen an int8 plane under NEP 50). floor and ceil
-    are the -i0 and i0 - alpha planes that the saturation clamps against;
-    one of each serves the run, refilled only when i0 changes."""
+    R = 1) and R >= 11 draws m steps a call. q is a Python int (a numpy
+    integer would widen an int8 plane under NEP 50). floor and ceil are the
+    -i0 and i0 - 1 planes that the saturation clamps against; one of each
+    serves the run, refilled only when i0 changes."""
     n, replicas = len(h), rng.n_streams
     # The flat spin-major (N, R) plane of h, or None when adding it changes nothing.
     bias = np.repeat(h.astype(dtype), replicas) if h.any() else None
@@ -257,28 +241,34 @@ def _step_inputs(params, rng, h, dtype):
             if i0s[t] != held:
                 held = i0s[t]
                 floor.fill(-held)
-                ceil.fill(held - params.alpha)
-            yield noise, qs[t], held, floor, ceil
+                ceil.fill(held - 1)
+            yield noise, qs[t], floor, ceil
         start += count * size
 
 
 def _schedule_extremes(params: AnnealParams) -> tuple:
     """Largest |n_rnd|, |q| and |saturated accumulator| over the run. The
     ramps are linear, so their extremes are at the endpoints, and q stays in
-    [q_min, q_max]. A saturated Is lies in [-i0, i0 - alpha], and i0 - alpha
-    is below -i0 when alpha > 2 i0."""
+    [q_min, q_max]. A saturated Is lies in [-i0, i0 - 1], so its bound is
+    the larger endpoint i0; the interval is empty below i0 = 1, so an i0
+    that rounds below 1 at the first or last step raises ValueError."""
     last = max(params.steps - 1, 0)
     n_rnd_max = max(abs(n_rnd_at(params, 0)), abs(n_rnd_at(params, last)))
-    i0_max = max(max(abs(i0), abs(i0 - params.alpha))
-                 for i0 in (i0_at(params, 0), i0_at(params, last)))
+    i0s = i0_at(params, 0), i0_at(params, last)
+    for t, i0 in zip((0, last), i0s):
+        if i0 < 1:
+            raise ValueError(f"i0 rounds to {i0} at step {t}; the saturation into "
+                             f"[-i0, i0 - 1] needs i0 >= 1 at every step")
     q_max = int(np.ceil(max(abs(params.q.q_min), abs(params.q.q_max))))
-    return n_rnd_max, q_max, i0_max
+    return n_rnd_max, q_max, max(i0s)
 
 
 def accumulator_bound(model: IsingModel, params: AnnealParams) -> int:
     """Largest |raw accumulator sum| a step can reach: the widest input
-    (noise gain and q at their extremes) plus the saturation bound. Raises
-    AccumulatorWidthError if the bound needs more than 63 bits."""
+    (noise gain and q at their extremes) plus the saturation bound, the
+    largest i0. Raises ValueError if i0 rounds below 1 at either end
+    (_schedule_extremes) and AccumulatorWidthError if the bound needs more
+    than 63 bits."""
     n_rnd_max, q_max, i0_max = _schedule_extremes(params)
     worst = model.max_input_magnitude(n_rnd_max, q_max) + i0_max
     if worst >= 2**62:
@@ -341,21 +331,21 @@ def _anneal(model, params, graph, record_trace, planes, checked) -> RunResult:
     """The one step loop: the setup, one _step per step over the plane
     store planes(sigma, steps) built on the initial plane sigma, and
     _finalize. checked makes _step check each sum against accumulator_bound."""
-    bound = accumulator_bound(model, params)  # a too-wide schedule raises here
+    bound = accumulator_bound(model, params)  # an i0 below 1 or a too-wide schedule raises here
     dtype = _step_dtype(model, params)
     rng = RngStreams(params.seed, params.replicas)
     sigma = initial_state(model, rng, dtype)
     is_acc = np.zeros_like(sigma)
-    run = _step_constants(model.coupling_matrix(dtype), sigma, is_acc, params.alpha,
-                          params.periodic_replicas, bound if checked else None)
+    run = _step_constants(model.coupling_matrix(dtype), sigma, is_acc, params.periodic_replicas,
+                          bound if checked else None)
     trace = [] if record_trace else None
     # The store comes first: zip stops at the first exhausted iterator, so the
     # store's rotation after the last step still runs and no plane past it is
     # read.
-    for (now, prev, out), (raw, q, i0, floor, ceil) in zip(
+    for (now, prev, out), (raw, q, floor, ceil) in zip(
             planes(sigma, params.steps), _step_inputs(params, rng, model.h, dtype)):
         # raw becomes the accumulator and out the new spins.
-        _step(run, now, prev, raw, is_acc, q, i0, floor, ceil, out)
+        _step(run, now, prev, raw, is_acc, q, floor, ceil, out)
         sigma, is_acc = out, raw
         if record_trace:
             # Replica-major int64 copies, whatever the step dtype.

@@ -155,19 +155,6 @@ def _cases():
            lambda: _digest(run_ssqa(models["G11"], narrow, graphs["G11"], record_trace=True)))
     yield ("hw-G11-R3-67steps",
            lambda: _digest(*run_hw(models["G11"], narrow, graph=graphs["G11"], record_trace=True)))
-    # Saturation off the paper's rule: alpha other than 1, and i0 ramps that
-    # start at or below 0 (where i0 - alpha < -i0) and rise past it.
-    off_rule = {"alpha0": dict(alpha=0), "alpha2": dict(alpha=2), "alpha-1": dict(alpha=-1),
-                "i0ramp0to4": dict(i0=LinearSchedule(0, 4)),
-                "i0ramp-2to3": dict(i0=LinearSchedule(-2, 3))}
-    for label, kw in off_rule.items():
-        saturation = AnnealParams(steps=20, replicas=3, seed=11, **kw)
-        yield (f"ssqa-G11-{label}",
-               lambda saturation=saturation: _digest(
-                   run_ssqa(models["G11"], saturation, graphs["G11"], record_trace=True)))
-        yield (f"hw-G11-{label}",
-               lambda saturation=saturation: _digest(
-                   *run_hw(models["G11"], saturation, graph=graphs["G11"], record_trace=True)))
     for n, replicas in itertools.product((4000, 4095), (1, 20, 480)):
         yield f"lowbits-n{n}-R{replicas}", lambda n=n, replicas=replicas: _low_bits(n, replicas)
     for name, model, graph, params, kind, bypass in _small_models():

@@ -62,7 +62,7 @@ def check_trace_invariants(trace, params):
     for t, (sigma, is_acc) in enumerate(trace):
         i0 = i0_at(params, t)
         assert (is_acc >= -i0).all(), f"Is below -I0 at step {t}"
-        assert (is_acc <= i0 - params.alpha).all(), f"Is above I0-alpha at step {t}"
+        assert (is_acc <= i0 - 1).all(), f"Is above I0-1 at step {t}"
         assert np.array_equal(sigma, np.where(is_acc >= 0, 1, -1)), \
             f"sign inconsistency at step {t}"
 

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import ssqa
-from ssqa import bench, cli, gset, hwsim
+from ssqa import bench, cli, gset, hwsim, solver
 from ssqa.bench import IntegrityError, RunConfig
 from ssqa.gset import GsetRecord
 from ssqa.ising import maxcut_to_ising
+from ssqa.schedules import AnnealParams, LinearSchedule
 
 SQUARE = "4 4\n1 2 1\n2 3 1\n3 4 1\n1 4 1\n"
 
@@ -272,6 +273,23 @@ def test_cli_compare(square_path, capsys):
     assert doc["compare"]["a"]["engine"] == "ssqa_ref"
     assert doc["compare"]["b"]["engine"] == "ssa"
     assert doc["compare"]["b"]["steps"] == 60
+
+
+def test_cli_psa_row_records_the_schedule_that_ran(square_path, capsys):
+    """run_psa reads seed, replicas, steps and i0 only, so a psa row records
+    no q staircase and no noise ramp; its cuts are run_psa's at the user's
+    i0, a real-valued gain."""
+    code = run_cli("run", "--instance", square_path, "--engine", "psa", "--i0", "0.3",
+                   "--steps", "20", "--trials", "2")
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    params = doc["params"]
+    assert (params["q_min"], params["q_max"], params["q_tau"], params["q_beta"]) == (0, 0, 1, 0)
+    assert (params["n_rnd"], params["i0"], params["replicas"]) == ("0", "0.3", 20)
+    graph, model, _ = bench._load(square_path)
+    for row in doc["trials"]:
+        run = AnnealParams(steps=20, seed=row["seed"], i0=LinearSchedule.constant(0.3))
+        assert row["best_cut"] == solver.run_psa(model, run, graph).best_value
 
 
 def test_cli_info(capsys):

@@ -380,23 +380,30 @@ def test_energy_affine_in_weights(seed, n):
 
 
 def loop_energy(model, s):
-    """Edge-loop definition of H(s), the reference for the vectorized form."""
+    """Edge-loop definition of H(s), the reference for the vectorized form,
+    in Python ints."""
     e = -sum(int(model.h[i]) * int(s[i]) for i in range(model.n))
-    for i, j, w in model.couplings:
+    for i, j, w in model.couplings.tolist():
         e -= w * int(s[i]) * int(s[j])
     return e
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([(-1, 1), (1, 3, 7), (-7, -1, 7)]))
+@example(4, 3, (-1, 1))  # a graph with no edges
+@example(19, 3, (-(2**61), 2**61))  # three edges of |w| = 2^61: sum |w| near int64's limit
 def test_vectorized_cut_energy_and_bound_match_edge_loops(seed, n, weights):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n, weights)
-    model = maxcut_to_ising(g)
-    biased = IsingModel(n, rng.integers(-8, 8, size=n), model.couplings)
+    bits = max(4, max(map(abs, weights)).bit_length() + 1)
+    model = maxcut_to_ising(g, bits)
+    biased = IsingModel(n, rng.integers(-8, 8, size=n), model.couplings, bits)
     for s in rng.choice([-1, 1], size=(4, n)):
         cut = cut_value(g, s)
         assert cut == sum(w for u, v, w in g.edges if s[u] != s[v])
+        assert 2 * cut == g.total_weight - loop_energy(model, s) and type(cut) is int
+        if bits > 4:
+            continue  # replica_energies sums 2 J s s in int64, which 2^61 weights pass
         assert energy(model, s) == loop_energy(model, s)
         assert energy(biased, s) == loop_energy(biased, s)
         assert 2 * cut == g.total_weight - energy(model, s)

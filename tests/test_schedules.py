@@ -93,10 +93,10 @@ def test_params_validation_and_with():
     assert q.replicas == 7 and p.replicas == 20  # original untouched
 
 
-# steps=2.5 ran 3 steps, alpha=1.5 ran as alpha=2, and tau=2.5 was accepted.
+# steps=2.5 ran 3 steps and tau=2.5 was accepted.
 @pytest.mark.parametrize("config,field", [
-    (AnnealParams, "steps"), (AnnealParams, "replicas"), (AnnealParams, "alpha"),
-    (AnnealParams, "seed"), (QSchedule, "tau")])
+    (AnnealParams, "steps"), (AnnealParams, "replicas"), (AnnealParams, "seed"),
+    (QSchedule, "tau")])
 @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
 def test_integer_fields_reject_non_integers(config, field, value):
     with pytest.raises(TypeError, match=f"^{field} must be int"):

@@ -68,9 +68,9 @@ def hand_steps(model, params, rng, sigma, is_acc):
     sigma = np.array(np.transpose(sigma), dtype=dtype, order="C")
     is_acc = np.array(np.transpose(is_acc), dtype=dtype, order="C")
     sigma_prev = sigma.copy()
-    run = _step_constants(jmat, sigma, is_acc, params.alpha, params.periodic_replicas)
-    for raw, q, i0, floor, ceil in _step_inputs(params, rng, model.h, dtype):
-        _step(run, sigma, sigma_prev, raw, is_acc, q, i0, floor, ceil, sigma_prev)
+    run = _step_constants(jmat, sigma, is_acc, params.periodic_replicas)
+    for raw, q, floor, ceil in _step_inputs(params, rng, model.h, dtype):
+        _step(run, sigma, sigma_prev, raw, is_acc, q, floor, ceil, sigma_prev)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
         yield sigma.T.copy(), is_acc.T.copy()
 
@@ -103,13 +103,13 @@ def test_three_step_golden_trace():
 
 def test_single_pbit_accumulation_and_saturation():
     """N=1, R=1, h=+2, no couplings, no noise, q=0, I0=4: the accumulator
-    integrates h until it saturates at I0 - alpha."""
+    integrates h until it saturates at I0 - 1."""
     model = IsingModel(1, np.array([2]), ())
     params = noiseless_params(replicas=1, q=QSchedule(0, 0, 1, 0))
     rng = RngStreams(1, 1)
     sigma, is_acc = next(hand_steps(model, params, rng, sigma=[[1]], is_acc=[[0]]))
     assert is_acc.tolist() == [[2]] and sigma.tolist() == [[1]]
-    # From Is=3, raw = 3 + 2 = 5 >= I0=4 -> saturate at I0 - alpha = 3.
+    # From Is=3, raw = 3 + 2 = 5 >= I0=4 -> saturate at I0 - 1 = 3.
     sigma, is_acc = next(hand_steps(model, params, rng, sigma=[[1]], is_acc=[[3]]))
     assert is_acc.tolist() == [[3]] and sigma.tolist() == [[1]]
 
@@ -151,7 +151,7 @@ def naive_trace(model, params):
                     coup = 0
                 raw = int(is_acc[k, i]) + int(model.h[i]) + field + nr * int(noise[k, i]) + coup
                 if raw >= i0:
-                    raw = i0 - params.alpha
+                    raw = i0 - 1
                 elif raw < -i0:
                     raw = -i0
                 new_is[k, i] = raw
@@ -179,14 +179,14 @@ def test_engine_matches_naive_oracle(seed, periodic):
 
 # h != 0 (random_model draws a bias per spin) with the i0 ramp "3:9": the
 # bias rides in the noise blocks, and the -i0 plane is refilled as i0 rises.
-@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
-def test_engines_match_naive_oracle_with_bias_and_i0_ramp(alpha):
+@pytest.mark.parametrize("case", [0, 1, 2, 3])
+def test_engines_match_naive_oracle_with_bias_and_i0_ramp(case):
     from ssqa.bench import parse_ramp
     from ssqa.hwsim import run_hw
 
-    model = random_model(np.random.default_rng(20 + alpha), 7, p=0.5)
+    model = random_model(np.random.default_rng(20 + case), 7, p=0.5)
     assert model.h.any()
-    params = AnnealParams(steps=40, replicas=3, seed=alpha + 1, alpha=alpha,
+    params = AnnealParams(steps=40, replicas=3, seed=case + 1,
                           q=QSchedule(0, 3, 4, 0.7), i0=parse_ramp("3:9"),
                           n_rnd=LinearSchedule(3, 0))
     assert sorted(set(schedule_table(params)[0].tolist())) == list(range(3, 10))
@@ -272,23 +272,9 @@ def test_step_dtype_is_sized_from_widths():
     # Twice the bound crosses 127 between i0 = 15 (bound 63) and i0 = 16 (bound 64).
     assert dtype(g11, i0=LinearSchedule.constant(15)) == np.int8
     assert dtype(g11, i0=LinearSchedule.constant(16)) == np.int16
-
-
-def test_accumulator_bound_covers_a_large_alpha():
-    """With alpha > 2 i0, a saturated Is = i0 - alpha lies below -i0."""
-    from ssqa.hwsim import run_hw
-
-    graph = load_instance("G11")
-    model = maxcut_to_ising(graph)
-    assert accumulator_bound(model, AnnealParams()) == 17
-    assert accumulator_bound(maxcut_to_ising(load_instance("G14")), AnnealParams()) == 145
-    params = AnnealParams(steps=50, replicas=4, seed=1, alpha=30)
-    assert accumulator_bound(model, params) == 12 + 25
-    hw, _ = run_hw(model, params, graph=graph, record_trace=True)
-    ref = run_ssqa(model, params, graph, record_trace=True)
-    assert min(int(acc.min()) for _, acc in ref.trace) == 5 - 30
-    assert hw.best_value == ref.best_value
-    assert all(np.array_equal(a, b) for x, y in zip(hw.trace, ref.trace) for a, b in zip(x, y))
+    # The bound run_hw checks each sum against: 12 + 5 and 140 + 5.
+    assert accumulator_bound(g11, AnnealParams()) == 17
+    assert accumulator_bound(g14, AnnealParams()) == 145
 
 
 # --------------------------------------------------------------- invariants
@@ -301,7 +287,7 @@ def test_saturation_and_sign_invariants():
     result = run_ssqa(model, params, record_trace=True)
     for t, (sigma, is_acc) in enumerate(result.trace):
         i0 = i0_at(params, t)
-        assert (is_acc >= -i0).all() and (is_acc <= i0 - params.alpha).all()
+        assert (is_acc >= -i0).all() and (is_acc <= i0 - 1).all()
         assert np.array_equal(sigma, np.where(is_acc >= 0, 1, -1))
         assert set(np.unique(sigma)) <= {-1, 1}
 
@@ -309,41 +295,29 @@ def test_saturation_and_sign_invariants():
 @settings(max_examples=300, deadline=None)
 @given(raw=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
                       elements=st.integers(-40, 40)),
-       i0=st.integers(-12, 12), alpha=st.integers(-2, 3),
-       dtype=st.sampled_from(["int8", "int16", "int32", "int64"]))
-# The rule is two clamps only when alpha is 0 or 1 and i0 - alpha >= -i0:
-# each edge of that condition, on both sides, at the narrowest and widest dtype.
-@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=0, alpha=0, dtype="int8")
-@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=0, alpha=0, dtype="int64")
-@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=0, alpha=1, dtype="int8")
-@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=0, alpha=1, dtype="int64")
-@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=1, alpha=1, dtype="int8")
-@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=1, alpha=1, dtype="int64")
-@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=1, alpha=2, dtype="int8")
-@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=1, alpha=2, dtype="int64")
-@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=-3, alpha=0, dtype="int8")
-@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=-3, alpha=0, dtype="int64")
+       i0=st.integers(1, 12), dtype=st.sampled_from(["int8", "int16", "int32", "int64"]))
+# The narrowest clamp, [-1, 0], at the narrowest and widest dtype.
+@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=1, dtype="int8")
+@example(raw=np.array([[-5, -3, -1, 0, 1, 3, 5]]), i0=1, dtype="int64")
 # A clamped plane that holds 0, whose spin is +1, at every dtype.
-@example(raw=np.array([[-9, 0], [0, 9]]), i0=4, alpha=1, dtype="int8")
-@example(raw=np.array([[-9, 0], [0, 9]]), i0=4, alpha=1, dtype="int16")
-@example(raw=np.array([[-9, 0], [0, 9]]), i0=4, alpha=1, dtype="int32")
-@example(raw=np.array([[-9, 0], [0, 9]]), i0=4, alpha=1, dtype="int64")
-def test_saturate_and_sign_matches_three_branch_rule(raw, i0, alpha, dtype):
-    """The saturation and sign of _step, on the two clamps or on the bit
-    select, equal the nested np.where rule bit for bit, at every integer
-    step dtype, against real -i0 and i0 - alpha planes: a step with no
-    couplings, q = 0 and a zero accumulator saturates its noise plane. The
-    elements stay in int8 range."""
+@example(raw=np.array([[-9, 0], [0, 9]]), i0=4, dtype="int8")
+@example(raw=np.array([[-9, 0], [0, 9]]), i0=4, dtype="int16")
+@example(raw=np.array([[-9, 0], [0, 9]]), i0=4, dtype="int32")
+@example(raw=np.array([[-9, 0], [0, 9]]), i0=4, dtype="int64")
+def test_saturate_and_sign_matches_three_branch_rule(raw, i0, dtype):
+    """The two clamps and the sign of _step equal the nested np.where rule
+    bit for bit, at every integer step dtype, against real -i0 and i0 - 1
+    planes: a step with no couplings, q = 0 and a zero accumulator
+    saturates its noise plane. The elements stay in int8 range."""
     raw = raw.astype(dtype)
-    top = i0 - alpha
+    top = i0 - 1
     expect = np.where(raw >= i0, top, np.where(raw < -i0, -i0, raw)).astype(raw.dtype)
     got, sigma = raw.copy(), np.full_like(raw, 55)
     jmat = IsingModel(len(raw), np.zeros(len(raw), np.int64), ()).coupling_matrix(raw.dtype)
     zero, spins = np.zeros_like(raw), np.ones_like(raw)
-    run = _step_constants(jmat, spins, zero, alpha, True)
-    run[3][...] = 77  # the scratch plane's values are not read
-    _step(run, spins, spins, got, zero, 0, i0, np.full_like(raw, -i0), np.full_like(raw, top),
-          sigma)
+    run = _step_constants(jmat, spins, zero, True)
+    run[2][...] = 77  # the scratch plane's values are not read
+    _step(run, spins, spins, got, zero, 0, np.full_like(raw, -i0), np.full_like(raw, top), sigma)
     assert got.tobytes() == expect.tobytes()
     assert np.array_equal(sigma, np.where(expect >= 0, 1, -1))
     assert sigma.dtype == raw.dtype and not (sigma == 0).any()
@@ -403,10 +377,9 @@ def test_accumulate_matches_edge_loop_at_every_step_dtype(dtype, replicas):
     expect += field
     i0 = int(np.iinfo(dtype).max)
     assert np.abs(expect).max() < i0
-    run = _step_constants(jmat, sigma, raw, 0, True)
+    run = _step_constants(jmat, sigma, raw, True)
     out = np.empty_like(raw)
-    _step(run, sigma, prev, raw, is_acc, 2, i0, np.full_like(raw, -i0), np.full_like(raw, i0),
-          out)
+    _step(run, sigma, prev, raw, is_acc, 2, np.full_like(raw, -i0), np.full_like(raw, i0), out)
     assert raw.dtype == dtype and raw.tobytes() == expect.astype(dtype).tobytes()
     assert np.array_equal(out, np.where(expect >= 0, 1, -1))
     strided = np.zeros((model.n, 2 * replicas), dtype)[:, ::2]
@@ -431,7 +404,7 @@ def test_step_inputs_are_c_order_planes(replicas):
         params = AnnealParams(steps=7, replicas=replicas)
         h = np.zeros(800, np.int64)
         planes = [plane for step in _step_inputs(params, RngStreams(1, replicas), h, dtype)
-                  for plane in (step[0], *step[3:])]
+                  for plane in (step[0], *step[2:])]
         for store in stores:
             for now, prev, out in store(np.ones((800, replicas), dtype), 3):
                 planes += (now, prev, out)
@@ -443,32 +416,70 @@ def test_step_inputs_are_c_order_planes(replicas):
             assert plane.flags.c_contiguous
 
 
-class SelectTaken(Exception):
-    """Raised by a patched-in bit-select saturation."""
-
-
 def test_default_schedule_steps_take_the_two_clamps(monkeypatch):
-    """The paper's rule (alpha 1, i0 5 at the defaults) is two clamps: with
-    the bit-select fallback patched to raise, run_ssqa at R = 20, run_ssa
-    (R = 1) and run_hw on G11, and run_hw on G14 over 40 steps, run to the
-    end, while a run at alpha 2 reaches the fallback."""
+    """At the defaults (i0 5), every step of run_ssqa at R = 20, run_ssa
+    (R = 1) and run_hw on G11, and of run_hw on G14 over 40 steps, leaves
+    its accumulator in [-5, 4], and each run reaches both ends: the steps
+    take both clamps."""
     import ssqa.solver
     from ssqa.hwsim import run_hw
 
-    def refuse(*args):
-        raise SelectTaken
+    step, ends = ssqa.solver._step, set()
 
-    monkeypatch.setattr(ssqa.solver, "_saturate_by_select", refuse)
+    def spy(run, sigma, prev, raw, *args):
+        step(run, sigma, prev, raw, *args)
+        low, high = int(raw.min()), int(raw.max())
+        assert -5 <= low and high <= 4
+        ends.update({low, high} & {-5, 4})
+
+    monkeypatch.setattr(ssqa.solver, "_step", spy)
     for name, steps in (("G11", 500), ("G14", 40)):
         graph = load_instance(name)
         model = maxcut_to_ising(graph)
         params = AnnealParams(steps=steps)
+        engines = [partial(run_hw, model, params, graph=graph)]
         if name == "G11":
-            run_ssqa(model, params, graph)
-            run_ssa(model, params, graph)
-        run_hw(model, params, graph=graph)
-    with pytest.raises(SelectTaken):
-        run_hw(model, params.with_(alpha=2), graph=graph)
+            engines += [partial(run_ssqa, model, params, graph),
+                        partial(run_ssa, model, params, graph)]
+        for engine in engines:
+            ends.clear()
+            engine()
+            assert ends == {-5, 4}
+
+
+# Ramps whose i0 rounds below 1 at the first step (0:4, -2:3) or at the
+# last of 20 steps (1:0, where 1 - 19 / 20 rounds to 0).
+@pytest.mark.parametrize("ramp,value,step", [("0:4", 0, 0), ("-2:3", -2, 0), ("1:0", 0, 19)])
+def test_i0_below_one_is_rejected_before_any_step(ramp, value, step, monkeypatch, capsys):
+    """The SSQA engines, RunConfig and a sweep-steps point reject an i0 that
+    rounds below 1, naming the step and the value, before any step or
+    trial; run_psa reads i0 as a gain and still runs at 0.3."""
+    import ssqa.solver
+    from ssqa import bench, cli
+    from ssqa.bench import RunConfig, parse_ramp
+    from ssqa.hwsim import run_hw
+
+    def refuse(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(ssqa.solver, "_step", refuse)
+    monkeypatch.setattr(bench, "run_one_trial", refuse)
+    model = random_model(np.random.default_rng(1), 6)
+    params = AnnealParams(steps=20, replicas=3, i0=parse_ramp(ramp))
+    message = f"i0 rounds to {value} at step {step}"
+    for engine in (run_ssqa, run_ssa, run_hw):
+        with pytest.raises(ValueError, match=message):
+            engine(model, params)
+    for engine in ("ssqa_ref", "ssqa_hw", "ssa"):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(engine=engine, steps=20, i0=ramp)
+    # The base config's one step is valid under 1:0, whose 20-step point fails.
+    code = cli.main(["sweep-steps", "--instance", "G11", "--steps", "1", f"--i0={ramp}",
+                     "--steps-list", "1,20", "--trials", "1"])
+    assert code == 2 and "i0 rounds to" in capsys.readouterr().err
+    assert RunConfig(engine="psa", steps=20, i0=ramp).i0 == ramp
+    result = run_psa(model, params.with_(i0=LinearSchedule.constant(0.3)))
+    assert result.steps_executed == 20
 
 
 @pytest.mark.parametrize("engine", ["run_ssqa", "dual_bram", "shift_register"])
@@ -517,7 +528,7 @@ def lane_block_examples(test):
         for steps in (lambda k, c=c: c * k - 1, lambda k, c=c: c * k,
                       lambda k, c=c: c * k + 3, lambda k, c=c: 2 * c * k + k + 2):
             test = example(n=800, steps=steps, replicas=replicas, dtype=np.int8, seed=2,
-                           n_rnd=(6, -3), biased=True, i0=(3, 9), alpha=1)(test)
+                           n_rnd=(6, -3), biased=True, i0=(3, 9))(test)
     return test
 
 
@@ -525,38 +536,37 @@ def lane_block_examples(test):
 @given(n=st.sampled_from([1, 7, 800, _NOISE_BLOCK + 5]), steps=st.sampled_from(STEP_COUNTS),
        replicas=st.sampled_from([1, 3, 20]), dtype=st.sampled_from([np.int8, np.int16]),
        seed=st.integers(0, 2**32), n_rnd=st.tuples(st.integers(-7, 7), st.integers(-7, 7)),
-       biased=st.booleans(), i0=st.tuples(st.integers(-3, 9), st.integers(-3, 9)),
-       alpha=st.integers(-1, 2))
+       biased=st.booleans(), i0=st.tuples(st.integers(1, 9), st.integers(1, 9)))
 @example(n=_NOISE_BLOCK + 5, steps=STEP_COUNTS[-1], replicas=20, dtype=np.int16, seed=1,
-         n_rnd=(6, 0), biased=False, i0=(3, 9), alpha=1)
+         n_rnd=(6, 0), biased=False, i0=(3, 9))
 @example(n=7, steps=STEP_COUNTS[-1], replicas=3, dtype=np.int8, seed=1, n_rnd=(6, 0),
-         biased=True, i0=(3, 9), alpha=1)
-# i0 ramps from 0 and across 0, over several noise blocks.
+         biased=True, i0=(3, 9))
+# i0 ramps from 1, the narrowest clamp [-1, 0], over several noise blocks.
 @example(n=800, steps=STEP_COUNTS[-1], replicas=3, dtype=np.int8, seed=1, n_rnd=(6, 0),
-         biased=False, i0=(0, 4), alpha=1)
+         biased=False, i0=(1, 5))
 @example(n=800, steps=STEP_COUNTS[-1], replicas=3, dtype=np.int8, seed=1, n_rnd=(6, 0),
-         biased=False, i0=(-2, 3), alpha=2)
+         biased=False, i0=(1, 6))
 @lane_block_examples
 def test_step_inputs_equal_step_by_step_draws(n, steps, replicas, dtype, seed, n_rnd, biased,
-                                              i0, alpha):
+                                              i0):
     """Each noise plane, whether its block holds one lane or several, is
     n_rnd(t) times the +-1 bits of a twin stream drawing one step at a
     time, plus h when there is one, in the step dtype;
     planes are C-ordered, writable and disjoint, and both streams end in one
-    state. q and i0 are the schedule's at each step, and the run's one floor
-    and one ceil plane hold -i0 and i0 - alpha at every step."""
+    state. q is the schedule's at each step, and the run's one floor and
+    one ceil plane hold -i0 and i0 - 1 of the schedule's i0 at every step."""
     params = AnnealParams(steps=steps(steps_per_block(n)), replicas=replicas, seed=seed,
-                          n_rnd=LinearSchedule(*n_rnd), i0=LinearSchedule(*i0), alpha=alpha)
+                          n_rnd=LinearSchedule(*n_rnd), i0=LinearSchedule(*i0))
     h = np.zeros(n, np.int64)
     if biased:
         h[:] = np.random.default_rng(seed).integers(-8, 8, size=n)
     blocks, twin = RngStreams(seed, replicas), RngStreams(seed, replicas)
     planes, bounds = [], set()
-    for t, (plane, q, level, floor, ceil) in enumerate(_step_inputs(params, blocks, h, dtype)):
-        assert (q, level) == (q_value_at(params, t), i0_at(params, t))
-        assert type(q) is type(level) is int
+    for t, (plane, q, floor, ceil) in enumerate(_step_inputs(params, blocks, h, dtype)):
+        assert q == q_value_at(params, t) and type(q) is int
+        level = i0_at(params, t)
         assert floor.dtype == ceil.dtype == dtype
-        assert np.all(floor == -level) and np.all(ceil == level - alpha)
+        assert np.all(floor == -level) and np.all(ceil == level - 1)
         planes.append(plane)
         bounds.add((id(floor), id(ceil)))
     assert len(planes) == params.steps and len(bounds) <= 1
