@@ -48,6 +48,13 @@ def _int64_entries(values):
     return np.where(bad, 0, a).astype(np.int64), bad
 
 
+def _abs_sum_exceeds_int64(values) -> bool:
+    """Whether sum |v| of an int64 array passes int64, summed exactly in
+    Python ints only when peak * count does."""
+    peak = max(int(values.max(initial=0)), -int(values.min(initial=0)))
+    return peak * len(values) > _INT64.max and sum(map(abs, values.tolist())) > _INT64.max
+
+
 class EdgeError(ValueError):
     """A row breaks an edge rule; row is its index."""
     row = -1
@@ -105,10 +112,7 @@ class WeightedGraph:
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
         edges = _edge_array(self.n_nodes, self.edges)
-        w = edges[:, 2]
-        peak = max(int(w.max(initial=0)), -int(w.min(initial=0)))  # Python ints: exact
-        # Sum |w| <= peak * E, so only a graph past that bound needs the exact sum.
-        if peak * len(w) > _INT64.max and sum(map(abs, w.tolist())) > _INT64.max:
+        if _abs_sum_exceeds_int64(edges[:, 2]):
             raise ValueError("the sum of |weight| exceeds int64, so a cut could wrap")
         object.__setattr__(self, "edges", edges)
 
@@ -147,6 +151,9 @@ class IsingModel:
             i, j, w = couplings[out.argmax()].tolist()
             raise WeightRangeError(
                 f"J[{i},{j}]={w} outside [{lo},{hi}] for {self.weight_bits} bits")
+        if _abs_sum_exceeds_int64(np.concatenate([h, couplings[:, 2]])):
+            raise ValueError("the sum of |h| and |J| exceeds int64, so an energy or a local "
+                             "field could wrap")
 
     @cached_property
     def _csr(self) -> sparse.csr_matrix:
@@ -186,7 +193,7 @@ class IsingModel:
 
     @cached_property
     def _max_local_input(self) -> int:
-        """max_i |h_i| + sum_j |J_ij|."""
+        """max_i |h_i| + sum_j |J_ij|, which the model bounds by int64."""
         row_sum = abs(self._csr) @ np.ones(self.n, dtype=np.int64)
         return int((np.abs(self.h) + row_sum).max())
 
@@ -201,14 +208,18 @@ def energy(model: IsingModel, state) -> int:
 
 
 def replica_energies(model: IsingModel, plane) -> np.ndarray:
-    """(R,) int64 energies of the R replicas of a spin-major (N, R) plane."""
+    """(R,) int64 energies of the R replicas of a spin-major (N, R) plane,
+    each coupling counted once (s_i s_j gathered per coupling, as
+    replica_cuts gathers edge ends), so every partial sum stays within
+    sum |h| + sum |J|, which the model bounds by int64."""
     s = np.asarray(plane)
     if s.shape[0] != model.n:
         raise DimensionError(f"state has {s.shape[0]} spins, expected {model.n}")
     _check_spins(s)
     s = s.astype(np.int64)
-    # s.J.s counts every coupling twice.
-    return -(model.h @ s) - (s * (model._csr @ s)).sum(axis=0) // 2
+    i, j, w = model.couplings.T
+    pairs = np.take(s, i, axis=0) * np.take(s, j, axis=0)
+    return -(model.h @ s) - np.einsum("er,e->r", pairs, w)
 
 
 def cut_value(graph: WeightedGraph, state) -> int:
@@ -246,11 +257,11 @@ def maxcut_to_ising(graph: WeightedGraph, weight_bits: int = 4) -> IsingModel:
     )
 
 
-def pseudo_quantum_energy(model: IsingModel, replica_spins, q, periodic: bool = True):
+def pseudo_quantum_energy(model: IsingModel, replica_spins, q):
     """Replica-coupled energy: sum_k ( H(s_k) - q * sum_i s_{i,k} s_{i,k+1} ).
 
-    replica_spins is an R x N array. The replica index wraps periodically by
-    default; with periodic=False the k = R boundary term is dropped.
+    replica_spins is an R x N array. The replicas form a ring: replica R - 1
+    couples to replica 0, and at R = 1 a replica couples to itself (-q N).
     """
     sig = np.asarray(replica_spins)
     if sig.ndim != 2 or sig.shape[1] != model.n:
@@ -258,8 +269,6 @@ def pseudo_quantum_energy(model: IsingModel, replica_spins, q, periodic: bool = 
     total = int(replica_energies(model, sig.T).sum())
     nbr = np.roll(sig, -1, axis=0)
     inter = (sig * nbr).sum(axis=1)
-    if not periodic:
-        inter = inter[:-1]
     if isinstance(q, numbers.Integral):  # a numpy integer too
         return total - int(q) * int(inter.sum())
     return total - q * float(inter.sum())

@@ -102,7 +102,6 @@ class AnnealParams:
     i0: LinearSchedule = field(default_factory=lambda: LinearSchedule.constant(5))
     n_rnd: LinearSchedule = field(default_factory=lambda: LinearSchedule(6, 0))
     seed: int = 1
-    periodic_replicas: bool = True
 
     def __post_init__(self):
         _check_ints(self, "steps", "replicas", "seed")

@@ -9,7 +9,7 @@ Sweep discipline: each step reads all spins from the previous-step plane
 (synchronous / Jacobi), so the update is independent of spin order and
 matches the hardware model, which reads its delay banks while writing the
 next plane. The replica-coupling term reads the plane from two steps back
-(delay d = 1) of replica k+1, wrapping periodically unless configured open.
+(delay d = 1) of replica k+1 in a ring: replica R - 1 couples to replica 0.
 
 One loop: run_ssqa, run_ssa and hwsim.run_hw all anneal through _anneal.
 Each step takes its spin planes from a plane store, an iterator that yields
@@ -126,19 +126,16 @@ def initial_state(model: IsingModel, rng: RngStreams, dtype) -> np.ndarray:
     return _bipolar(rng.next_block(model.n, low_bit=True), 1, dtype)
 
 
-def _add_coupling(raw, prev, q, periodic, upper):
-    """In place on spin-major planes: replica k adds q times replica k+1 of
-    the t-1 plane prev; an open chain's last replica adds nothing. One flat
-    shifted multiply of prev fills the neighbour plane upper, a C-ordered
-    plane of raw's shape and dtype whose values are not read, so no pass is
-    strided, and every entry of raw gets the term the two-slice rule gives
-    it."""
-    # [i, k] = q prev[i, k + 1] but in the last column.
+def _add_coupling(raw, prev, q, upper):
+    """In place on spin-major planes: replica k adds q times replica
+    (k + 1) mod R of the t-1 plane prev, so the last replica couples to
+    replica 0 (at R = 1, a replica to itself). One flat shifted multiply of
+    prev and one multiply of its first column fill the neighbour plane
+    upper, a C-ordered plane of raw's shape and dtype whose values are not
+    read, so every entry of raw gets the term the two-slice rule gives it."""
+    # [i, k] = q prev[i, k + 1] but in the last column, which wraps to column 0.
     np.multiply(prev.reshape(-1)[1:], q, out=upper.reshape(-1)[:-1])
-    if periodic:
-        np.multiply(prev[:, 0], q, out=upper[:, -1])
-    else:
-        upper[:, -1] = 0
+    np.multiply(prev[:, 0], q, out=upper[:, -1])
     raw += upper
 
 
@@ -160,19 +157,19 @@ def _check_field_planes(jmat, sigma, raw):
             f"{sigma.shape}")
 
 
-def _step_constants(jmat, sigma, is_acc, periodic, bound=None):
+def _step_constants(jmat, sigma, is_acc, bound=None):
     """The per-run constants of _step, from the run's t plane sigma and
     accumulator plane is_acc, whose planes it checks once
     (_check_field_planes): the CSR product bound to J (csr_matvec at R = 1,
-    csr_matvecs above, as scipy's own product picks), the chain's wrap, the
-    held scratch plane, a 1 of the step dtype and the accumulator bound
-    (None skips the check)."""
+    csr_matvecs above, as scipy's own product picks), the held scratch
+    plane, a 1 of the step dtype and the accumulator bound (None skips the
+    check)."""
     _check_field_planes(jmat, sigma, is_acc)
     n, replicas = sigma.shape
     csr = (jmat.indptr, jmat.indices, jmat.data)
     product = (partial(_sparsetools.csr_matvec, n, n, *csr) if replicas == 1
                else partial(_sparsetools.csr_matvecs, n, n, replicas, *csr))
-    return product, periodic, np.empty_like(sigma), np.array(1, sigma.dtype), bound
+    return product, np.empty_like(sigma), np.array(1, sigma.dtype), bound
 
 
 def _step(run, sigma, prev, raw, is_acc, q, floor, ceil, out):
@@ -180,16 +177,16 @@ def _step(run, sigma, prev, raw, is_acc, q, floor, ceil, out):
     noise, scaled by n_rnd and biased by h) becomes the saturated
     accumulator and out the new spins. run is _step_constants' tuple, sigma
     the t plane and prev the t-1 plane. raw gains J sigma (the CSR kernel
-    adds it in place), q prev[:, k + 1] and is_acc, exactly in any order, as
-    _step_dtype bounds the sum of every |term|; a run with a bound checks
-    the sum against it. Then two clamps saturate raw into [-i0, i0 - 1],
-    against the -i0 and i0 - 1 planes floor and ceil (a clamp against a
-    plane is several times faster than against a scalar). The sign is
-    np.sign ORed with 1, so 0 gives +1."""
-    product, periodic, scratch, one, bound = run
+    adds it in place), q prev[:, (k + 1) % R] and is_acc, exactly in any
+    order, as _step_dtype bounds the sum of every |term|; a run with a bound
+    checks the sum against it. Then two clamps saturate raw into
+    [-i0, i0 - 1], against the -i0 and i0 - 1 planes floor and ceil (a clamp
+    against a plane is several times faster than against a scalar). The
+    sign is np.sign ORed with 1, so 0 gives +1."""
+    product, scratch, one, bound = run
     product(sigma, raw)
     if q:
-        _add_coupling(raw, prev, q, periodic, scratch)
+        _add_coupling(raw, prev, q, scratch)
     raw += is_acc
     if bound is not None:
         # Python ints: on a narrow dtype, -raw.min() could wrap.
@@ -336,8 +333,7 @@ def _anneal(model, params, graph, record_trace, planes, checked) -> RunResult:
     rng = RngStreams(params.seed, params.replicas)
     sigma = initial_state(model, rng, dtype)
     is_acc = np.zeros_like(sigma)
-    run = _step_constants(model.coupling_matrix(dtype), sigma, is_acc, params.periodic_replicas,
-                          bound if checked else None)
+    run = _step_constants(model.coupling_matrix(dtype), sigma, is_acc, bound if checked else None)
     trace = [] if record_trace else None
     # The store comes first: zip stops at the first exhausted iterator, so the
     # store's rotation after the last step still runs and no plane past it is

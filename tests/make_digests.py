@@ -72,14 +72,16 @@ def _low_bits(n, replicas) -> str:
 
 def _small_models():
     """(name, model, graph, params, delay kind, sparse bypass) of 48 random
-    models with h != 0, four rounds of weight bits 4/8/12, open and periodic
-    replica chains, sparse and dense rows. graph carries the couplings as
+    models with h != 0, four rounds of weight bits 4/8/12, two halves named
+    periodic and open, sparse and dense rows. Every model couples its
+    replicas in a ring: the halves differ only in their draws, and their
+    names are the recorded cases' keys. graph carries the couplings as
     weights. Rounds after the first add -2, -3, -4 to the name and shift the
     delay kind and bypass pattern, so each configuration meets both kinds."""
     rng = np.random.default_rng(2024)
     cases = []
-    configs = itertools.product((4, 8, 12), (True, False), (0.25, 1.0))
-    for k, (bits, periodic, density) in enumerate(list(configs) * 4):
+    configs = itertools.product((4, 8, 12), ("periodic", "open"), (0.25, 1.0))
+    for k, (bits, half, density) in enumerate(list(configs) * 4):
         turn = k // 12
         n = int(rng.integers(6, 24))
         lim = 1 << (bits - 1)
@@ -92,8 +94,8 @@ def _small_models():
         params = AnnealParams(steps=25, replicas=int(rng.integers(1, 6)), seed=k + 1,
                               q=QSchedule(0, 3, 4, 0.5),
                               i0=LinearSchedule(i0 // 2 + 1, i0 + 1),
-                              n_rnd=LinearSchedule(lim, 0), periodic_replicas=periodic)
-        name = f"b{bits}-{'periodic' if periodic else 'open'}-{'dense' if density == 1 else 'sparse'}"
+                              n_rnd=LinearSchedule(lim, 0))
+        name = f"b{bits}-{half}-{'dense' if density == 1 else 'sparse'}"
         if turn:
             name += f"-{turn + 1}"
         cases.append((name, model, graph, params, ("dual_bram", "shift_register")[(k + turn) % 2],
@@ -171,9 +173,8 @@ def _cases():
 
         def pqe(model=model, params=params):
             spins = np.random.default_rng(params.seed).choice([-1, 1], size=(5, model.n))
-            return hashlib.sha256(repr([pseudo_quantum_energy(model, spins, q, periodic)
-                                        for q in (0, 3, 1.5) for periodic in (True, False)])
-                                  .encode()).hexdigest()
+            return hashlib.sha256(repr([pseudo_quantum_energy(model, spins, q)
+                                        for q in (0, 3, 1.5)]).encode()).hexdigest()
 
         yield f"hw-{name}", hw
         yield f"score-{name}", scores

@@ -123,6 +123,22 @@ def test_total_weight_must_fit_int64():
     assert WeightedGraph(2, ((0, 1, -2**63 + 1),)).total_weight == -2**63 + 1
 
 
+def test_model_sum_of_weights_must_fit_int64():
+    """Sum |h| + sum |J| bounds every energy and every local field, so a
+    model past int64 is an error at construction, not a wrapped field that
+    sizes a negative accumulator bound."""
+    pairs = itertools.combinations(range(4), 2)
+    with pytest.raises(ValueError, match="sum of \\|h\\| and \\|J\\| exceeds int64"):
+        IsingModel(4, np.zeros(4, dtype=np.int64), [(i, j, 2**61 + 2**60) for i, j in pairs],
+                   weight_bits=63)
+    with pytest.raises(ValueError, match="exceeds int64"):
+        IsingModel(2, [2**62, -2**62], ((0, 1, 1),), weight_bits=64)
+    # Right at the limit: 2^63 - 1 in all.
+    model = IsingModel(2, [2**62 - 1, 0], ((0, 1, 2**62),), weight_bits=64)
+    assert model.max_input_magnitude(0, 0) == 2**63 - 1
+    assert energy(model, [1, 1]) == -(2**63) + 1
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_graph_needs_a_node(n):
     with pytest.raises(ValueError, match="n_nodes must be >= 1"):
@@ -402,8 +418,6 @@ def test_vectorized_cut_energy_and_bound_match_edge_loops(seed, n, weights):
         cut = cut_value(g, s)
         assert cut == sum(w for u, v, w in g.edges if s[u] != s[v])
         assert 2 * cut == g.total_weight - loop_energy(model, s) and type(cut) is int
-        if bits > 4:
-            continue  # replica_energies sums 2 J s s in int64, which 2^61 weights pass
         assert energy(model, s) == loop_energy(model, s)
         assert energy(biased, s) == loop_energy(biased, s)
         assert 2 * cut == g.total_weight - energy(model, s)
@@ -426,15 +440,17 @@ def test_coupling_matrix_is_cached_and_read_only():
 
 # --------------------------------------------- replica-coupled energy checks
 
-def test_pseudo_quantum_energy_periodic_and_open():
+def test_pseudo_quantum_energy_ring():
+    """Replica R - 1 couples to replica 0; at R = 1 a replica couples to
+    itself, so the coupling term is -q N."""
     model = maxcut_to_ising(square_graph())
     sig = np.array([[1, -1, 1, -1], [1, 1, 1, 1], [-1, -1, 1, 1]])
     base = sum(energy(model, row) for row in sig)
-    inter_periodic = sum(int((sig[k] * sig[(k + 1) % 3]).sum()) for k in range(3))
-    inter_open = sum(int((sig[k] * sig[k + 1]).sum()) for k in range(2))
+    inter = sum(int((sig[k] * sig[(k + 1) % 3]).sum()) for k in range(3))
     q = 2
-    assert pseudo_quantum_energy(model, sig, q) == base - q * inter_periodic
-    assert pseudo_quantum_energy(model, sig, q, periodic=False) == base - q * inter_open
+    assert pseudo_quantum_energy(model, sig, q) == base - q * inter
+    for row in sig:
+        assert pseudo_quantum_energy(model, row[None], q) == energy(model, row) - q * model.n
 
 
 def test_pseudo_quantum_energy_identical_replicas():

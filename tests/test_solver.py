@@ -68,7 +68,7 @@ def hand_steps(model, params, rng, sigma, is_acc):
     sigma = np.array(np.transpose(sigma), dtype=dtype, order="C")
     is_acc = np.array(np.transpose(is_acc), dtype=dtype, order="C")
     sigma_prev = sigma.copy()
-    run = _step_constants(jmat, sigma, is_acc, params.periodic_replicas)
+    run = _step_constants(jmat, sigma, is_acc)
     for raw, q, floor, ceil in _step_inputs(params, rng, model.h, dtype):
         _step(run, sigma, sigma_prev, raw, is_acc, q, floor, ceil, sigma_prev)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
@@ -129,7 +129,8 @@ def naive_trace(model, params):
     """Straight-loop re-implementation of the update rule (test oracle).
 
     Reads every sigma from the previous-step plane, mirrors the engines'
-    RNG consumption (one word per spin per replica per step, spin-major).
+    RNG consumption (one word per spin per replica per step, spin-major),
+    and couples replica k to replica (k + 1) mod R, a ring.
     """
     rng = RngStreams(params.seed, params.replicas)
     sigma = rng.next_bipolar(model.n).T.astype(np.int64).copy()
@@ -147,8 +148,6 @@ def naive_trace(model, params):
             for i in range(model.n):
                 field = sum(int(jmat[i, j]) * int(sigma[k, j]) for j in range(model.n))
                 coup = q * int(prev[up, i])
-                if not params.periodic_replicas and k == params.replicas - 1:
-                    coup = 0
                 raw = int(is_acc[k, i]) + int(model.h[i]) + field + nr * int(noise[k, i]) + coup
                 if raw >= i0:
                     raw = i0 - 1
@@ -161,14 +160,13 @@ def naive_trace(model, params):
     return trace
 
 
-@pytest.mark.parametrize("seed,periodic", [(3, True), (4, True), (5, False)])
-def test_engine_matches_naive_oracle(seed, periodic):
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_engine_matches_naive_oracle(seed):
     rng = np.random.default_rng(seed)
     model = random_model(rng, 6)
     params = AnnealParams(steps=50, replicas=3, seed=seed,
                           q=QSchedule(0, 4, 5, 1.0),
-                          i0=LinearSchedule(4, 12), n_rnd=LinearSchedule.constant(2),
-                          periodic_replicas=periodic)
+                          i0=LinearSchedule(4, 12), n_rnd=LinearSchedule.constant(2))
     result = run_ssqa(model, params, record_trace=True)
     expected = naive_trace(model, params)
     assert len(result.trace) == len(expected) == 50
@@ -239,24 +237,22 @@ def test_schedule_calls_do_not_grow_with_steps(engine, monkeypatch):
     (12, LinearSchedule(3000, 5000), 800, np.int32),
 ])
 def test_engines_match_naive_oracle_at_each_step_dtype(weight_bits, i0, n_rnd, dtype):
-    """Both engines on a periodic and an open replica chain."""
+    """Both engines on the replica ring."""
     from ssqa.hwsim import run_hw
 
     model = random_model(np.random.default_rng(weight_bits), 6, p=0.6, weight_bits=weight_bits)
-    for periodic in (True, False):
-        params = AnnealParams(steps=40, replicas=3, seed=weight_bits, q=QSchedule(0, 4, 5, 1.0),
-                              i0=i0, n_rnd=LinearSchedule.constant(n_rnd),
-                              periodic_replicas=periodic)
-        assert _step_dtype(model, params) == dtype
-        expected = naive_trace(model, params)
-        runs = [run_ssqa(model, params, record_trace=True).trace]
-        runs += [run_hw(model, params, kind, record_trace=True)[0].trace
-                 for kind in ("dual_bram", "shift_register")]
-        for trace in runs:
-            assert len(trace) == len(expected) == 40
-            for (sig_a, is_a), (sig_b, is_b) in zip(trace, expected):
-                assert sig_a.dtype == is_a.dtype == np.int64
-                assert np.array_equal(sig_a, sig_b) and np.array_equal(is_a, is_b)
+    params = AnnealParams(steps=40, replicas=3, seed=weight_bits, q=QSchedule(0, 4, 5, 1.0),
+                          i0=i0, n_rnd=LinearSchedule.constant(n_rnd))
+    assert _step_dtype(model, params) == dtype
+    expected = naive_trace(model, params)
+    runs = [run_ssqa(model, params, record_trace=True).trace]
+    runs += [run_hw(model, params, kind, record_trace=True)[0].trace
+             for kind in ("dual_bram", "shift_register")]
+    for trace in runs:
+        assert len(trace) == len(expected) == 40
+        for (sig_a, is_a), (sig_b, is_b) in zip(trace, expected):
+            assert sig_a.dtype == is_a.dtype == np.int64
+            assert np.array_equal(sig_a, sig_b) and np.array_equal(is_a, is_b)
 
 
 def test_step_dtype_is_sized_from_widths():
@@ -315,8 +311,8 @@ def test_saturate_and_sign_matches_three_branch_rule(raw, i0, dtype):
     got, sigma = raw.copy(), np.full_like(raw, 55)
     jmat = IsingModel(len(raw), np.zeros(len(raw), np.int64), ()).coupling_matrix(raw.dtype)
     zero, spins = np.zeros_like(raw), np.ones_like(raw)
-    run = _step_constants(jmat, spins, zero, True)
-    run[2][...] = 77  # the scratch plane's values are not read
+    run = _step_constants(jmat, spins, zero)
+    run[1][...] = 77  # the scratch plane's values are not read
     _step(run, spins, spins, got, zero, 0, np.full_like(raw, -i0), np.full_like(raw, top), sigma)
     assert got.tobytes() == expect.tobytes()
     assert np.array_equal(sigma, np.where(expect >= 0, 1, -1))
@@ -325,25 +321,25 @@ def test_saturate_and_sign_matches_three_branch_rule(raw, i0, dtype):
 
 @st.composite
 def coupling_cases(draw):
-    """(raw, prev, q, periodic) of one coupling add."""
+    """(raw, prev, q) of one coupling add; R = 1 is drawn too."""
     dtype = draw(st.sampled_from(["int8", "int16", "int64"]))
     shape = (draw(st.integers(1, 12)), draw(st.integers(1, 24)))
     raw = draw(hnp.arrays(dtype, shape, elements=st.integers(-60, 60)))
     prev = draw(hnp.arrays(dtype, shape, elements=st.sampled_from([-1, 1])))
-    return raw, prev, draw(st.sampled_from([0, 1, -1, 2])), draw(st.booleans())
+    return raw, prev, draw(st.sampled_from([0, 1, -1, 2]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=coupling_cases())
 def test_add_coupling_matches_two_slice_rule(case):
     """The one-pass neighbour plane adds, byte for byte, what the two slice
-    adds over the replica axis add, for open and periodic chains."""
-    raw, prev, q, periodic = case
+    adds over the replica axis add on the ring, where the last replica
+    couples to replica 0 (at R = 1, a replica to itself)."""
+    raw, prev, q = case
     expect = raw.copy()
     expect[:, :-1] += q * prev[:, 1:]
-    if periodic:
-        expect[:, -1] += q * prev[:, 0]
-    _add_coupling(raw, prev, q, periodic, np.full_like(raw, 77))
+    expect[:, -1] += q * prev[:, 0]
+    _add_coupling(raw, prev, q, np.full_like(raw, 77))
     assert raw.dtype == expect.dtype and raw.tobytes() == expect.tobytes()
 
 
@@ -377,7 +373,7 @@ def test_accumulate_matches_edge_loop_at_every_step_dtype(dtype, replicas):
     expect += field
     i0 = int(np.iinfo(dtype).max)
     assert np.abs(expect).max() < i0
-    run = _step_constants(jmat, sigma, raw, True)
+    run = _step_constants(jmat, sigma, raw)
     out = np.empty_like(raw)
     _step(run, sigma, prev, raw, is_acc, 2, np.full_like(raw, -i0), np.full_like(raw, i0), out)
     assert raw.dtype == dtype and raw.tobytes() == expect.astype(dtype).tobytes()
