@@ -12,9 +12,12 @@ run_hw makes two whole-plane transactions per step (address ..., every
 word in spin order), each equal to the step's cycles in hardware order:
 
 * MAC phase: one read of the whole t plane (a read-only view of the bank)
-  and one CSR kernel call that adds J times it straight into the step's
-  sums. No cycle of a step writes the t plane, and a zero weight adds
-  nothing, so the product also serves the dense schedule.
+  and one call of the reference engine's field kernel, which adds J times
+  it straight into the step's sums: by J's diagonals (dia_matvec) at R = 1
+  where they pad the couplings at most twofold, as on G11 or a K_N, and by
+  its CSR rows otherwise (solver._step_constants). No cycle of a step writes
+  the t plane, and a zero weight adds nothing, so the product also serves
+  the dense schedule.
 * FIN phase: cycle i reads t-1 word i and writes t+1 word i, once per
   spin, so reading every t-1 word (a view), then writing every t+1 word
   in place into next_plane(), the t-1 bank on dual-BRAM, gives the words

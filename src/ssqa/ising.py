@@ -4,8 +4,9 @@ All arithmetic on models within their declared weight bit-width is exact
 integer arithmetic; nothing here rounds. Edges and couplings are stored once,
 as read-only (E, 3) int64 arrays, and one vectorized validator owns their
 rules (_edge_array, which the G-set parser shares). A model's coupling CSR
-(in each step dtype asked for) is built on first use and cached on the
-instance. Graphs and models compare by value and are not hashable.
+and its coupling diagonals (each in every step dtype asked for) are built on
+first use and cached on the instance. Graphs and models compare by value and
+are not hashable.
 """
 
 from __future__ import annotations
@@ -182,6 +183,52 @@ class IsingModel:
             m = sparse.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape, copy=False)
             self._csr_by_dtype[dtype] = m
         return m
+
+    @cached_property
+    def _diagonal_offsets(self) -> np.ndarray:
+        """Ascending int32 offsets k of J's diagonals J[i, i + k] that hold a
+        coupling, each k with its -k (J is symmetric). A mask over the
+        offsets 1..N-1 finds them in order, with no sort."""
+        i, j, _ = self.couplings.T
+        held = np.zeros(self.n, dtype=bool)
+        held[j - i] = True
+        above = np.flatnonzero(held).astype(np.int32)
+        offsets = np.concatenate([-above[::-1], above])
+        offsets.setflags(write=False)
+        return offsets
+
+    @cached_property
+    def _diagonals_by_dtype(self) -> dict:
+        return {}
+
+    def diagonal_entries(self) -> int:
+        """Entries of J's held diagonals inside the matrix, sum of N - |k|
+        over their offsets k: what a product by diagonals reads, the zeros
+        between couplings included."""
+        return int((self.n - np.abs(self._diagonal_offsets.astype(np.int64))).sum())
+
+    def coupling_diagonals(self, dtype=np.int64) -> tuple:
+        """J by its held diagonals, as scipy's DIA kernel reads it: int32
+        offsets and an (n_diags, N) data array in dtype whose entry [d, j]
+        is J[j - offsets[d], j] (0 outside the matrix and off the
+        couplings). Built from the couplings once per model and dtype and
+        shared: read-only. Every dtype shares the offsets."""
+        dtype = np.dtype(dtype)
+        pair = self._diagonals_by_dtype.get(dtype)
+        if pair is None:
+            offsets = self._diagonal_offsets
+            half = len(offsets) // 2
+            # slot[k]: the index of offset k among the positive offsets.
+            slot = np.zeros(self.n, dtype=np.intp)
+            slot[offsets[half:]] = np.arange(half)
+            i, j, w = self.couplings.T
+            d = slot[j - i]
+            data = np.zeros((len(offsets), self.n), dtype)
+            data[half + d, j] = w  # J[i, j], offset j - i, read at column j
+            data[half - 1 - d, i] = w  # J[j, i], offset i - j, read at column i
+            data.setflags(write=False)
+            pair = self._diagonals_by_dtype[dtype] = offsets, data
+        return pair
 
     def adjacency(self) -> list:
         """Per-spin list of (neighbor, weight); iteration cost is the degree."""

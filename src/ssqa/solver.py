@@ -21,14 +21,18 @@ run_hw's store is its delay line.
 Layout: the engines keep spin-major (N, R) planes, the word layout of the
 hardware delay lines: row i holds spin i of every replica. A step's noise
 block arrives in that shape and the noise buffer becomes the accumulator in
-place. The field J sigma needs no transpose: scipy's compiled CSR kernel
-(csr_matvec at R = 1, csr_matvecs above) reads the whole t plane and adds J
-sigma straight into the whole accumulator plane, with no product plane and
-no flat view (_step). The loop holds the planes, the noise, h, J and the
-accumulators in one step dtype per run: a signed integer sized, like the
-hardware registers, from the weight width, the row degree and the schedule
-endpoints (int8 on G11, int16 on G14; see _step_dtype), which the kernel
-sums in. The model caches its CSR in each step dtype. Every pass of a step
+place. The field J sigma needs no transpose: one of scipy's compiled
+kernels reads the whole t plane and adds J sigma straight into the whole
+accumulator plane, with no product plane and no flat view (_step). At R = 1
+(SSA, and run_hw with one replica gate) on a model whose held diagonals pad
+its couplings at most twofold, such as G11's torus or any K_N, that kernel
+is dia_matvec over J's diagonals; otherwise it is csr_matvec at R = 1 and
+csr_matvecs above (_step_constants). The loop holds the planes, the noise,
+h, J and the accumulators in one step dtype per run: a signed integer
+sized, like the hardware registers, from the weight width, the row degree
+and the schedule endpoints (int8 on G11, int16 on G14; see _step_dtype),
+which the kernel sums in. The model caches its CSR and its diagonals in each
+step dtype, the diagonals only once a run takes them. Every pass of a step
 runs over whole contiguous planes: the replica coupling is one pass over a
 neighbour plane built by a flat shifted copy (_add_coupling). Only traces
 and results are replica-major (R, N) and int64, and only those boundaries
@@ -48,17 +52,17 @@ h, as every MAX-CUT model has, skips the bias pass.
 
 Per-run planes: past its noise block, a step allocates no plane; its
 accumulator is the previous step's noise plane. The loop holds, for the
-whole run, the store's planes, the -i0 and i0 - 1 clamp planes (from
-_step_inputs, which refills them only when i0 changes) and _step_constants:
-the CSR product bound to J, one scratch plane (the neighbour plane of
-_add_coupling) and a 1 of the step dtype. The planes are checked once there
-(_check_field_planes), so a step checks no flag, dtype or shape. A step is
-one _step call: the field product, the replica coupling (skipped at q = 0),
-the accumulator sum, run_hw's bound check, the paper's saturation into
-[-i0, i0 - 1] (two clamps) and the sign, np.sign ORed with the held 1, so 0
-gives +1. That interval is empty below i0 = 1, so _schedule_extremes
-rejects, before the first step, an i0 that rounds below 1 at either end of
-its linear ramp.
+whole run, the store's planes, the 0-d -i0 and i0 - 1 bounds of the step
+dtype (from _step_inputs, which replaces them only when i0 changes) and
+_step_constants: the field product bound to J, one scratch plane (the
+neighbour plane of _add_coupling) and a 1 of the step dtype. The planes and
+J's operands are checked once there (_check_field_planes), so a step checks
+no flag, dtype or shape. A step is one _step call: the field product, the
+replica coupling (skipped at q = 0), the accumulator sum, run_hw's bound
+check, the paper's saturation into [-i0, i0 - 1] (one call of numpy's clip
+ufunc) and the sign, np.sign ORed with the held 1, so 0 gives +1. That
+interval is empty below i0 = 1, so _schedule_extremes rejects, before the
+first step, an i0 that rounds below 1 at either end of its linear ramp.
 """
 
 from __future__ import annotations
@@ -68,6 +72,9 @@ from functools import partial
 from itertools import cycle, islice
 
 import numpy as np
+# The clip ufunc itself: np.clip's Python wrapper costs more than the clip on
+# a narrow plane. A tier-1 test checks the private name at every step dtype.
+from numpy._core.umath import clip as _clip
 from scipy.sparse import _sparsetools
 
 from .ising import IsingModel, WeightedGraph, replica_cuts, replica_energies
@@ -141,34 +148,62 @@ def _add_coupling(raw, prev, q, upper):
 
 def _check_field_planes(jmat, sigma, raw):
     """Raise ValueError unless raw is C-ordered and sigma has raw's shape,
-    both in J's dtype with one row per spin: what _step's CSR kernel needs
-    and does not check. It takes whole (N, R) planes as buffers of N R
-    entries and checks no length, so a plane of another shape would be read
-    or written out of bounds. _step_constants calls this once per run with
-    the initial t plane, whose shape and dtype every store plane keeps, and
-    the accumulator plane that every step's raw matches (each noise plane
-    of _step_inputs is a C-ordered plane of the step dtype)."""
-    if (not raw.flags.c_contiguous or raw.dtype != jmat.dtype or sigma.dtype != jmat.dtype
-            or sigma.shape != raw.shape or len(jmat.indptr) != raw.shape[0] + 1):
+    both in J's dtype with one row per spin: what _step's kernel needs and
+    does not check. jmat is J as a CSR, or as its diagonals, an (offsets,
+    data) pair, whose data must then be a C-ordered (len(offsets), N) array
+    with int32 offsets. The kernels take whole (N, R) planes (and the
+    diagonals) as flat buffers and check no length, so an operand of
+    another shape would be read or written out of bounds. _step_constants
+    calls this once per run with the initial t plane, whose shape and dtype
+    every store plane keeps, and the accumulator plane that every step's
+    raw matches (each noise plane of _step_inputs is a C-ordered plane of
+    the step dtype)."""
+    if isinstance(jmat, tuple):
+        offsets, data = jmat
+        dtype, rows = data.dtype, data.shape[-1]
+        fits = (offsets.dtype == np.int32 and offsets.ndim == data.ndim - 1 == 1
+                and len(data) == len(offsets) and data.flags.c_contiguous)
+    else:
+        dtype, rows, fits = jmat.dtype, len(jmat.indptr) - 1, True
+    if (not fits or not raw.flags.c_contiguous or raw.dtype != dtype or sigma.dtype != dtype
+            or sigma.shape != raw.shape or rows != raw.shape[0]):
         raise ValueError(
             f"the field product needs a C-ordered (N, R) accumulator and a sigma plane of its "
-            f"shape, both in J's dtype; got J {jmat.dtype} {jmat.shape}, raw {raw.dtype} "
-            f"{raw.shape} (C-ordered: {raw.flags.c_contiguous}), sigma {sigma.dtype} "
-            f"{sigma.shape}")
+            f"shape, both in J's dtype and, by diagonals, C-ordered (n_diags, N) data with "
+            f"int32 offsets; got J {dtype} with {rows} rows, raw {raw.dtype} {raw.shape} "
+            f"(C-ordered: {raw.flags.c_contiguous}), sigma {sigma.dtype} {sigma.shape}")
 
 
-def _step_constants(jmat, sigma, is_acc, bound=None):
+def _step_constants(model, sigma, is_acc, bound=None):
     """The per-run constants of _step, from the run's t plane sigma and
-    accumulator plane is_acc, whose planes it checks once
-    (_check_field_planes): the CSR product bound to J (csr_matvec at R = 1,
-    csr_matvecs above, as scipy's own product picks), the held scratch
-    plane, a 1 of the step dtype and the accumulator bound (None skips the
-    check)."""
-    _check_field_planes(jmat, sigma, is_acc)
+    accumulator plane is_acc, whose planes it checks once with J's operands
+    (_check_field_planes): the field product bound to J in the step dtype
+    (sigma's), the held scratch plane, a 1 of the step dtype and the
+    accumulator bound (None skips the check).
+
+    The product is one of scipy's compiled kernels. At R = 1, when J's held
+    diagonals have at most twice as many entries inside the matrix as the
+    CSR stores couplings (the torus of G11: 4,784 against 3,200; any K_N:
+    equal), it is dia_matvec over the model's diagonals, which reads each
+    diagonal as one contiguous run and no column index: 1.3 us against
+    3.2 us per G11 product, and 87 us against 325 us on a +-1 K_800 at
+    int16. Otherwise it is csr_matvec at R = 1 and csr_matvecs above, as
+    scipy's own product picks: G14's 1,528 diagonals hold 68 times its
+    couplings, and the DIA kernel for several columns is slower than
+    csr_matvecs at every R >= 2 on G11. Either kernel sums in the step
+    dtype, exactly: each partial sum of a row is raw plus a subset of that
+    row's terms, which _step_dtype bounds."""
     n, replicas = sigma.shape
-    csr = (jmat.indptr, jmat.indices, jmat.data)
-    product = (partial(_sparsetools.csr_matvec, n, n, *csr) if replicas == 1
-               else partial(_sparsetools.csr_matvecs, n, n, replicas, *csr))
+    if replicas == 1 and model.diagonal_entries() <= 2 * model.coupling_matrix().nnz:
+        jmat = model.coupling_diagonals(sigma.dtype)
+        offsets, data = jmat
+        product = partial(_sparsetools.dia_matvec, n, n, len(offsets), n, offsets, data)
+    else:
+        jmat = model.coupling_matrix(sigma.dtype)
+        csr = (jmat.indptr, jmat.indices, jmat.data)
+        product = (partial(_sparsetools.csr_matvec, n, n, *csr) if replicas == 1
+                   else partial(_sparsetools.csr_matvecs, n, n, replicas, *csr))
+    _check_field_planes(jmat, sigma, is_acc)
     return product, np.empty_like(sigma), np.array(1, sigma.dtype), bound
 
 
@@ -176,13 +211,14 @@ def _step(run, sigma, prev, raw, is_acc, q, floor, ceil, out):
     """One step in place on whole spin-major (N, R) planes: raw (the step's
     noise, scaled by n_rnd and biased by h) becomes the saturated
     accumulator and out the new spins. run is _step_constants' tuple, sigma
-    the t plane and prev the t-1 plane. raw gains J sigma (the CSR kernel
-    adds it in place), q prev[:, (k + 1) % R] and is_acc, exactly in any
-    order, as _step_dtype bounds the sum of every |term|; a run with a bound
-    checks the sum against it. Then two clamps saturate raw into
-    [-i0, i0 - 1], against the -i0 and i0 - 1 planes floor and ceil (a clamp
-    against a plane is several times faster than against a scalar). The
-    sign is np.sign ORed with 1, so 0 gives +1."""
+    the t plane and prev the t-1 plane. raw gains J sigma (the kernel adds
+    it in place), q prev[:, (k + 1) % R] and is_acc, exactly in any order,
+    as _step_dtype bounds the sum of every |term|; a run with a bound
+    checks the sum against it. Then one call of numpy's clip ufunc
+    saturates raw into [-i0, i0 - 1], against floor and ceil, 0-d arrays
+    of the step dtype (np.clip's Python wrapper costs more than the clip
+    itself on an (800, 1) plane). The sign is np.sign ORed with 1, so 0
+    gives +1."""
     product, scratch, one, bound = run
     product(sigma, raw)
     if q:
@@ -193,8 +229,7 @@ def _step(run, sigma, prev, raw, is_acc, q, floor, ceil, out):
         peak = max(int(raw.max()), -int(raw.min()))
         if peak > bound:
             raise AccumulatorOverflowError(f"|accumulator| {peak} exceeds bound {bound}")
-    np.maximum(raw, floor, out=raw)
-    np.minimum(raw, ceil, out=raw)
+    _clip(raw, floor, ceil, out=raw)
     np.sign(raw, out=out)
     out |= one
 
@@ -213,15 +248,16 @@ def _step_inputs(params, rng, h, dtype):
     biased once, and an all-zero h (every MAX-CUT model) skips the bias
     pass. So a narrow plane draws many steps a call (100 G11 steps at
     R = 1) and R >= 11 draws m steps a call. q is a Python int (a numpy
-    integer would widen an int8 plane under NEP 50). floor and ceil are the
-    -i0 and i0 - 1 planes that the saturation clamps against; one of each
-    serves the run, refilled only when i0 changes."""
+    integer would widen an int8 plane under NEP 50). floor and ceil are
+    -i0 and i0 - 1 as 0-d arrays of dtype, the bounds the saturation clips
+    to; the same pair serves every step until i0 changes, which replaces
+    it."""
     n, replicas = len(h), rng.n_streams
     # The flat spin-major (N, R) plane of h, or None when adding it changes nothing.
     bias = np.repeat(h.astype(dtype), replicas) if h.any() else None
     i0s, n_rnd, qs = (column.tolist() for column in schedule_table(params))
     per_lane, lanes = max(1, _NOISE_BLOCK // n), max(1, _NOISE_LANES // replicas)
-    floor, ceil, held = np.empty((n, replicas), dtype), np.empty((n, replicas), dtype), None
+    held = None
     start = 0
     while start < params.steps:
         # count lanes of size steps: whole lanes while any are left, then one
@@ -237,8 +273,7 @@ def _step_inputs(params, rng, h, dtype):
         for t, noise in enumerate(block.reshape(-1, n, replicas), start):
             if i0s[t] != held:
                 held = i0s[t]
-                floor.fill(-held)
-                ceil.fill(held - 1)
+                floor, ceil = np.array(-held, dtype), np.array(held - 1, dtype)
             yield noise, qs[t], floor, ceil
         start += count * size
 
@@ -333,7 +368,7 @@ def _anneal(model, params, graph, record_trace, planes, checked) -> RunResult:
     rng = RngStreams(params.seed, params.replicas)
     sigma = initial_state(model, rng, dtype)
     is_acc = np.zeros_like(sigma)
-    run = _step_constants(model.coupling_matrix(dtype), sigma, is_acc, bound if checked else None)
+    run = _step_constants(model, sigma, is_acc, bound if checked else None)
     trace = [] if record_trace else None
     # The store comes first: zip stops at the first exhausted iterator, so the
     # store's rotation after the last step still runs and no plane past it is

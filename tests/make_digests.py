@@ -103,6 +103,15 @@ def _small_models():
     return cases
 
 
+def _pm1_complete(n, seed):
+    """A +-1 K_n as (graph, model): every pair an edge, weights drawn by one
+    default_rng(seed).choice over the pairs in triu_indices order."""
+    i, j = np.triu_indices(n, 1)
+    w = np.random.default_rng(seed).choice([-1, 1], size=len(i))
+    graph = WeightedGraph(n, np.stack([i, j, w], axis=1))
+    return graph, maxcut_to_ising(graph)
+
+
 def _cases():
     """Yield (name, thunk) of every case; a thunk returns the case's digest."""
     graphs = {name: load_instance(name) for name in ("G11", "G14")}
@@ -157,6 +166,21 @@ def _cases():
            lambda: _digest(run_ssqa(models["G11"], narrow, graphs["G11"], record_trace=True)))
     yield ("hw-G11-R3-67steps",
            lambda: _digest(*run_hw(models["G11"], narrow, graph=graphs["G11"], record_trace=True)))
+    kn_graph, kn = _pm1_complete(64, 2026)
+    # One replica column: SSA on a +-1 K_64 (int16) and run_hw on G11 (int8,
+    # with the default q staircase coupling the replica to itself) and on the
+    # K_64 with every j != i of a row read (no sparse bypass).
+    yield ("ssa-K64-s3",
+           lambda: _digest(run_ssa(kn, AnnealParams(seed=3), kn_graph,
+                                   record_trace=True)))
+    r1 = AnnealParams(steps=30, replicas=1, seed=6)
+    for kind in ("dual_bram", "shift_register"):
+        yield (f"hw-G11-R1-{kind}",
+               lambda kind=kind: _digest(*run_hw(models["G11"], r1, kind, graph=graphs["G11"],
+                                                 record_trace=True)))
+    yield ("hw-K64-R1-dense",
+           lambda: _digest(*run_hw(kn, AnnealParams(steps=40, replicas=1, seed=5),
+                                   graph=kn_graph, sparse_bypass=False, record_trace=True)))
     for n, replicas in itertools.product((4000, 4095), (1, 20, 480)):
         yield f"lowbits-n{n}-R{replicas}", lambda n=n, replicas=replicas: _low_bits(n, replicas)
     for name, model, graph, params, kind, bypass in _small_models():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse import _sparsetools
 
 from ssqa.gset import load_instance
 from ssqa.ising import IsingModel, WeightedGraph, maxcut_to_ising, replica_energies
@@ -64,11 +65,10 @@ def hand_steps(model, params, rng, sigma, is_acc):
     with the noise). Yields replica-major (sigma, Is) after each of
     params.steps steps."""
     dtype = _step_dtype(model, params)
-    jmat = model.coupling_matrix(dtype)
     sigma = np.array(np.transpose(sigma), dtype=dtype, order="C")
     is_acc = np.array(np.transpose(is_acc), dtype=dtype, order="C")
     sigma_prev = sigma.copy()
-    run = _step_constants(jmat, sigma, is_acc)
+    run = _step_constants(model, sigma, is_acc)
     for raw, q, floor, ceil in _step_inputs(params, rng, model.h, dtype):
         _step(run, sigma, sigma_prev, raw, is_acc, q, floor, ceil, sigma_prev)
         sigma, sigma_prev, is_acc = sigma_prev, sigma, raw
@@ -301,19 +301,21 @@ def test_saturation_and_sign_invariants():
 @example(raw=np.array([[-9, 0], [0, 9]]), i0=4, dtype="int32")
 @example(raw=np.array([[-9, 0], [0, 9]]), i0=4, dtype="int64")
 def test_saturate_and_sign_matches_three_branch_rule(raw, i0, dtype):
-    """The two clamps and the sign of _step equal the nested np.where rule
-    bit for bit, at every integer step dtype, against real -i0 and i0 - 1
-    planes: a step with no couplings, q = 0 and a zero accumulator
-    saturates its noise plane. The elements stay in int8 range."""
+    """The clip and the sign of _step equal the nested np.where rule bit for
+    bit, at every integer step dtype, against 0-d -i0 and i0 - 1 bounds of
+    the step dtype, as _step_inputs yields them: a step with no couplings,
+    q = 0 and a zero accumulator saturates its noise plane. The elements
+    stay in int8 range."""
     raw = raw.astype(dtype)
     top = i0 - 1
     expect = np.where(raw >= i0, top, np.where(raw < -i0, -i0, raw)).astype(raw.dtype)
     got, sigma = raw.copy(), np.full_like(raw, 55)
-    jmat = IsingModel(len(raw), np.zeros(len(raw), np.int64), ()).coupling_matrix(raw.dtype)
+    model = IsingModel(len(raw), np.zeros(len(raw), np.int64), ())
     zero, spins = np.zeros_like(raw), np.ones_like(raw)
-    run = _step_constants(jmat, spins, zero)
+    run = _step_constants(model, spins, zero)
     run[1][...] = 77  # the scratch plane's values are not read
-    _step(run, spins, spins, got, zero, 0, np.full_like(raw, -i0), np.full_like(raw, top), sigma)
+    _step(run, spins, spins, got, zero, 0, np.array(-i0, raw.dtype), np.array(top, raw.dtype),
+          sigma)
     assert got.tobytes() == expect.tobytes()
     assert np.array_equal(sigma, np.where(expect >= 0, 1, -1))
     assert sigma.dtype == raw.dtype and not (sigma == 0).any()
@@ -346,9 +348,11 @@ def test_add_coupling_matches_two_slice_rule(case):
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
 @pytest.mark.parametrize("replicas", [1, 5])
 def test_accumulate_matches_edge_loop_at_every_step_dtype(dtype, replicas):
-    """_step adds J sigma through scipy's compiled CSR kernel, a private
-    module: the single-column kernel at R = 1, the multi-column one above.
-    At every step dtype, from a read-only sigma as run_hw's delay views are,
+    """_step adds J sigma through the scipy kernel that _step_constants
+    binds (a private module): by diagonals at R = 1 on this model, whose
+    diagonals hold twice its stored couplings, and the multi-column CSR
+    kernel above. At every step dtype, from a read-only sigma as run_hw's
+    delay views are,
     with raw near a quarter of the dtype's range and an i0 that no sum
     reaches, the sum equals the edge loop's and the @ product's, so a scipy
     release that moves or changes the kernel fails here. A non-contiguous
@@ -373,34 +377,208 @@ def test_accumulate_matches_edge_loop_at_every_step_dtype(dtype, replicas):
     expect += field
     i0 = int(np.iinfo(dtype).max)
     assert np.abs(expect).max() < i0
-    run = _step_constants(jmat, sigma, raw)
+    run = _step_constants(model, sigma, raw)
     out = np.empty_like(raw)
-    _step(run, sigma, prev, raw, is_acc, 2, np.full_like(raw, -i0), np.full_like(raw, i0), out)
+    _step(run, sigma, prev, raw, is_acc, 2, np.array(-i0, dtype), np.array(i0, dtype), out)
     assert raw.dtype == dtype and raw.tobytes() == expect.astype(dtype).tobytes()
     assert np.array_equal(out, np.where(expect >= 0, 1, -1))
     strided = np.zeros((model.n, 2 * replicas), dtype)[:, ::2]
     other = np.int32 if dtype == np.int64 else np.int64
     for bad_raw, bad_sigma in ((strided, sigma), (raw.astype(other), sigma),
                                (raw, sigma.astype(other)), (raw[1:], sigma[1:])):
+        for operands in (jmat, model.coupling_diagonals(dtype)):
+            with pytest.raises(ValueError, match="C-ordered"):
+                _check_field_planes(operands, bad_sigma, bad_raw)
+    # Diagonals the DIA kernel would read out of bounds or in another width.
+    offsets, data = model.coupling_diagonals(dtype)
+    for bad in ((offsets.astype(np.int64), data), (offsets, data[:, 1:]),
+                (offsets, data[1:]), (offsets, data.astype(other)),
+                (offsets, np.asfortranarray(data))):
         with pytest.raises(ValueError, match="C-ordered"):
-            _check_field_planes(jmat, bad_sigma, bad_raw)
+            _check_field_planes(bad, sigma, raw)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_clip_ufunc_saturates_at_every_step_dtype(dtype):
+    """_step saturates through numpy's clip ufunc, numpy._core.umath.clip, a
+    private name. In place on an (N, R) plane, against 0-d bounds of the
+    step dtype, it equals a clamp into [-i0, i0 - 1] at every step dtype,
+    with raw at the dtype's extremes, around both bounds and at i0 = 1 and
+    the dtype's largest i0, and keeps raw's dtype. So a numpy release that
+    moves or changes the ufunc fails here."""
+    from ssqa.solver import _clip
+
+    assert isinstance(_clip, np.ufunc)
+    info = np.iinfo(dtype)
+    for i0 in (1, 5, int(info.max)):
+        lo, hi = -i0, i0 - 1
+        values = [info.min, info.min + 1, lo - 1, lo, lo + 1, -1, 0, 1, hi - 1, hi, i0,
+                  info.max - 1, info.max]
+        raw = np.tile(np.array(values, dtype)[:, None], (1, 3))
+        expect = np.minimum(np.maximum(raw.astype(object), lo), hi).astype(dtype)
+        _clip(raw, np.array(lo, dtype), np.array(hi, dtype), out=raw)
+        assert raw.dtype == dtype and raw.tobytes() == expect.tobytes()
+
+
+def torus_model(rows, cols, weights):
+    """A rows x cols toroidal grid, node r cols + c, with the given weights
+    on its 2 rows cols edges (right, then down)."""
+    pairs = []
+    for r in range(rows):
+        for c in range(cols):
+            node = r * cols + c
+            pairs += [(node, r * cols + (c + 1) % cols), (node, ((r + 1) % rows) * cols + c)]
+    couplings = [(min(a, b), max(a, b), int(w)) for (a, b), w in zip(pairs, weights)]
+    return IsingModel(rows * cols, np.zeros(rows * cols, np.int64), couplings)
+
+
+def padded_model(n, pad):
+    """Full diagonals n - 1 (one coupling) and n - 2 (two) and one coupling
+    at offset n - pad: its diagonals hold 2 (3 + pad) entries against 8
+    stored couplings, so pad 4 is below twice the couplings, 5 at it and 6
+    above."""
+    couplings = ((0, n - 1, 1), (0, n - 2, -1), (1, n - 1, 2), (0, n - pad, -3))
+    return IsingModel(n, np.zeros(n, np.int64), couplings)
+
+
+@st.composite
+def diagonal_cases(draw):
+    """(model, dtype): a torus, a K_n, no couplings, a padded model near
+    twice its couplings, or a sparse random model. At int8 the weights are
+    small (at most 2 in magnitude), so a row's |J| sum fits the dtype with
+    room for raw."""
+    dtype = draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64]))
+    lim = 1 if dtype == np.int8 else 7
+    weight = st.integers(-lim, lim)
+    kind = draw(st.sampled_from(["torus", "complete", "empty", "padded", "random"]))
+    if kind == "torus":
+        rows, cols = draw(st.integers(3, 6)), draw(st.integers(3, 6))
+        model = torus_model(rows, cols, draw(st.lists(weight, min_size=2 * rows * cols,
+                                                      max_size=2 * rows * cols)))
+    elif kind == "complete":
+        n = draw(st.integers(2, 40))
+        pairs = list(zip(*np.triu_indices(n, 1)))
+        ws = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+        model = IsingModel(n, np.zeros(n, np.int64),
+                           [(int(i), int(j), w) for (i, j), w in zip(pairs, ws)])
+    elif kind == "empty":
+        n = draw(st.integers(1, 30))
+        model = IsingModel(n, np.zeros(n, np.int64), ())
+    elif kind == "padded":
+        model = padded_model(draw(st.integers(7, 40)), draw(st.sampled_from([4, 5, 6])))
+    else:
+        n = draw(st.integers(2, 40))
+        seed = draw(st.integers(0, 2**32 - 1))
+        model = random_model(np.random.default_rng(seed), n, p=0.15, weight_bits=2 + 2 * (
+            dtype != np.int8))
+    return model, dtype
+
+
+def _complete_model(n, seed):
+    """A +-1 K_n from default_rng(seed), pairs in triu_indices order."""
+    weights = np.random.default_rng(seed).choice([-1, 1], size=n * (n - 1) // 2)
+    return IsingModel(n, np.zeros(n, np.int64),
+                      [(int(i), int(j), int(w))
+                       for i, j, w in zip(*np.triu_indices(n, 1), weights)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=diagonal_cases(), seed=st.integers(0, 2**32 - 1))
+@example(case=(torus_model(4, 5, [1, -1] * 20), np.int8), seed=1)
+@example(case=(_complete_model(40, 2), np.int8), seed=2)
+@example(case=(_complete_model(40, 3), np.int16), seed=3)
+@example(case=(IsingModel(9, np.zeros(9, np.int64), ()), np.int8), seed=4)
+@example(case=(padded_model(20, 4), np.int8), seed=5)
+@example(case=(padded_model(20, 5), np.int32), seed=6)
+@example(case=(padded_model(20, 6), np.int64), seed=7)
+def test_diagonal_product_matches_edge_loop_and_csr_kernel(case, seed):
+    """scipy's dia_matvec over the model's cached diagonals, from a
+    read-only sigma, adds into raw what the edge loop and the CSR kernel
+    add, byte for byte, at every step dtype, with raw as far from 0 as the
+    row sums leave room for. The diagonals are int32 ascending offsets
+    with their negatives, whose (n_diags, N) data is read-only, cached per
+    dtype, and read entry [d, j] as J[j - offsets[d], j]."""
+    model, dtype = case
+    n, rng = model.n, np.random.default_rng(seed)
+    offsets, data = model.coupling_diagonals(dtype)
+    assert model.coupling_diagonals(dtype)[1] is data
+    assert offsets is model.coupling_diagonals(np.int64)[0]
+    assert offsets.dtype == np.int32 and data.dtype == dtype and data.shape == (len(offsets), n)
+    assert not offsets.flags.writeable and not data.flags.writeable
+    assert np.array_equal(offsets, -offsets[::-1]) and np.all(np.diff(offsets) > 0)
+    dense = model.coupling_matrix().toarray()
+    rows = np.arange(n)[None, :] - offsets[:, None]
+    inside = (rows >= 0) & (rows < n)
+    assert np.array_equal(data[inside], dense[rows[inside], np.nonzero(inside)[1]])
+    assert not data[~inside].any()
+    assert model.diagonal_entries() == int(inside.sum())
+    sigma = rng.choice(np.array([-1, 1], dtype), size=(n, 1))
+    sigma.flags.writeable = False
+    room = int(np.iinfo(dtype).max) - int(np.abs(dense).sum(axis=1).max())
+    assert room > 0
+    raw = rng.integers(-room, room, size=(n, 1), endpoint=True).astype(dtype)
+    expect = raw.astype(np.int64)
+    for i, j, w in model.couplings.tolist():
+        expect[i] += w * int(sigma[j, 0])
+        expect[j] += w * int(sigma[i, 0])
+    by_diagonals, by_rows = raw.copy(), raw.copy()
+    _check_field_planes((offsets, data), sigma, by_diagonals)
+    _sparsetools.dia_matvec(n, n, len(offsets), n, offsets, data, sigma, by_diagonals)
+    jmat = model.coupling_matrix(dtype)
+    _sparsetools.csr_matvec(n, n, jmat.indptr, jmat.indices, jmat.data, sigma, by_rows)
+    assert by_diagonals.tobytes() == by_rows.tobytes() == expect.astype(dtype).tobytes()
+
+
+def test_field_product_kernel_is_chosen_by_replicas_and_padding():
+    """_step_constants binds dia_matvec at R = 1 when J's diagonals hold at
+    most twice the CSR's stored couplings: on G11's torus (4,784 entries
+    against 3,200), on a K_n (equal) and on a model with no couplings. G14
+    (1,528 diagonals, 634,998 entries against 9,388), a sparse random
+    graph, a model just past twice its couplings and every model at R > 1
+    take the CSR kernels. The diagonals are built only for a run that
+    takes them."""
+    g11 = maxcut_to_ising(load_instance("G11"))
+    g14 = maxcut_to_ising(load_instance("G14"))
+    assert (g11.diagonal_entries(), g11.coupling_matrix().nnz) == (4784, 3200)
+    assert (g14.diagonal_entries(), g14.coupling_matrix().nnz) == (634998, 9388)
+    assert len(g14._diagonal_offsets) == 1528
+    complete = _complete_model(40, 4)
+    sparse = random_model(np.random.default_rng(5), 200, p=0.03)
+    empty = IsingModel(30, np.zeros(30, np.int64), ())
+    by_diagonals = [g11, complete, empty, padded_model(30, 4), padded_model(30, 5)]
+    by_rows = [g14, sparse, padded_model(30, 6)]
+    for model in by_diagonals + by_rows:
+        for replicas in (1, 2, 20):
+            dtype = _step_dtype(model, AnnealParams(replicas=replicas))
+            sigma = np.ones((model.n, replicas), dtype)
+            kernel = _step_constants(model, sigma, np.zeros_like(sigma))[0].func
+            if replicas > 1:
+                assert kernel is _sparsetools.csr_matvecs
+            elif model in by_diagonals:
+                assert kernel is _sparsetools.dia_matvec
+            else:
+                assert kernel is _sparsetools.csr_matvec
+        assert bool(model._diagonals_by_dtype) == (model in by_diagonals)
 
 
 @pytest.mark.parametrize("replicas", [1, 20])
 def test_step_inputs_are_c_order_planes(replicas):
     """Every plane of a step is C-ordered: an elementwise pass that mixes a
-    C- and an F-ordered plane is strided, and the CSR kernel takes whole
+    C- and an F-ordered plane is strided, and the field kernels take whole
     planes as flat buffers. Both plane stores, run_ssqa's and the delay
     line of either kind, yield whole (N, R) planes of the step dtype, and
-    the delay line's t plane is read-only."""
+    the delay line's t plane is read-only. The saturation bounds are 0-d
+    arrays of the step dtype."""
     from ssqa.hwsim import DELAY_KINDS, _DELAY_LINES, _delay_planes
 
     stores = [_two_planes] + [partial(_delay_planes, _DELAY_LINES[kind]) for kind in DELAY_KINDS]
     for dtype in (np.int8, np.int16):
         params = AnnealParams(steps=7, replicas=replicas)
         h = np.zeros(800, np.int64)
-        planes = [plane for step in _step_inputs(params, RngStreams(1, replicas), h, dtype)
-                  for plane in (step[0], *step[2:])]
+        planes = []
+        for noise, _, floor, ceil in _step_inputs(params, RngStreams(1, replicas), h, dtype):
+            planes.append(noise)
+            assert floor.shape == ceil.shape == () and floor.dtype == ceil.dtype == dtype
         for store in stores:
             for now, prev, out in store(np.ones((800, replicas), dtype), 3):
                 planes += (now, prev, out)
@@ -480,8 +658,9 @@ def test_i0_below_one_is_rejected_before_any_step(ramp, value, step, monkeypatch
 
 @pytest.mark.parametrize("engine", ["run_ssqa", "dual_bram", "shift_register"])
 def test_engines_check_field_planes_once_per_run(engine, monkeypatch):
-    """Each engine checks its field-product planes once, where it sets them
-    up, and no step checks them again."""
+    """Each engine checks its field-product operands once, where it sets
+    them up, and no step checks them again: the CSR at R = 4, and at R = 1
+    the diagonals of G11's torus."""
     import ssqa.hwsim
     import ssqa.solver
 
@@ -492,13 +671,16 @@ def test_engines_check_field_planes_once_per_run(engine, monkeypatch):
         check(*args)
 
     monkeypatch.setattr(ssqa.solver, "_check_field_planes", spy)
-    model = random_model(np.random.default_rng(3), 9)
-    params = AnnealParams(steps=12, replicas=4, seed=2)
-    if engine == "run_ssqa":
-        run_ssqa(model, params)
-    else:
-        ssqa.hwsim.run_hw(model, params, engine)
-    assert len(calls) == 1
+    g11 = maxcut_to_ising(load_instance("G11"))
+    for model, replicas, by_diagonals in ((random_model(np.random.default_rng(3), 9), 4, False),
+                                          (g11, 1, True)):
+        params = AnnealParams(steps=12, replicas=replicas, seed=2)
+        calls.clear()
+        if engine == "run_ssqa":
+            run_ssqa(model, params)
+        else:
+            ssqa.hwsim.run_hw(model, params, engine)
+        assert len(calls) == 1 and isinstance(calls[0][0], tuple) == by_diagonals
 
 
 def steps_per_block(n):
@@ -549,23 +731,28 @@ def test_step_inputs_equal_step_by_step_draws(n, steps, replicas, dtype, seed, n
     n_rnd(t) times the +-1 bits of a twin stream drawing one step at a
     time, plus h when there is one, in the step dtype;
     planes are C-ordered, writable and disjoint, and both streams end in one
-    state. q is the schedule's at each step, and the run's one floor and
-    one ceil plane hold -i0 and i0 - 1 of the schedule's i0 at every step."""
+    state. q is the schedule's at each step, and floor and ceil are 0-d
+    -i0 and i0 - 1 of the schedule's i0 at every step: one pair while i0
+    holds, replaced when it changes."""
     params = AnnealParams(steps=steps(steps_per_block(n)), replicas=replicas, seed=seed,
                           n_rnd=LinearSchedule(*n_rnd), i0=LinearSchedule(*i0))
     h = np.zeros(n, np.int64)
     if biased:
         h[:] = np.random.default_rng(seed).integers(-8, 8, size=n)
     blocks, twin = RngStreams(seed, replicas), RngStreams(seed, replicas)
-    planes, bounds = [], set()
+    planes, bounds = [], []
     for t, (plane, q, floor, ceil) in enumerate(_step_inputs(params, blocks, h, dtype)):
         assert q == q_value_at(params, t) and type(q) is int
         level = i0_at(params, t)
-        assert floor.dtype == ceil.dtype == dtype
-        assert np.all(floor == -level) and np.all(ceil == level - 1)
+        assert floor.shape == ceil.shape == () and floor.dtype == ceil.dtype == dtype
+        assert floor == -level and ceil == level - 1
+        if t and level == i0_at(params, t - 1):
+            assert floor is bounds[-1][0] and ceil is bounds[-1][1]
+        else:
+            assert not bounds or (floor is not bounds[-1][0] and ceil is not bounds[-1][1])
         planes.append(plane)
-        bounds.add((id(floor), id(ceil)))
-    assert len(planes) == params.steps and len(bounds) <= 1
+        bounds.append((floor, ceil))
+    assert len(planes) == params.steps
     for t, plane in enumerate(planes):
         expect = (n_rnd_at(params, t) * twin.next_bipolar(n) + h[:, None]).astype(dtype)
         assert plane.dtype == dtype and plane.shape == (n, replicas)
